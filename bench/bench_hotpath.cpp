@@ -31,23 +31,12 @@
 #include "core/hotpotato.hpp"
 #include "core/peak_temperature.hpp"
 #include "exec/arena.hpp"
-#include "exec/exec.hpp"
-#include "linalg/simd.hpp"
 #include "sched/static_schedulers.hpp"
 #include "sim/simulator.hpp"
 #include "thermal/modal_solver.hpp"
 #include "thermal/solver.hpp"
 #include "workload/benchmark.hpp"
 #include "workload/generator.hpp"
-
-// Provenance baked in by bench/CMakeLists.txt; harmless fallbacks keep the
-// file compilable outside that build (e.g. compile_commands tooling).
-#ifndef HP_BENCH_GIT_SHA
-#define HP_BENCH_GIT_SHA "unknown"
-#endif
-#ifndef HP_BENCH_BUILD_TYPE
-#define HP_BENCH_BUILD_TYPE "unknown"
-#endif
 
 // --- instrumented allocator --------------------------------------------------
 // Counts every path into the global heap. Counting is the only intervention:
@@ -193,67 +182,12 @@ void measure_campaign(const std::string& name,
     g_cases.push_back(std::move(c));
 }
 
-/// First "model name" line of /proc/cpuinfo, or "unknown" off-Linux.
-std::string cpu_model() {
-    std::ifstream cpuinfo("/proc/cpuinfo");
-    std::string line;
-    while (std::getline(cpuinfo, line)) {
-        if (line.rfind("model name", 0) != 0) continue;
-        const std::size_t colon = line.find(':');
-        if (colon == std::string::npos) continue;
-        std::size_t begin = colon + 1;
-        while (begin < line.size() && line[begin] == ' ') ++begin;
-        return line.substr(begin);
-    }
-    return "unknown";
-}
-
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-std::string compiler_id() {
-#if defined(__clang__)
-    return std::string("clang ") + __clang_version__;
-#elif defined(__GNUC__)
-    return std::string("gcc ") + __VERSION__;
-#else
-    return "unknown";
-#endif
-}
-
 void write_json(const std::string& path, bool smoke) {
-    using hp::linalg::simd::active_tier;
-    using hp::linalg::simd::tier_name;
-    // Host topology + the pin policy the campaign cases ran under: the
-    // campaign-throughput numbers depend on worker placement, so the gate
-    // (scripts/check_bench.py) warns when these differ between baseline and
-    // candidate — mirroring the SIMD dispatch-tier handling above.
-    const hp::exec::Topology topo = hp::exec::discover_topology();
-    const std::size_t cpus_per_node =
-        topo.nodes.empty() ? 0 : topo.nodes.front().cpus.size();
-    hp::exec::ExecPolicy policy;
-    policy.apply_env_overrides();
     std::ofstream out(path);
     out << "{\n  \"benchmark\": \"bench_hotpath\",\n  \"mode\": \""
-        << (smoke ? "smoke" : "full") << "\",\n  \"provenance\": {\n"
-        << "    \"git_sha\": \"" << json_escape(HP_BENCH_GIT_SHA) << "\",\n"
-        << "    \"compiler\": \"" << json_escape(compiler_id()) << "\",\n"
-        << "    \"build_type\": \"" << json_escape(HP_BENCH_BUILD_TYPE)
-        << "\",\n"
-        << "    \"cpu\": \"" << json_escape(cpu_model()) << "\",\n"
-        << "    \"numa_nodes\": " << topo.node_count() << ",\n"
-        << "    \"cpus_per_node\": " << cpus_per_node << ",\n"
-        << "    \"pin_policy\": \"" << hp::exec::to_string(policy.pin)
-        << "\",\n"
-        << "    \"dispatch\": \"" << tier_name(active_tier()) << "\"\n"
-        << "  },\n  \"cases\": [\n";
+        << (smoke ? "smoke" : "full") << "\",\n";
+    hp::bench::write_provenance(out);
+    out << "  \"cases\": [\n";
     for (std::size_t i = 0; i < g_cases.size(); ++i) {
         const Case& c = g_cases[i];
         char buf[256];

@@ -30,17 +30,9 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "exec/exec.hpp"
-#include "linalg/simd.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
 
-#ifndef HP_BENCH_GIT_SHA
-#define HP_BENCH_GIT_SHA "unknown"
-#endif
-#ifndef HP_BENCH_BUILD_TYPE
-#define HP_BENCH_BUILD_TYPE "unknown"
-#endif
 
 namespace {
 
@@ -147,62 +139,12 @@ double percentile_ns(std::vector<double> latencies, double q) {
     return latencies[rank];
 }
 
-std::string cpu_model() {
-    std::ifstream cpuinfo("/proc/cpuinfo");
-    std::string line;
-    while (std::getline(cpuinfo, line)) {
-        if (line.rfind("model name", 0) != 0) continue;
-        const std::size_t colon = line.find(':');
-        if (colon == std::string::npos) continue;
-        std::size_t begin = colon + 1;
-        while (begin < line.size() && line[begin] == ' ') ++begin;
-        return line.substr(begin);
-    }
-    return "unknown";
-}
-
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\') out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-std::string compiler_id() {
-#if defined(__clang__)
-    return std::string("clang ") + __clang_version__;
-#elif defined(__GNUC__)
-    return std::string("gcc ") + __VERSION__;
-#else
-    return "unknown";
-#endif
-}
-
 void write_json(const std::string& path, bool smoke) {
-    using hp::linalg::simd::active_tier;
-    using hp::linalg::simd::tier_name;
-    const hp::exec::Topology topo = hp::exec::discover_topology();
-    const std::size_t cpus_per_node =
-        topo.nodes.empty() ? 0 : topo.nodes.front().cpus.size();
-    hp::exec::ExecPolicy policy;
-    policy.apply_env_overrides();
     std::ofstream out(path);
     out << "{\n  \"benchmark\": \"bench_server\",\n  \"mode\": \""
-        << (smoke ? "smoke" : "full") << "\",\n  \"provenance\": {\n"
-        << "    \"git_sha\": \"" << json_escape(HP_BENCH_GIT_SHA) << "\",\n"
-        << "    \"compiler\": \"" << json_escape(compiler_id()) << "\",\n"
-        << "    \"build_type\": \"" << json_escape(HP_BENCH_BUILD_TYPE)
-        << "\",\n"
-        << "    \"cpu\": \"" << json_escape(cpu_model()) << "\",\n"
-        << "    \"numa_nodes\": " << topo.node_count() << ",\n"
-        << "    \"cpus_per_node\": " << cpus_per_node << ",\n"
-        << "    \"pin_policy\": \"" << hp::exec::to_string(policy.pin)
-        << "\",\n"
-        << "    \"dispatch\": \"" << tier_name(active_tier()) << "\"\n"
-        << "  },\n  \"cases\": [\n";
+        << (smoke ? "smoke" : "full") << "\",\n";
+    hp::bench::write_provenance(out);
+    out << "  \"cases\": [\n";
     for (std::size_t i = 0; i < g_cases.size(); ++i) {
         const Case& c = g_cases[i];
         char buf[256];

@@ -2,10 +2,25 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <ostream>
 #include <string>
+#include <thread>
 
 #include "campaign/campaign.hpp"
 #include "campaign/study_setup.hpp"
+#include "exec/exec.hpp"
+#include "exec/topology.hpp"
+#include "linalg/simd.hpp"
+
+// Provenance baked in by bench/CMakeLists.txt for the benches that write a
+// BENCH JSON; harmless fallbacks keep every other bench compilable.
+#ifndef HP_BENCH_GIT_SHA
+#define HP_BENCH_GIT_SHA "unknown"
+#endif
+#ifndef HP_BENCH_BUILD_TYPE
+#define HP_BENCH_BUILD_TYPE "unknown"
+#endif
 
 namespace hp::bench {
 
@@ -66,6 +81,69 @@ inline campaign::CampaignResult run_with_progress(
                      record.wall_time_s, record.failed ? " FAILED" : "");
     };
     return campaign::run_campaign(spec, options);
+}
+
+/// First "model name" line of /proc/cpuinfo, or "unknown" off-Linux.
+inline std::string cpu_model() {
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(cpuinfo, line)) {
+        if (line.rfind("model name", 0) != 0) continue;
+        const std::size_t colon = line.find(':');
+        if (colon == std::string::npos) continue;
+        std::size_t begin = colon + 1;
+        while (begin < line.size() && line[begin] == ' ') ++begin;
+        return line.substr(begin);
+    }
+    return "unknown";
+}
+
+inline std::string json_escape(const std::string& s) {
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        if (c == '"' || c == '\\') out += '\\';
+        out += c;
+    }
+    return out;
+}
+
+inline std::string compiler_id() {
+#if defined(__clang__)
+    return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+    return std::string("gcc ") + __VERSION__;
+#else
+    return "unknown";
+#endif
+}
+
+/// Writes the `"provenance": {...}` member of a BENCH JSON (bench_hotpath
+/// and bench_server share the schema). scripts/check_bench.py warns when a
+/// comparison crosses machines, SIMD dispatch tiers, build types, host
+/// topology or pin policy, and when a server_qps_Nclients case ran more
+/// clients than the host has hardware threads.
+inline void write_provenance(std::ostream& out) {
+    using linalg::simd::active_tier;
+    using linalg::simd::tier_name;
+    const exec::Topology topo = exec::discover_topology();
+    const std::size_t cpus_per_node =
+        topo.nodes.empty() ? 0 : topo.nodes.front().cpus.size();
+    exec::ExecPolicy policy;
+    policy.apply_env_overrides();
+    out << "  \"provenance\": {\n"
+        << "    \"git_sha\": \"" << json_escape(HP_BENCH_GIT_SHA) << "\",\n"
+        << "    \"compiler\": \"" << json_escape(compiler_id()) << "\",\n"
+        << "    \"build_type\": \"" << json_escape(HP_BENCH_BUILD_TYPE)
+        << "\",\n"
+        << "    \"cpu\": \"" << json_escape(cpu_model()) << "\",\n"
+        << "    \"numa_nodes\": " << topo.node_count() << ",\n"
+        << "    \"cpus_per_node\": " << cpus_per_node << ",\n"
+        << "    \"hardware_threads\": "
+        << std::thread::hardware_concurrency() << ",\n"
+        << "    \"pin_policy\": \"" << exec::to_string(policy.pin) << "\",\n"
+        << "    \"dispatch\": \"" << tier_name(active_tier()) << "\"\n"
+        << "  },\n";
 }
 
 }  // namespace hp::bench

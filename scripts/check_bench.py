@@ -36,7 +36,8 @@ Cases whose name starts with "server_" use --server-tolerance (default 1.0 =
 of a multi-threaded daemon through real sockets, which swings with runner
 load far more than the single-threaded hot-path cases. Cross-machine runs
 are additionally flagged by the provenance warnings (warn-only, as for every
-case).
+case), and so is a server_qps_Nclients case whose N exceeds the
+hardware_threads its file recorded.
 
 allocs_per_op is gated much tighter: the zero-allocation contract is exact,
 so any increase beyond --alloc-slack (default 0.5, absorbing warmup-fraction
@@ -49,6 +50,7 @@ Exit code 0 = no regression, 1 = regression, 2 = bad invocation/input.
 
 import argparse
 import json
+import re
 import sys
 
 # Cases a candidate run must contain (see --require). The 256-core entries
@@ -139,9 +141,11 @@ def warn_provenance(base_prov, cand_prov):
                   "time gate may misfire either way", file=sys.stderr)
     # Host topology / pinning provenance (warn-only, like dispatch): the
     # campaign_run_* throughput cases saturate one worker per hardware
-    # thread, so a different node count, CPUs-per-node or pin policy shifts
-    # those timings without any code regression.
-    for field in ("numa_nodes", "cpus_per_node", "pin_policy"):
+    # thread, so a different node count, CPUs-per-node, thread count or pin
+    # policy shifts those timings without any code regression. Baselines
+    # written before a field existed read as "unknown".
+    for field in ("numa_nodes", "cpus_per_node", "hardware_threads",
+                  "pin_policy"):
         base = base_prov.get(field, "unknown")
         cand = cand_prov.get(field, "unknown")
         if base != cand:
@@ -149,6 +153,25 @@ def warn_provenance(base_prov, cand_prov):
                   f"baseline '{base}' vs candidate '{cand}'; the "
                   "campaign-throughput cases scale with worker placement and "
                   "their time gate may misfire either way", file=sys.stderr)
+
+
+def warn_oversubscribed(role, provenance, cases):
+    """Warns (never fails) for each server_qps_Nclients case measured with
+    more client threads than the host had hardware threads: such a case
+    measures the scheduler's time slicing as much as the daemon."""
+    hardware_threads = provenance.get("hardware_threads", "unknown")
+    if not isinstance(hardware_threads, int) or hardware_threads <= 0:
+        return  # "unknown": warn_provenance already flags the difference
+    for name in sorted(cases):
+        match = re.fullmatch(r"server_qps_(\d+)clients", name)
+        if not match:
+            continue
+        clients = int(match.group(1))
+        if clients > hardware_threads:
+            print(f"check_bench: WARNING — {role} {name} ran {clients} "
+                  f"clients on {hardware_threads} hardware threads; its qps "
+                  "measures oversubscription, not multi-client scaling",
+                  file=sys.stderr)
 
 
 def main():
@@ -182,6 +205,8 @@ def main():
     cand_mode, cand_prov, candidate = load_merged(args.candidates,
                                                   "candidate")
     warn_provenance(base_prov, cand_prov)
+    warn_oversubscribed("baseline", base_prov, baseline)
+    warn_oversubscribed("candidate", cand_prov, candidate)
     if base_mode != cand_mode and not args.allow_mode_mismatch:
         print(f"check_bench: mode mismatch — baseline is '{base_mode}' but "
               f"candidate is '{cand_mode}'; smoke and full runs are not "

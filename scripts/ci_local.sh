@@ -98,12 +98,13 @@ fi
 
 # ---- server soak -----------------------------------------------------------
 # Mirrors the `server-soak` CI job: the 32-thread concurrent-cache stress
-# (ConcurrentCache*) and the loopback advice-server suite (Server*), whose
+# (ConcurrentCache*), HotPotato's runs on the same cache (PeakCache*) and
+# the loopback advice-server suite (Server*), whose
 # concurrent-clients test byte-compares every answer against the
 # single-threaded batch path, repeated under each sanitizer build from the
 # legs above. Reuses those build trees — only the repetition and the filter
 # are soak-specific.
-SOAK_RE='ConcurrentCache|Server'
+SOAK_RE='ConcurrentCache|PeakCache|Server'
 if [[ $QUICK -eq 0 && -d "$BUILD_ROOT/tsan" ]]; then
   note "server-soak: cache stress + loopback suite under TSan (x3)"
   TSAN_OPTIONS=halt_on_error=1 \

@@ -55,8 +55,8 @@ policy:
                            tsp-dvfs | static | reactive | global-rotation
                                                      (default hotpotato)
   --no-peak-cache          disable the peak-prediction memo (hotpotato,
-                           hotpotato-dvfs, pcmig); results are bit-identical
-                           either way, only evaluation counts change
+                           hotpotato-dvfs); results are bit-identical either
+                           way, only evaluation counts change
 
 fidelity:
   --noc-contention         model NoC link queueing on LLC latency
@@ -422,11 +422,7 @@ std::unique_ptr<sim::Scheduler> make_scheduler(const std::string& name,
         params.use_peak_cache = use_peak_cache;
         return std::make_unique<core::HotPotatoDvfsScheduler>(params);
     }
-    if (name == "pcmig") {
-        sched::PcMigParams params;
-        params.use_peak_cache = use_peak_cache;
-        return std::make_unique<sched::PcMigScheduler>(params);
-    }
+    if (name == "pcmig") return std::make_unique<sched::PcMigScheduler>();
     if (name == "pcgov") return std::make_unique<sched::PcGovScheduler>();
     if (name == "tsp-dvfs") return std::make_unique<sched::TspDvfsScheduler>();
     if (name == "static") return std::make_unique<sched::StaticScheduler>();

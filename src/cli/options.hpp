@@ -60,7 +60,7 @@ struct CliOptions {
     bool metrics = false;           ///< print the metrics block after the run
 
     // Performance escape hatch: disable the peak-prediction memo in the
-    // schedulers that have one (hotpotato, hotpotato-dvfs, pcmig). Results
+    // schedulers that have one (hotpotato, hotpotato-dvfs). Results
     // are bit-identical either way — inputs are quantised unconditionally —
     // so this only trades speed for a simpler execution to debug.
     bool no_peak_cache = false;

@@ -97,8 +97,10 @@ void HotPotatoScheduler::initialize(sim::SimContext& ctx) {
         // Keys: 1 backend word + 1 tag word + 1 size word per ring + 1
         // power word per slot (rotation), or backend + tag + 1 power word
         // per core (static).
-        peak_cache_.configure(
-            256, 3 + ctx.chip().core_count() + ctx.chip().rings().size());
+        const std::size_t max_words =
+            3 + ctx.chip().core_count() + ctx.chip().rings().size();
+        peak_cache_.configure(256, max_words, /*shards=*/1);
+        peak_key_.reserve(max_words);
     } else {
         peak_cache_.configure(0, 0);
     }
@@ -178,29 +180,29 @@ void HotPotatoScheduler::build_static_powers(sim::SimContext& ctx) const {
 
 void HotPotatoScheduler::stage_static_key(const double* powers,
                                           std::size_t count) const {
-    peak_cache_.key_begin();
-    peak_cache_.key_push(backend_sig_);
-    peak_cache_.key_push(std::uint64_t{0});  // tag: static prediction
-    for (std::size_t i = 0; i < count; ++i) peak_cache_.key_push(powers[i]);
+    peak_key_.clear();
+    peak_key_.push(backend_sig_);
+    peak_key_.push(std::uint64_t{0});  // tag: static prediction
+    for (std::size_t i = 0; i < count; ++i) peak_key_.push(powers[i]);
 }
 
 void HotPotatoScheduler::stage_rotation_key(std::size_t tau_index) const {
     // Assumes spec_scratch_ is current (build_ring_specs ran this query).
-    peak_cache_.key_begin();
-    peak_cache_.key_push(backend_sig_);
-    peak_cache_.key_push((std::uint64_t{1} << 63) |
-                         (static_cast<std::uint64_t>(params_.samples_per_epoch)
-                          << 32) |
-                         static_cast<std::uint64_t>(tau_index));
+    peak_key_.clear();
+    peak_key_.push(backend_sig_);
+    peak_key_.push((std::uint64_t{1} << 63) |
+                   (static_cast<std::uint64_t>(params_.samples_per_epoch)
+                    << 32) |
+                   static_cast<std::uint64_t>(tau_index));
     for (const RotationRingSpec& spec : spec_scratch_) {
-        peak_cache_.key_push(
-            static_cast<std::uint64_t>(spec.slot_power_w.size()));
-        for (double p : spec.slot_power_w) peak_cache_.key_push(p);
+        peak_key_.push(static_cast<std::uint64_t>(spec.slot_power_w.size()));
+        for (double p : spec.slot_power_w) peak_key_.push(p);
     }
 }
 
-const double* HotPotatoScheduler::cache_lookup() const {
-    const double* hit = peak_cache_.lookup();
+bool HotPotatoScheduler::cache_lookup(double* out) const {
+    const bool hit =
+        peak_cache_.lookup(peak_key_.data(), peak_key_.size(), out);
     if (hit) {
         if (obs_cache_hits_) obs_cache_hits_->add();
     } else if (obs_cache_misses_) {
@@ -210,7 +212,7 @@ const double* HotPotatoScheduler::cache_lookup() const {
 }
 
 void HotPotatoScheduler::cache_insert(double peak) const {
-    peak_cache_.insert(peak);
+    peak_cache_.insert(peak_key_.data(), peak_key_.size(), peak);
 }
 
 double HotPotatoScheduler::predict_peak_with(sim::SimContext& ctx,
@@ -224,7 +226,8 @@ double HotPotatoScheduler::predict_peak_with(sim::SimContext& ctx,
         if (peak_cache_.enabled()) {
             stage_static_key(static_power_scratch_.data(),
                              static_power_scratch_.size());
-            if (const double* hit = cache_lookup()) return *hit;
+            double hit;
+            if (cache_lookup(&hit)) return hit;
         }
         const double peak =
             analyzer_->static_peak(static_power_scratch_, *peak_ws_);
@@ -234,7 +237,8 @@ double HotPotatoScheduler::predict_peak_with(sim::SimContext& ctx,
     build_ring_specs(ctx);
     if (peak_cache_.enabled()) {
         stage_rotation_key(tau_index);
-        if (const double* hit = cache_lookup()) return *hit;
+        double hit;
+        if (cache_lookup(&hit)) return hit;
     }
     const double peak =
         analyzer_->rotation_peak(spec_scratch_, params_.tau_ladder_s[tau_index],
@@ -259,7 +263,7 @@ void HotPotatoScheduler::prefetch_tau_ladder(sim::SimContext& ctx,
                                        *peak_ws_, peaks_batch_scratch_.data());
     for (std::size_t t = 0; t < count; ++t) {
         stage_rotation_key(t);
-        peak_cache_.insert(peaks_batch_scratch_[t]);
+        cache_insert(peaks_batch_scratch_[t]);
     }
 }
 
@@ -327,10 +331,7 @@ std::optional<std::size_t> HotPotatoScheduler::best_static_slot(
     for (std::size_t c = 0; c < count; ++c) {
         if (peak_cache_.enabled()) {
             stage_static_key(slate_powers_.data() + c * n, n);
-            if (const double* hit = cache_lookup()) {
-                slate_peaks_[c] = *hit;
-                continue;
-            }
+            if (cache_lookup(&slate_peaks_[c])) continue;
         }
         slate_miss_.push_back(c);
     }
@@ -352,7 +353,7 @@ std::optional<std::size_t> HotPotatoScheduler::best_static_slot(
             slate_peaks_[c] = peaks_batch_scratch_[m];
             if (peak_cache_.enabled()) {
                 stage_static_key(slate_powers_.data() + c * n, n);
-                peak_cache_.insert(slate_peaks_[c]);
+                cache_insert(slate_peaks_[c]);
             }
         }
     }

@@ -151,7 +151,8 @@ private:
     // Prediction-cache key staging and counter-mirroring helpers.
     void stage_static_key(const double* powers, std::size_t count) const;
     void stage_rotation_key(std::size_t tau_index) const;
-    const double* cache_lookup() const;
+    /// Looks the staged key up; on a hit writes the peak to @p out.
+    bool cache_lookup(double* out) const;
     void cache_insert(double peak) const;
     /// Algorithm 2 lines 1-14 for a single thread. Returns false only when
     /// no ring has a free slot at all.
@@ -199,7 +200,9 @@ private:
     mutable linalg::Vector static_power_scratch_;
     // Prediction cache + batch scratch (all grow-only, so the warmed hot
     // path stays allocation-free; mutable for the same reason as peak_ws_).
-    mutable PredictionCache<double> peak_cache_;
+    // One shard: the cache is per-run, so nothing contends for it.
+    mutable ConcurrentPeakCache peak_cache_;
+    mutable CacheKey peak_key_;  ///< staged key, reserved in initialize()
     mutable obs::Counter* obs_cache_hits_ = nullptr;
     mutable obs::Counter* obs_cache_misses_ = nullptr;
     mutable obs::Histogram* obs_batch_size_ = nullptr;

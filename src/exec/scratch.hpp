@@ -19,8 +19,8 @@ namespace hp::exec {
 /// Only types whose state is fully overwritten before use may live here:
 /// sharing a slot across runs must be observationally identical to a fresh
 /// object, or campaign determinism across --jobs breaks. Workspaces
-/// (ThermalWorkspace, PeakWorkspace) qualify; PredictionCaches do not —
-/// their hit/miss counters would depend on worker run history.
+/// (ThermalWorkspace, PeakWorkspace) qualify; HotPotato's prediction cache
+/// does not — its hit/miss counters would depend on worker run history.
 ///
 /// Not thread-safe; each worker owns its own WorkerScratch.
 class WorkerScratch {

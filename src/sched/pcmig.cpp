@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/peak_cache.hpp"
 #include "linalg/vector.hpp"
 
 namespace hp::sched {
@@ -9,79 +10,28 @@ namespace hp::sched {
 void PcMigScheduler::initialize(sim::SimContext& ctx) {
     PcGovScheduler::initialize(ctx);
     // Borrow the (arena-backed) prediction workspace from the campaign
-    // worker's scratch bag when one exists; the steady cache stays per-run —
-    // its hit/miss counters are part of the observable record.
+    // worker's scratch bag when one exists.
     if (exec::WorkerScratch* scratch = ctx.worker_scratch())
         predict_ws_ = &scratch->slot<thermal::ThermalWorkspace>();
     else
         predict_ws_ = &own_predict_ws_;
-    if (obs::Recorder* obs = ctx.observer()) {
+    if (obs::Recorder* obs = ctx.observer())
         obs_predictions_ = &obs->counter("pcmig.predictions");
-        obs_steady_hits_ = &obs->counter("pcmig.steady_cache_hits");
-        obs_steady_misses_ = &obs->counter("pcmig.steady_cache_misses");
-    }
-    backend_sig_ = ctx.solver().backend_signature();
-    if (params_.use_peak_cache)
-        steady_cache_.configure(128, 1 + ctx.chip().core_count());
-    else
-        steady_cache_.configure(0, 0);
-}
-
-void PcMigScheduler::on_core_failure(
-    sim::SimContext& ctx, std::size_t core,
-    const std::vector<sim::ThreadId>& evicted) {
-    steady_cache_.invalidate();
-    PcGovScheduler::on_core_failure(ctx, core, evicted);
 }
 
 const linalg::Vector& PcMigScheduler::predict(sim::SimContext& ctx) {
     if (obs_predictions_) obs_predictions_->add();
     const std::size_t n = ctx.chip().core_count();
-    const thermal::ThermalModel& model = ctx.thermal_model();
-    const std::size_t big_n = model.node_count();
     if (predict_power_.size() != n) predict_power_ = linalg::Vector(n);
-    // Quantised unconditionally so a cached steady state is bit-identical to
-    // the solve it replaces (see core::quantise_power_w).
+    // Powers go onto the 2^-10 W prediction grid, like HotPotato's
+    // Algorithm-1 inputs (see core::quantise_power_w).
     for (std::size_t c = 0; c < n; ++c)
         predict_power_[c] = core::quantise_power_w(ctx.core_power(c));
     ctx.thermal_model().pad_power_into(predict_power_, predict_node_power_);
-
-    // Steady-state half: memoised on the quantised power vector (plus the
-    // solver-backend identity word, so backend or tolerance changes never
-    // alias cached solves). The rest of the pipeline replicates
-    // TransientSolver::transient_into step for step, so the prediction
-    // matches a direct transient_into call bit for bit.
-    if (predict_steady_.size() != big_n)
-        predict_steady_ = linalg::Vector(big_n);
-    predict_ws_->resize(big_n);
-    bool have_steady = false;
-    if (steady_cache_.enabled()) {
-        steady_cache_.key_begin();
-        steady_cache_.key_push(backend_sig_);
-        for (std::size_t c = 0; c < n; ++c)
-            steady_cache_.key_push(predict_power_[c]);
-        if (const linalg::Vector* hit = steady_cache_.lookup()) {
-            predict_steady_ = *hit;
-            have_steady = true;
-            if (obs_steady_hits_) obs_steady_hits_->add();
-        } else if (obs_steady_misses_) {
-            obs_steady_misses_->add();
-        }
-    }
-    if (!have_steady) {
-        ctx.solver().steady_state_into(predict_node_power_,
-                                       ctx.config().ambient_c, *predict_ws_,
-                                       predict_steady_);
-        steady_cache_.insert(predict_steady_);
-    }
-    const linalg::Vector& t_init = ctx.temperatures();
-    for (std::size_t i = 0; i < big_n; ++i)
-        predict_ws_->offset[i] = t_init[i] - predict_steady_[i];
-    ctx.solver().apply_exponential_into(predict_ws_->offset,
-                                        params_.prediction_horizon_s,
-                                        *predict_ws_, predicted_);
-    for (std::size_t i = 0; i < big_n; ++i)
-        predicted_[i] = predict_steady_[i] + predicted_[i];
+    ctx.solver().transient_into(ctx.temperatures(), predict_node_power_,
+                                ctx.config().ambient_c,
+                                params_.prediction_horizon_s, *predict_ws_,
+                                predicted_);
     return predicted_;
 }
 

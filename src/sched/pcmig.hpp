@@ -3,7 +3,6 @@
 #include <string>
 #include <vector>
 
-#include "core/peak_cache.hpp"
 #include "obs/recorder.hpp"
 #include "sched/pcgov.hpp"
 #include "thermal/workspace.hpp"
@@ -19,11 +18,6 @@ struct PcMigParams {
     /// At most this many migrations per scheduler epoch (migration is a
     /// measure of last resort in PCMig, not a periodic activity).
     std::size_t max_migrations_per_epoch = 1;
-    /// Memoise the steady-state half of the MatEx prediction, keyed by the
-    /// quantised per-core powers. Powers are quantised whether or not the
-    /// cache is on, so the switch never changes a migration decision
-    /// (--no-peak-cache exposes it on the CLI).
-    bool use_peak_cache = true;
 };
 
 /// PCMig (Rapp et al., TC'20/DATE'19): the state-of-the-art thermal-aware
@@ -45,11 +39,6 @@ public:
 
     void initialize(sim::SimContext& ctx) override;
     void on_epoch(sim::SimContext& ctx) override;
-    /// Flushes the steady-state memo (the surviving-core power layout — and
-    /// with it the meaning of a cached key — just changed), then applies the
-    /// default re-placement.
-    void on_core_failure(sim::SimContext& ctx, std::size_t core,
-                         const std::vector<sim::ThreadId>& evicted) override;
 
 private:
     /// Predicted per-node temperatures after the horizon, holding current
@@ -59,8 +48,6 @@ private:
 
     PcMigParams params_;
     obs::Counter* obs_predictions_ = nullptr;  // null when observability off
-    obs::Counter* obs_steady_hits_ = nullptr;
-    obs::Counter* obs_steady_misses_ = nullptr;
     // Prediction scratch. Inside a campaign worker the workspace is borrowed
     // from the worker's WorkerScratch bag (arena-backed, one per worker,
     // distinct from the simulator's workspace so the e^{λ·dt} memos of the
@@ -71,14 +58,7 @@ private:
     thermal::ThermalWorkspace* predict_ws_ = &own_predict_ws_;
     linalg::Vector predict_power_;
     linalg::Vector predict_node_power_;
-    linalg::Vector predict_steady_;
     linalg::Vector predicted_;
-    /// Steady-state solutions keyed by the quantised core-power vector. A
-    /// hit replaces only the B^{-1} solve; the transient tail always runs
-    /// (it depends on the live temperatures, which change every epoch).
-    core::PredictionCache<linalg::Vector> steady_cache_;
-    /// Solver-backend identity word folded into every steady-cache key.
-    std::uint64_t backend_sig_ = 0;
 };
 
 }  // namespace hp::sched

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "arch/manycore.hpp"
-#include "core/peak_cache.hpp"
 #include "power/power_model.hpp"
 
 namespace hp::server {

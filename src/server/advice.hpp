@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "campaign/study_setup.hpp"
-#include "core/concurrent_peak_cache.hpp"
+#include "core/peak_cache.hpp"
 #include "core/peak_temperature.hpp"
 #include "server/protocol.hpp"
 #include "thermal/solver.hpp"

@@ -14,7 +14,7 @@
 #include <stdexcept>
 
 #include "campaign/study_setup.hpp"
-#include "core/concurrent_peak_cache.hpp"
+#include "core/peak_cache.hpp"
 #include "exec/arena.hpp"
 #include "server/protocol.hpp"
 

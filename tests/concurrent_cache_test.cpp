@@ -1,7 +1,8 @@
-// ConcurrentPeakCache: the sharded lock-free memo shared by the advice
-// server's worker pool (DESIGN.md §13). The stress tests here are the body
-// of the CI server-soak job's TSan leg: every shared access in the cache is
-// a std::atomic, so a data-race report from any interleaving is a real bug.
+// ConcurrentPeakCache: the one prediction cache, shared by the advice
+// server's worker pool (DESIGN.md §13) and owned single-shard per run by
+// HotPotato (DESIGN.md §9.3). The stress tests here are the body of the CI
+// server-soak job's TSan leg: every shared access in the cache is a
+// std::atomic, so a data-race report from any interleaving is a real bug.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/concurrent_peak_cache.hpp"
+#include "core/peak_cache.hpp"
 
 namespace {
 
@@ -182,6 +183,134 @@ TEST(ConcurrentCacheTest, StressMixedInsertLookupInvalidate) {
     const ConcurrentPeakCache::Stats stats = cache.stats();
     EXPECT_EQ(stats.hits + stats.misses, lookups.load());
     EXPECT_GT(stats.hits, 0u);
+}
+
+// --- HotPotato's prediction cache --------------------------------------------
+//
+// The cache exactly as HotPotato runs it (DESIGN.md §9.3): one shard, a
+// CacheKey cleared and refilled per query, configure(0, 0) when the cache is
+// switched off. Single-threaded unit semantics that the scheduler relies on.
+
+TEST(PredictionCache, MissThenHitWithExactKeyMatch) {
+    ConcurrentPeakCache cache;
+    cache.configure(16, 4, /*shards=*/1);
+    ASSERT_TRUE(cache.enabled());
+
+    CacheKey key;
+    key.push(std::uint64_t{42});
+    key.push(1.5);
+    double value = 0.0;
+    EXPECT_FALSE(cache.lookup(key.data(), key.size(), &value));
+    cache.insert(key.data(), key.size(), 73.25);
+    EXPECT_EQ(cache.stats().misses, 1u);
+
+    ASSERT_TRUE(cache.lookup(key.data(), key.size(), &value));
+    EXPECT_EQ(value, 73.25);
+    EXPECT_EQ(cache.stats().hits, 1u);
+
+    // One different word → different key → miss.
+    key.clear();
+    key.push(std::uint64_t{43});
+    key.push(1.5);
+    EXPECT_FALSE(cache.lookup(key.data(), key.size(), &value));
+    // A prefix of a stored key is not a match either.
+    key.clear();
+    key.push(std::uint64_t{42});
+    EXPECT_FALSE(cache.lookup(key.data(), key.size(), &value));
+}
+
+TEST(PredictionCache, InvalidateDropsEntriesKeepsStats) {
+    ConcurrentPeakCache cache;
+    cache.configure(8, 2, /*shards=*/1);
+    CacheKey key;
+    key.push(std::uint64_t{7});
+    double value = 0.0;
+    cache.insert(key.data(), key.size(), 1.0);
+    ASSERT_TRUE(cache.lookup(key.data(), key.size(), &value));
+    EXPECT_EQ(cache.stats().hits, 1u);
+
+    cache.invalidate();
+    EXPECT_FALSE(cache.lookup(key.data(), key.size(), &value))
+        << "entry survived invalidate()";
+    EXPECT_EQ(cache.stats().hits, 1u) << "stats must survive invalidate()";
+    EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST(PredictionCache, GenerationBumpLeavesNoStaleHitsBehind) {
+    // invalidate() is an O(1) generation bump — no slot is cleared. The
+    // regression bar: no key inserted before a bump may ever hit after it,
+    // across repeated bumps and slot reuse, because a stale hit would let a
+    // pre-fault (or pre-DVFS) prediction leak into a re-formed ring set.
+    ConcurrentPeakCache cache;
+    cache.configure(16, 2, /*shards=*/1);  // smaller than the key set
+    CacheKey key;
+    double value = 0.0;
+    for (std::uint64_t round = 0; round < 5; ++round) {
+        for (std::uint64_t k = 0; k < 64; ++k) {
+            key.clear();
+            key.push(k);
+            key.push(round);
+            cache.insert(key.data(), key.size(), double(round * 1000 + k));
+        }
+        cache.invalidate();
+        for (std::uint64_t k = 0; k < 64; ++k) {
+            key.clear();
+            key.push(k);
+            key.push(round);
+            EXPECT_FALSE(cache.lookup(key.data(), key.size(), &value))
+                << "stale hit for key " << k << " survived bump " << round;
+        }
+    }
+    // Stale-generation slots are preferred insert victims: the cache keeps
+    // serving after any number of bumps.
+    key.clear();
+    key.push(std::uint64_t{7});
+    cache.insert(key.data(), key.size(), 42.0);
+    ASSERT_TRUE(cache.lookup(key.data(), key.size(), &value));
+    EXPECT_EQ(value, 42.0);
+}
+
+TEST(PredictionCache, OversizeKeysAndDisabledCacheAreSafeNoOps) {
+    ConcurrentPeakCache cache;
+    cache.configure(4, 2, /*shards=*/1);
+    CacheKey key;
+    for (std::uint64_t i = 0; i < 3; ++i) key.push(i);  // 3 > 2 words
+    double value = 0.0;
+    EXPECT_FALSE(cache.lookup(key.data(), key.size(), &value));
+    cache.insert(key.data(), key.size(), 9.0);  // dropped, not stored
+    EXPECT_FALSE(cache.lookup(key.data(), key.size(), &value));
+
+    ConcurrentPeakCache off;
+    off.configure(0, 0);  // HotPotato's cache-off configuration
+    EXPECT_FALSE(off.enabled());
+    key.clear();
+    key.push(std::uint64_t{1});
+    EXPECT_FALSE(off.lookup(key.data(), key.size(), &value));
+    off.insert(key.data(), key.size(), 1.0);  // no-op, must not crash
+    EXPECT_FALSE(off.lookup(key.data(), key.size(), &value));
+}
+
+TEST(PredictionCache, EvictionKeepsServingUnderPressure) {
+    // A tiny cache and HotPotato's own size, each fed 16× its capacity:
+    // inserts must evict, and the most recent key is always resident.
+    for (const std::size_t entries : {4u, 256u}) {
+        ConcurrentPeakCache cache;
+        cache.configure(entries, 1, /*shards=*/1);
+        CacheKey key;
+        double value = 0.0;
+        const std::uint64_t keys = 16 * entries;
+        for (std::uint64_t k = 0; k < keys; ++k) {
+            key.clear();
+            key.push(k);
+            if (!cache.lookup(key.data(), key.size(), &value))
+                cache.insert(key.data(), key.size(), double(k));
+        }
+        key.clear();
+        key.push(keys - 1);
+        ASSERT_TRUE(cache.lookup(key.data(), key.size(), &value))
+            << entries << " entries";
+        EXPECT_EQ(value, double(keys - 1));
+    }
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
-// The peak-prediction cache: PredictionCache unit semantics, the
+// HotPotato's peak-prediction cache: the quantisation grid, the
 // bit-identity contract (cache on ≡ cache off for every simulated output),
 // invalidation under fault-driven ring re-formation, the --no-peak-cache CLI
-// escape hatch and the metrics surface.
+// escape hatch and the metrics surface. The cache's own unit semantics live
+// in concurrent_cache_test.cpp.
 //
-// The contract under test (DESIGN.md §9): schedulers quantise prediction
-// inputs whether or not their cache is enabled, and a hit returns exactly
+// The contract under test (DESIGN.md §9): HotPotato quantises prediction
+// inputs whether or not its cache is enabled, and a hit returns exactly
 // what a fresh evaluation of the same quantised inputs would produce — so
 // flipping the cache changes only *when* Algorithm 1 runs, never a
 // scheduling decision, a migration, or a simulated temperature. The fault
@@ -24,10 +25,8 @@
 #include "cli/options.hpp"
 #include "core/hotpotato.hpp"
 #include "core/hotpotato_dvfs.hpp"
-#include "core/peak_cache.hpp"
 #include "fault/fault_injector.hpp"
 #include "obs/recorder.hpp"
-#include "sched/pcmig.hpp"
 #include "sim/simulator.hpp"
 #include "workload/benchmark.hpp"
 #include "workload/generator.hpp"
@@ -50,128 +49,6 @@ TEST(QuantisePower, ExactBinaryGridAndIdempotence) {
     EXPECT_EQ(core::quantise_power_w(q), q);
     // llround never produces -0.0, so keys of "zero watts" are unambiguous.
     EXPECT_FALSE(std::signbit(core::quantise_power_w(-1e-12)));
-}
-
-// --- PredictionCache unit semantics ------------------------------------------
-
-TEST(PredictionCache, MissThenHitWithExactKeyMatch) {
-    core::PredictionCache<double> cache;
-    cache.configure(16, 4);
-    ASSERT_TRUE(cache.enabled());
-
-    cache.key_begin();
-    cache.key_push(std::uint64_t{42});
-    cache.key_push(1.5);
-    EXPECT_EQ(cache.lookup(), nullptr);
-    cache.insert(73.25);
-    EXPECT_EQ(cache.misses(), 1u);
-
-    cache.key_begin();
-    cache.key_push(std::uint64_t{42});
-    cache.key_push(1.5);
-    const double* hit = cache.lookup();
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(*hit, 73.25);
-    EXPECT_EQ(cache.hits(), 1u);
-
-    // One different word → different key → miss.
-    cache.key_begin();
-    cache.key_push(std::uint64_t{43});
-    cache.key_push(1.5);
-    EXPECT_EQ(cache.lookup(), nullptr);
-    // A prefix of a stored key is not a match either.
-    cache.key_begin();
-    cache.key_push(std::uint64_t{42});
-    EXPECT_EQ(cache.lookup(), nullptr);
-}
-
-TEST(PredictionCache, InvalidateDropsEntriesKeepsStats) {
-    core::PredictionCache<double> cache;
-    cache.configure(8, 2);
-    cache.key_begin();
-    cache.key_push(std::uint64_t{7});
-    cache.insert(1.0);
-    (void)cache.lookup();  // hit
-    EXPECT_EQ(cache.hits(), 1u);
-
-    cache.invalidate();
-    cache.key_begin();
-    cache.key_push(std::uint64_t{7});
-    EXPECT_EQ(cache.lookup(), nullptr) << "entry survived invalidate()";
-    EXPECT_EQ(cache.hits(), 1u) << "stats must survive invalidate()";
-    EXPECT_EQ(cache.misses(), 1u);
-}
-
-TEST(PredictionCache, GenerationBumpLeavesNoStaleHitsBehind) {
-    // invalidate() is an O(1) generation bump — no slot is cleared. The
-    // regression bar: no key inserted before a bump may ever hit after it,
-    // across repeated bumps and slot reuse, because a stale hit would let a
-    // pre-fault (or pre-DVFS) prediction leak into a re-formed ring set.
-    core::PredictionCache<double> cache;
-    cache.configure(16, 2);  // smaller than the key set: slots get reused
-    for (int round = 0; round < 5; ++round) {
-        for (std::uint64_t k = 0; k < 64; ++k) {
-            cache.key_begin();
-            cache.key_push(k);
-            cache.key_push(std::uint64_t(round));
-            cache.insert(double(round * 1000 + int(k)));
-        }
-        cache.invalidate();
-        for (std::uint64_t k = 0; k < 64; ++k) {
-            cache.key_begin();
-            cache.key_push(k);
-            cache.key_push(std::uint64_t(round));
-            EXPECT_EQ(cache.lookup(), nullptr)
-                << "stale hit for key " << k << " survived bump " << round;
-        }
-    }
-    // Stale-generation slots are preferred insert victims: the cache keeps
-    // serving at full capacity after any number of bumps.
-    cache.key_begin();
-    cache.key_push(std::uint64_t{7});
-    cache.insert(42.0);
-    cache.key_begin();
-    cache.key_push(std::uint64_t{7});
-    const double* hit = cache.lookup();
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(*hit, 42.0);
-}
-
-TEST(PredictionCache, OversizeKeysAndDisabledCacheAreSafeNoOps) {
-    core::PredictionCache<double> cache;
-    cache.configure(4, 2);
-    cache.key_begin();
-    for (int i = 0; i < 3; ++i) cache.key_push(std::uint64_t(i));  // 3 > 2
-    EXPECT_EQ(cache.lookup(), nullptr);
-    cache.insert(9.0);  // dropped, not stored
-    cache.key_begin();
-    for (int i = 0; i < 3; ++i) cache.key_push(std::uint64_t(i));
-    EXPECT_EQ(cache.lookup(), nullptr);
-
-    core::PredictionCache<double> off;
-    off.configure(0, 0);
-    EXPECT_FALSE(off.enabled());
-    off.key_begin();
-    off.key_push(std::uint64_t{1});
-    EXPECT_EQ(off.lookup(), nullptr);
-    off.insert(1.0);  // no-op, must not crash
-}
-
-TEST(PredictionCache, EvictionKeepsServingUnderPressure) {
-    core::PredictionCache<double> cache;
-    cache.configure(4, 1);  // tiny: inserts must evict
-    for (std::uint64_t k = 0; k < 64; ++k) {
-        cache.key_begin();
-        cache.key_push(k);
-        if (cache.lookup() == nullptr) cache.insert(double(k));
-    }
-    // Most recent key is still resident (it was just inserted into the
-    // freshest slot of its probe window).
-    cache.key_begin();
-    cache.key_push(std::uint64_t{63});
-    const double* hit = cache.lookup();
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(*hit, 63.0);
 }
 
 // --- simulation-level bit-identity (cache on ≡ cache off) --------------------
@@ -260,16 +137,6 @@ TEST(PeakCacheEquivalence, HotPotatoDvfsCacheSwitchIsInvisibleInOutputs) {
     expect_identical_results(on, off);
 }
 
-TEST(PeakCacheEquivalence, PcMigCacheSwitchIsInvisibleInOutputs) {
-    const campaign::StudySetup setup = campaign::StudySetup::paper_16core();
-    const sim::SimConfig cfg = traced_config(0.15);
-    const sim::SimResult on = run_with<sched::PcMigScheduler>(
-        setup, cfg, sched::PcMigParams{}, true);
-    const sim::SimResult off = run_with<sched::PcMigScheduler>(
-        setup, cfg, sched::PcMigParams{}, false);
-    expect_identical_results(on, off);
-}
-
 TEST(PeakCacheEquivalence, StaleHitCannotSurviveRingReFormation) {
     // Regression for the invalidation contract: a permanent core failure
     // mid-run re-forms the AMD rings, so every cached peak keyed on the old
@@ -295,22 +162,6 @@ TEST(PeakCacheEquivalence, StaleHitCannotSurviveRingReFormation) {
     const sim::SimResult off = run_with<core::HotPotatoScheduler>(
         setup, cfg, core::HotPotatoParams{}, false);
     EXPECT_EQ(on.resilience.core_failures, 2u);
-    expect_identical_results(on, off);
-}
-
-TEST(PeakCacheEquivalence, PcMigSurvivesCoreFailureIdentically) {
-    const campaign::StudySetup setup = campaign::StudySetup::paper_16core();
-    sim::SimConfig cfg = traced_config(0.3);
-    fault::FaultEvent failure;
-    failure.time_s = 0.05;
-    failure.kind = fault::FaultKind::kCorePermanent;
-    failure.target = 3;
-    cfg.fault_schedule.events.push_back(failure);
-
-    const sim::SimResult on = run_with<sched::PcMigScheduler>(
-        setup, cfg, sched::PcMigParams{}, true);
-    const sim::SimResult off = run_with<sched::PcMigScheduler>(
-        setup, cfg, sched::PcMigParams{}, false);
     expect_identical_results(on, off);
 }
 
@@ -387,7 +238,7 @@ TEST(PeakCacheCli, NoPeakCacheFlagParsesAndIsDocumented) {
 
 TEST(PeakCacheCli, MakeSchedulerForwardsTheSwitch) {
     // Both polarities construct for every scheduler that honours the flag
-    // (and for one that ignores it), with the single-arg overload intact.
+    // (and for ones that ignore it), with the single-arg overload intact.
     for (const char* name : {"hotpotato", "hotpotato-dvfs", "pcmig", "pcgov"}) {
         EXPECT_NE(cli::make_scheduler(name), nullptr) << name;
         EXPECT_NE(cli::make_scheduler(name, false), nullptr) << name;

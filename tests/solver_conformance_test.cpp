@@ -431,7 +431,7 @@ TEST(SignatureGuard, DifferentModelsRejected) {
 
 // ---- Prediction-cache keys: backend/tolerance tagged (regression) -------
 
-TEST(PredictionCacheKeys, BackendSignaturesNeverAlias) {
+TEST(PeakCacheKeys, BackendSignaturesNeverAlias) {
     const ThermalModel& model = rig16().model;
     const auto dense = hp::thermal::make_solver(model, SolverConfig::dense());
     const auto modal = hp::thermal::make_solver(model, SolverConfig::modal());
@@ -450,35 +450,36 @@ TEST(PredictionCacheKeys, BackendSignaturesNeverAlias) {
     EXPECT_NE(dense->backend_signature(), dense_big->backend_signature());
 }
 
-TEST(PredictionCacheKeys, TaggedKeysMissAcrossBackends) {
-    // Regression: schedulers prefix every cache key with the solver's
-    // backend signature. Before the tag, a prediction cached under one
+TEST(PeakCacheKeys, TaggedKeysMissAcrossBackends) {
+    // Regression: every prediction-cache key starts with the solver's
+    // backend signature. Without the tag, a prediction cached under one
     // backend could be returned verbatim for another backend or tolerance
     // with identical scheduler inputs.
     const ThermalModel& model = rig16().model;
     const auto dense = hp::thermal::make_solver(model, SolverConfig::dense());
     const auto modal = hp::thermal::make_solver(model, SolverConfig::modal());
 
-    hp::core::PredictionCache<double> cache;
-    cache.configure(32, 4);
+    hp::core::ConcurrentPeakCache cache;
+    cache.configure(32, 4, /*shards=*/1);
     const double power = hp::core::quantise_power_w(4.2);
+    hp::core::CacheKey key;
 
-    cache.key_begin();
-    cache.key_push(dense->backend_signature());
-    cache.key_push(power);
-    cache.insert(71.5);
+    key.push(dense->backend_signature());
+    key.push(power);
+    cache.insert(key.data(), key.size(), 71.5);
 
-    cache.key_begin();
-    cache.key_push(modal->backend_signature());
-    cache.key_push(power);
-    EXPECT_EQ(cache.lookup(), nullptr) << "modal key hit a dense entry";
+    key.clear();
+    key.push(modal->backend_signature());
+    key.push(power);
+    double value = 0.0;
+    EXPECT_FALSE(cache.lookup(key.data(), key.size(), &value))
+        << "modal key hit a dense entry";
 
-    cache.key_begin();
-    cache.key_push(dense->backend_signature());
-    cache.key_push(power);
-    const double* hit = cache.lookup();
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(*hit, 71.5);
+    key.clear();
+    key.push(dense->backend_signature());
+    key.push(power);
+    ASSERT_TRUE(cache.lookup(key.data(), key.size(), &value));
+    EXPECT_EQ(value, 71.5);
 }
 
 // ---- HotPotato fidelity: modal peak within the reported bound -----------
