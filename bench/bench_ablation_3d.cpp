@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
     const hp::campaign::StudySetup s = hp::campaign::StudySetup::stacked_32core();
     const auto& chip = s.chip();
     const auto& model = s.model();
+    const auto& solver = s.solver();
     constexpr double kAmbient = 45.0;
     constexpr double kIdle = 0.3;
 
@@ -38,10 +39,11 @@ int main(int argc, char** argv) {
     {
         Vector p(32, kIdle);
         p[chip.plan().index_of(1, 1, 0)] = 5.0;
-        const Vector bottom = model.steady_state(model.pad_power(p), kAmbient);
+        const Vector bottom =
+            solver.steady_state(model.pad_power(p), kAmbient);
         Vector q(32, kIdle);
         q[chip.plan().index_of(1, 1, 1)] = 5.0;
-        const Vector top = model.steady_state(model.pad_power(q), kAmbient);
+        const Vector top = solver.steady_state(model.pad_power(q), kAmbient);
         std::printf("  5 W core steady-state: bottom layer %.1f C, top layer %.1f C"
                     " (3D penalty %.1f C)\n",
                     bottom[chip.plan().index_of(1, 1, 0)],

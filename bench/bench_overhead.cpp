@@ -100,7 +100,7 @@ BENCHMARK(BM_Algorithm1_StaticPeak)->Unit(benchmark::kMicrosecond);
 /// Baseline cost: one TSP budget computation (what PCGov/PCMig pay per
 /// epoch).
 void BM_Baseline_TspBudget(benchmark::State& state) {
-    const hp::sched::TspBudget tsp(testbed_64core().model());
+    const hp::sched::TspBudget tsp(testbed_64core().solver());
     std::vector<bool> mask(64, true);
     for (auto _ : state)
         benchmark::DoNotOptimize(
@@ -112,7 +112,8 @@ BENCHMARK(BM_Baseline_TspBudget)->Unit(benchmark::kMicrosecond);
 /// migration check).
 void BM_Baseline_MatExPrediction(benchmark::State& state) {
     const auto& tb = testbed_64core();
-    const hp::linalg::Vector t0 = tb.model().ambient_equilibrium(kAmbient);
+    const hp::linalg::Vector t0 = tb.solver().steady_state(
+        hp::linalg::Vector(tb.model().node_count()), kAmbient);
     hp::linalg::Vector power(64, 2.5);
     const hp::linalg::Vector padded = tb.model().pad_power(power);
     for (auto _ : state)

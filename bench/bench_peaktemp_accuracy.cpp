@@ -38,7 +38,8 @@ std::vector<Vector> ring_schedule(const RotationRingSpec& ring,
 double brute_peak(const std::vector<Vector>& schedule, double tau,
                   int samples, double horizon_s) {
     const auto& tb = testbed_16core();
-    Vector t = tb.model().ambient_equilibrium(kAmbient);
+    Vector t = tb.solver().steady_state(Vector(tb.model().node_count()),
+                                        kAmbient);
     const int periods = static_cast<int>(
         horizon_s / (tau * static_cast<double>(schedule.size()))) + 1;
     double peak = -1e300;

@@ -141,8 +141,10 @@ fi
 # ---- forced modal solver ---------------------------------------------------
 # Mirrors the `modal-solver` CI job: HOTPOTATO_SOLVER overrides auto backend
 # selection, so every unpinned StudySetup/make_solver call in the suite runs
-# on the truncated-modal thermal solver. Reuses the first Release build; the
-# backend is chosen at runtime from the environment.
+# on the truncated-modal thermal solver — transients and peaks, and also the
+# TSP budgets and simulator initial temperatures, which are solved through
+# the backend. Reuses the first Release build; the backend is chosen at
+# runtime from the environment.
 MODAL_DIR="$BUILD_ROOT/${COMPILERS[0]%%:*}-Release"
 if [[ -d "$MODAL_DIR" ]]; then
   note "modal solver: full suite under HOTPOTATO_SOLVER=modal"

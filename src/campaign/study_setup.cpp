@@ -19,12 +19,12 @@ struct StudySetup::Bundle {
           model(chip.plan(), cooling),
           solver(thermal::make_solver(model, solver_config)) {}
 
-    /// Deep copy sharing nothing with @p other: replica() duplicates the
-    /// model (including the cached LU) and clone_rebound copies the solver's
-    /// tables bit-for-bit against the new model — no setup recomputation.
+    /// Deep copy sharing nothing with @p other: the model is plain data and
+    /// clone_rebound copies the solver's tables bit-for-bit against the new
+    /// model — no setup recomputation.
     Bundle(const Bundle& other)
         : chip(other.chip),
-          model(other.model.replica()),
+          model(other.model),
           solver(other.solver->clone_rebound(model)) {}
 };
 

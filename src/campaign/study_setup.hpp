@@ -25,8 +25,8 @@ namespace hp::campaign {
 /// contract. This replaces the Testbed boilerplate that every bench and
 /// example used to duplicate.
 ///
-/// Thread safety: ManyCore (AMD + ring tables), ThermalModel (A/B/G and the
-/// cached LU of B) and every TransientSolver backend are all immutable after
+/// Thread safety: ManyCore (AMD + ring tables), ThermalModel (plain A/B/G
+/// data) and every TransientSolver backend are all immutable after
 /// construction — no mutable members, no lazy caches — so any number of
 /// threads may call their const member functions concurrently. This is the
 /// contract the parallel campaign engine relies on: one StudySetup is shared
@@ -74,9 +74,9 @@ public:
     const thermal::TransientSolver& solver() const { return *solver_; }
 
     /// A StudySetup over a brand-new bundle that shares no storage with this
-    /// one: chip tables copied, model deep-copied via ThermalModel::replica()
-    /// and the solver cloned via TransientSolver::clone_rebound() — all
-    /// bit-for-bit copies, nothing recomputed (no eigensolve), so replica
+    /// one: chip tables and model data copied and the solver cloned via
+    /// TransientSolver::clone_rebound() — all bit-for-bit copies, nothing
+    /// recomputed (no eigensolve, no factorisation), so replica
     /// runs produce bit-identical records. The campaign engine calls this
     /// once per NUMA node (first worker on the node pays the copy; the pages
     /// land node-local by first touch) so high --jobs sweeps stop bouncing

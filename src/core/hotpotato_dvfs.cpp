@@ -20,7 +20,7 @@ void HotPotatoDvfsScheduler::on_epoch(sim::SimContext& ctx) {
 
 void HotPotatoDvfsScheduler::engage(sim::SimContext& ctx) {
     const std::vector<bool> mask = sched::active_core_mask(ctx);
-    const sched::TspBudget tsp(ctx.thermal_model());
+    const sched::TspBudget tsp(ctx.solver());
     const double idle = ctx.power_model().idle_power_w(ctx.config().t_dtm_c);
     const double budget = tsp.per_core_budget(
         mask, idle, ctx.config().ambient_c, ctx.config().t_dtm_c);

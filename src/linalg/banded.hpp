@@ -27,7 +27,7 @@ namespace hp::linalg {
 /// against the dense LU's ~530 k — and setup is O(N·b²) instead of O(N³).
 /// Solutions agree with the LU path to machine precision but not bit-for-bit
 /// (different elimination order); the bit-identity guarantees of the dense
-/// backend therefore keep using LuDecomposition.
+/// backend therefore keep using its LU of B.
 ///
 /// Immutable after construction; solve_into writes only caller buffers, so
 /// one factorisation serves any number of concurrent solver threads.

@@ -18,7 +18,7 @@ void PcGovScheduler::on_epoch(sim::SimContext& ctx) { apply_tsp_dvfs(ctx); }
 
 void PcGovScheduler::apply_tsp_dvfs(sim::SimContext& ctx) {
     const std::vector<bool> mask = active_core_mask(ctx);
-    TspBudget tsp(ctx.thermal_model());
+    TspBudget tsp(ctx.solver());
     const double idle = ctx.power_model().idle_power_w(ctx.config().t_dtm_c);
     const double budget = tsp.per_core_budget(
         mask, idle, ctx.config().ambient_c, ctx.config().t_dtm_c);

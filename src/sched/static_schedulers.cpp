@@ -51,7 +51,7 @@ bool TspDvfsScheduler::on_task_arrival(sim::SimContext& ctx,
 
 void TspDvfsScheduler::on_epoch(sim::SimContext& ctx) {
     const std::vector<bool> mask = active_core_mask(ctx);
-    TspBudget tsp(ctx.thermal_model());
+    TspBudget tsp(ctx.solver());
     const double idle =
         ctx.power_model().idle_power_w(ctx.config().t_dtm_c);
     const double budget = tsp.per_core_budget(

@@ -8,7 +8,8 @@ namespace hp::sched {
 double TspBudget::per_core_budget(const std::vector<bool>& active,
                                   double idle_power_w, double ambient_c,
                                   double t_dtm_c) const {
-    const std::size_t n = model_->core_count();
+    const thermal::ThermalModel& model = solver_->model();
+    const std::size_t n = model.core_count();
     if (active.size() != n)
         throw std::invalid_argument("TspBudget: mask size mismatch");
 
@@ -17,7 +18,7 @@ double TspBudget::per_core_budget(const std::vector<bool>& active,
     // S = B^{-1} * pad(mask).
     linalg::Vector idle_power(n, idle_power_w);
     const linalg::Vector t_idle =
-        model_->steady_state(model_->pad_power(idle_power), ambient_c);
+        solver_->steady_state(model.pad_power(idle_power), ambient_c);
 
     linalg::Vector mask(n);
     bool any = false;
@@ -30,7 +31,7 @@ double TspBudget::per_core_budget(const std::vector<bool>& active,
     if (!any) return idle_power_w;
 
     const linalg::Vector sensitivity =
-        model_->conductance_lu().solve(model_->pad_power(mask));
+        solver_->conductance_solve(model.pad_power(mask));
 
     double x = 1e300;
     for (std::size_t i = 0; i < n; ++i) {  // constrain core nodes only
@@ -44,14 +45,15 @@ double TspBudget::per_core_budget(const std::vector<bool>& active,
 double TspBudget::steady_peak(const std::vector<bool>& active,
                               double active_power_w, double idle_power_w,
                               double ambient_c) const {
-    const std::size_t n = model_->core_count();
+    const thermal::ThermalModel& model = solver_->model();
+    const std::size_t n = model.core_count();
     if (active.size() != n)
         throw std::invalid_argument("TspBudget: mask size mismatch");
     linalg::Vector power(n);
     for (std::size_t i = 0; i < n; ++i)
         power[i] = active[i] ? active_power_w : idle_power_w;
     const linalg::Vector t =
-        model_->steady_state(model_->pad_power(power), ambient_c);
+        solver_->steady_state(model.pad_power(power), ambient_c);
     double peak = -1e300;
     for (std::size_t i = 0; i < n; ++i) peak = std::max(peak, t[i]);
     return peak;

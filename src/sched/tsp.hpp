@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "thermal/rc_network.hpp"
+#include "thermal/solver.hpp"
 
 namespace hp::sched {
 
@@ -15,8 +15,10 @@ namespace hp::sched {
 /// frequency so its power stays within this budget.
 class TspBudget {
 public:
-    /// @p model must outlive this object.
-    explicit TspBudget(const thermal::ThermalModel& model) : model_(&model) {}
+    /// Solves through @p solver's steady state (exact in every backend);
+    /// @p solver must outlive this object.
+    explicit TspBudget(const thermal::TransientSolver& solver)
+        : solver_(&solver) {}
 
     /// Uniform total power budget per active core (W, including leakage) for
     /// the mapping @p active (size core_count; true = hosts a thread).
@@ -34,7 +36,7 @@ public:
                        double idle_power_w, double ambient_c) const;
 
 private:
-    const thermal::ThermalModel* model_;
+    const thermal::TransientSolver* solver_;
 };
 
 }  // namespace hp::sched

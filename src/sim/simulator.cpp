@@ -68,7 +68,9 @@ Simulator::Simulator(const arch::ManyCore& chip,
     core_idle_since_s_.assign(n, 0.0);
     core_gated_.assign(n, false);
     noc_delay_s_.assign(n, 0.0);
-    temps_ = model.ambient_equilibrium(config_.ambient_c);
+    // Ambient equilibrium: the steady state with every node unpowered.
+    temps_ = solver.steady_state(linalg::Vector(model.node_count()),
+                                 config_.ambient_c);
     step_power_ = linalg::Vector(n);
     node_power_ = linalg::Vector(model.node_count());
     ws_->resize(model.node_count());

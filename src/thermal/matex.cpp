@@ -9,7 +9,8 @@
 
 namespace hp::thermal {
 
-MatExSolver::MatExSolver(const ThermalModel& model) : model_(&model) {
+MatExSolver::MatExSolver(const ThermalModel& model)
+    : model_(&model), lu_(model.conductance()) {
     const std::size_t n = model.node_count();
     const linalg::Vector& cap = model.capacitance();
 
@@ -46,19 +47,33 @@ MatExSolver::MatExSolver(const ThermalModel& model) : model_(&model) {
 linalg::Matrix MatExSolver::modal_steady_map() const {
     // β = V^{-1}·B^{-1} — the exact expression the analyzer historically
     // evaluated in its constructor, kept verbatim for bit-identity.
-    return v_inv_ * model_->conductance_lu().inverse();
+    return v_inv_ * lu_.inverse();
 }
 
 linalg::Vector MatExSolver::steady_state(const linalg::Vector& node_power,
                                          double ambient_celsius) const {
-    return model_->steady_state(node_power, ambient_celsius);
+    if (node_power.size() != model_->node_count())
+        throw std::invalid_argument(
+            "MatExSolver::steady_state: power vector must cover all nodes");
+    return lu_.solve(node_power +
+                     ambient_celsius * model_->ambient_conductance());
 }
 
 void MatExSolver::steady_state_into(const linalg::Vector& node_power,
                                     double ambient_celsius,
                                     ThermalWorkspace& workspace,
                                     linalg::Vector& out) const {
-    model_->steady_state_into(node_power, ambient_celsius, workspace, out);
+    const std::size_t n = model_->node_count();
+    if (node_power.size() != n)
+        throw std::invalid_argument(
+            "MatExSolver::steady_state: power vector must cover all nodes");
+    workspace.resize(n);
+    if (out.size() != n) out = linalg::Vector(n);
+    const linalg::Vector& ambient =
+        workspace.ambient_rhs(model_->ambient_conductance(), ambient_celsius);
+    for (std::size_t i = 0; i < n; ++i)
+        workspace.rhs[i] = node_power[i] + ambient[i];
+    lu_.solve_into(workspace.rhs, out);
 }
 
 void MatExSolver::steady_state_batch_into(const double* node_powers,
@@ -66,19 +81,37 @@ void MatExSolver::steady_state_batch_into(const double* node_powers,
                                           double ambient_celsius,
                                           ThermalWorkspace& workspace,
                                           double* out) const {
-    model_->steady_state_batch_into(node_powers, nrhs, ambient_celsius,
-                                    workspace, out);
+    const std::size_t n = model_->node_count();
+    if (nrhs == 0) return;
+    workspace.resize(n);
+    const linalg::Vector& ambient =
+        workspace.ambient_rhs(model_->ambient_conductance(), ambient_celsius);
+    // Build the right-hand sides directly in the LU's node-major layout
+    // (node i of RHS r at i·nrhs + r) — same adds as steady_state_into.
+    std::pmr::vector<double>& rhs = workspace.batch_rhs(n * nrhs);
+    std::pmr::vector<double>& sol = workspace.batch_sol(n * nrhs);
+    for (std::size_t i = 0; i < n; ++i) {
+        double* row = rhs.data() + i * nrhs;
+        const double amb = ambient[i];
+        for (std::size_t r = 0; r < nrhs; ++r)
+            row[r] = node_powers[r * n + i] + amb;
+    }
+    lu_.solve_batch_into(rhs.data(), nrhs, sol.data());
+    for (std::size_t i = 0; i < n; ++i) {
+        const double* row = sol.data() + i * nrhs;
+        for (std::size_t r = 0; r < nrhs; ++r) out[r * n + i] = row[r];
+    }
 }
 
 linalg::Vector MatExSolver::conductance_solve(const linalg::Vector& rhs) const {
-    return model_->conductance_lu().solve(rhs);
+    return lu_.solve(rhs);
 }
 
 void MatExSolver::conductance_solve_into(const linalg::Vector& rhs,
                                          ThermalWorkspace& workspace,
                                          linalg::Vector& out) const {
     (void)workspace;  // the LU substitution needs no scratch
-    model_->conductance_lu().solve_into(rhs, out);
+    lu_.solve_into(rhs, out);
 }
 
 linalg::Vector MatExSolver::apply_exponential(const linalg::Vector& x,
@@ -132,8 +165,7 @@ linalg::Matrix MatExSolver::exponential(double dt) const {
 linalg::Vector MatExSolver::transient(const linalg::Vector& t_init,
                                       const linalg::Vector& node_power,
                                       double ambient_celsius, double dt) const {
-    const linalg::Vector steady =
-        model_->steady_state(node_power, ambient_celsius);
+    const linalg::Vector steady = steady_state(node_power, ambient_celsius);
     return steady + apply_exponential(t_init - steady, dt);
 }
 
@@ -146,8 +178,8 @@ void MatExSolver::transient_into(const linalg::Vector& t_init,
     if (t_init.size() != n)
         throw std::invalid_argument("transient: t_init size mismatch");
     workspace.resize(n);
-    model_->steady_state_into(node_power, ambient_celsius, workspace,
-                              workspace.steady);
+    steady_state_into(node_power, ambient_celsius, workspace,
+                      workspace.steady);
     // The offset is captured before out is written, so out may alias t_init.
     for (std::size_t i = 0; i < n; ++i)
         workspace.offset[i] = t_init[i] - workspace.steady[i];
@@ -168,8 +200,8 @@ void MatExSolver::transient_batch_into(const linalg::Vector& t_init,
     if (nrhs == 0) return;
     workspace.resize(n);
     std::pmr::vector<double>& steady = workspace.batch_steady(n * nrhs);
-    model_->steady_state_batch_into(node_powers, nrhs, ambient_celsius,
-                                    workspace, steady.data());
+    steady_state_batch_into(node_powers, nrhs, ambient_celsius, workspace,
+                            steady.data());
     // Offsets are built directly in outs (the batched exponential may run
     // in place), with transient_into's subtraction and final-add order.
     for (std::size_t r = 0; r < nrhs; ++r) {
@@ -185,14 +217,13 @@ void MatExSolver::transient_batch_into(const linalg::Vector& t_init,
     }
 }
 
-MatExSolver::Peak MatExSolver::peak_core_temperature_exact(
+Peak MatExSolver::peak_core_temperature_exact(
     const linalg::Vector& t_init, const linalg::Vector& node_power,
     double ambient_celsius, double dt) const {
     if (dt <= 0.0)
         throw std::invalid_argument(
             "peak_core_temperature_exact: dt must be positive");
-    const linalg::Vector steady =
-        model_->steady_state(node_power, ambient_celsius);
+    const linalg::Vector steady = steady_state(node_power, ambient_celsius);
     const linalg::Vector modal = v_inv_ * (t_init - steady);
     const std::size_t n = lambda_.size();
 
@@ -299,8 +330,7 @@ double MatExSolver::peak_core_temperature(const linalg::Vector& t_init,
                                           std::size_t samples) const {
     if (samples == 0)
         throw std::invalid_argument("peak_core_temperature: samples must be > 0");
-    const linalg::Vector steady =
-        model_->steady_state(node_power, ambient_celsius);
+    const linalg::Vector steady = steady_state(node_power, ambient_celsius);
     const linalg::Vector offset = t_init - steady;
     double peak = -1e300;
     for (std::size_t s = 1; s <= samples; ++s) {
@@ -318,8 +348,8 @@ std::unique_ptr<const TransientSolver> MatExSolver::clone_rebound(
         throw std::invalid_argument(
             "MatExSolver::clone_rebound: model is not a replica "
             "(signature mismatch)");
-    // Member-wise copy duplicates λ/V/V^{-1} bit-for-bit; only the model
-    // pointer changes, so the clone's answers are bit-identical.
+    // Member-wise copy duplicates the LU and λ/V/V^{-1} bit-for-bit; only
+    // the model pointer changes, so the clone's answers are bit-identical.
     auto clone = std::unique_ptr<MatExSolver>(new MatExSolver(*this));
     clone->model_ = &model;
     return clone;

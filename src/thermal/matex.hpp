@@ -1,5 +1,6 @@
 #pragma once
 
+#include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 #include "thermal/rc_network.hpp"
@@ -22,15 +23,19 @@ namespace hp::thermal {
 /// for any t costs a pair of O(N^2) matrix-vector products, with no
 /// time-stepping error.
 ///
-/// Thread safety: immutable after construction — the eigendecomposition and
-/// every derived table are computed in the constructor and all member
-/// functions are const with no mutable state or lazy caches. One solver may
-/// therefore be shared read-only by any number of concurrent simulations
-/// (the campaign engine relies on this; see campaign::StudySetup).
+/// Steady states T = B^{-1}(P + T_amb·G) (paper Eq. (3)) and raw B solves
+/// use an LU decomposition of B that the solver factors once and owns.
+///
+/// Thread safety: immutable after construction — the eigendecomposition,
+/// the LU of B and every derived table are computed in the constructor and
+/// all member functions are const with no mutable state or lazy caches. One
+/// solver may therefore be shared read-only by any number of concurrent
+/// simulations (the campaign engine relies on this; see campaign::StudySetup).
 class MatExSolver : public TransientSolver {
 public:
-    /// One-time eigendecomposition of the model's C matrix. The solver keeps
-    /// a reference to @p model, which must outlive it.
+    /// One-time LU of B and eigendecomposition of the model's C matrix.
+    /// Throws std::domain_error when B is singular or not positive definite.
+    /// The solver keeps a reference to @p model, which must outlive it.
     explicit MatExSolver(const ThermalModel& model);
 
     const ThermalModel& model() const override { return *model_; }
@@ -54,17 +59,20 @@ public:
     /// network's thermal time constants in seconds).
     const linalg::Vector& eigenvalues() const override { return lambda_; }
 
-    /// Eigenvector matrix V with C = V·diag(λ)·V^{-1}.
-    const linalg::Matrix& eigenvectors() const { return v_; }
-    const linalg::Matrix& eigenvectors_inverse() const { return v_inv_; }
-
-    // Steady state delegates to the model's shared LU (bit-identical to the
-    // historical direct calls on ThermalModel).
     linalg::Vector steady_state(const linalg::Vector& node_power,
                                 double ambient_celsius) const override;
+    /// steady_state without allocations: the right-hand side is a fused add
+    /// of @p node_power and the workspace's memoised T_amb·G, solved in place
+    /// into @p out (resized on first use, untouched thereafter). Bit-identical
+    /// to steady_state — same products, sums and substitution order. @p out
+    /// may alias @p node_power but not a workspace buffer.
     void steady_state_into(const linalg::Vector& node_power,
                            double ambient_celsius, ThermalWorkspace& workspace,
                            linalg::Vector& out) const override;
+    /// One multi-RHS LU substitution pass over @p nrhs RHS-major power
+    /// vectors; the transposes to the LU's node-major layout are exact
+    /// copies, so output r is bit-identical to steady_state_into on RHS r.
+    /// @p out must not alias @p node_powers or a workspace buffer.
     void steady_state_batch_into(const double* node_powers, std::size_t nrhs,
                                  double ambient_celsius,
                                  ThermalWorkspace& workspace,
@@ -136,10 +144,6 @@ public:
                                  double ambient_celsius, double dt,
                                  std::size_t samples = 8) const override;
 
-    /// Location and value of a core-temperature peak (the backend-neutral
-    /// thermal::Peak; aliased here for source compatibility).
-    using Peak = thermal::Peak;
-
     /// Exact peak core temperature over [0, dt] via the MatEx method
     /// (Pagani et al.): per core the transient is a sum of decaying
     /// exponentials T_i(t) = steady_i + Σ_k c_ik e^{λ_k t}, whose interior
@@ -151,13 +155,15 @@ public:
                                      double ambient_celsius,
                                      double dt) const override;
 
-    /// Copies λ/V/V^{-1} bit-for-bit and rebinds to @p model (which must be
-    /// a signature-equal replica) — no eigensolve.
+    /// Copies λ/V/V^{-1} and the LU of B bit-for-bit and rebinds to @p model
+    /// (which must be a signature-equal replica) — no eigensolve, no
+    /// factorisation.
     std::unique_ptr<const TransientSolver> clone_rebound(
         const ThermalModel& model) const override;
 
 private:
     const ThermalModel* model_;
+    linalg::LuDecomposition lu_;  ///< of B; every steady/conductance solve
     linalg::Vector lambda_;
     linalg::Matrix v_;
     linalg::Matrix v_inv_;

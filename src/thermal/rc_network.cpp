@@ -1,7 +1,7 @@
 #include "thermal/rc_network.hpp"
 
+#include <algorithm>
 #include <stdexcept>
-#include <vector>
 
 namespace hp::thermal {
 
@@ -80,7 +80,6 @@ ThermalModel::ThermalModel(const floorplan::GridFloorplan& plan,
     conductance_(sink, sink) += g_amb;
 
     validate();
-    b_lu_ = std::make_shared<linalg::LuDecomposition>(conductance_);
     signature_ = compute_signature();
 }
 
@@ -93,17 +92,7 @@ ThermalModel::ThermalModel(linalg::Vector capacitance,
       conductance_(std::move(conductance)),
       ambient_conductance_(std::move(ambient_conductance)) {
     validate();
-    b_lu_ = std::make_shared<linalg::LuDecomposition>(conductance_);
     signature_ = compute_signature();
-}
-
-ThermalModel ThermalModel::replica() const {
-    ThermalModel copy(*this);
-    // The copy above shares the LU of B through the shared_ptr; duplicate
-    // the decomposition itself (a bit-for-bit table copy, no
-    // refactorisation) so the replica owns all of its read-mostly state.
-    copy.b_lu_ = std::make_shared<const linalg::LuDecomposition>(*b_lu_);
-    return copy;
 }
 
 std::uint64_t ThermalModel::compute_signature() const {
@@ -168,61 +157,6 @@ void ThermalModel::pad_power_into(const linalg::Vector& core_power,
     if (out.size() != node_count()) out = linalg::Vector(node_count());
     for (std::size_t i = 0; i < core_count_; ++i) out[i] = core_power[i];
     for (std::size_t i = core_count_; i < node_count(); ++i) out[i] = 0.0;
-}
-
-void ThermalModel::steady_state_into(const linalg::Vector& node_power,
-                                     double ambient_celsius,
-                                     ThermalWorkspace& workspace,
-                                     linalg::Vector& out) const {
-    if (node_power.size() != node_count())
-        throw std::invalid_argument(
-            "ThermalModel::steady_state: power vector must cover all nodes");
-    workspace.resize(node_count());
-    if (out.size() != node_count()) out = linalg::Vector(node_count());
-    const linalg::Vector& ambient =
-        workspace.ambient_rhs(ambient_conductance_, ambient_celsius);
-    for (std::size_t i = 0; i < node_count(); ++i)
-        workspace.rhs[i] = node_power[i] + ambient[i];
-    b_lu_->solve_into(workspace.rhs, out);
-}
-
-void ThermalModel::steady_state_batch_into(const double* node_powers,
-                                           std::size_t nrhs,
-                                           double ambient_celsius,
-                                           ThermalWorkspace& workspace,
-                                           double* out) const {
-    const std::size_t n = node_count();
-    if (nrhs == 0) return;
-    workspace.resize(n);
-    const linalg::Vector& ambient =
-        workspace.ambient_rhs(ambient_conductance_, ambient_celsius);
-    // Build the right-hand sides directly in the solver's node-major layout
-    // (node i of RHS r at i·nrhs + r) — same adds as steady_state_into.
-    std::pmr::vector<double>& rhs = workspace.batch_rhs(n * nrhs);
-    std::pmr::vector<double>& sol = workspace.batch_sol(n * nrhs);
-    for (std::size_t i = 0; i < n; ++i) {
-        double* row = rhs.data() + i * nrhs;
-        const double amb = ambient[i];
-        for (std::size_t r = 0; r < nrhs; ++r)
-            row[r] = node_powers[r * n + i] + amb;
-    }
-    b_lu_->solve_batch_into(rhs.data(), nrhs, sol.data());
-    for (std::size_t i = 0; i < n; ++i) {
-        const double* row = sol.data() + i * nrhs;
-        for (std::size_t r = 0; r < nrhs; ++r) out[r * n + i] = row[r];
-    }
-}
-
-linalg::Vector ThermalModel::steady_state(const linalg::Vector& node_power,
-                                          double ambient_celsius) const {
-    if (node_power.size() != node_count())
-        throw std::invalid_argument(
-            "ThermalModel::steady_state: power vector must cover all nodes");
-    return b_lu_->solve(node_power + ambient_celsius * ambient_conductance_);
-}
-
-linalg::Vector ThermalModel::ambient_equilibrium(double ambient_celsius) const {
-    return b_lu_->solve(ambient_celsius * ambient_conductance_);
 }
 
 }  // namespace hp::thermal

@@ -2,13 +2,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "floorplan/floorplan.hpp"
-#include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
-#include "thermal/workspace.hpp"
 
 namespace hp::thermal {
 
@@ -57,6 +54,11 @@ struct RcNetworkConfig {
 /// touches the spreader. A is diagonal (per-node capacitance), B is a
 /// symmetric positive-definite conductance matrix and G couples the sink to
 /// ambient.
+///
+/// The model is plain data. Every solve against B — steady state (paper
+/// Eq. (3)), transients, peaks — goes through a TransientSolver built by
+/// make_solver, and each backend owns its own factorisation of B; the
+/// backends, not the model, reject a singular B.
 class ThermalModel {
 public:
     /// Builds the layered network for @p plan with parameters @p config.
@@ -65,7 +67,8 @@ public:
 
     /// Constructs a model directly from matrices, for tests and synthetic
     /// networks. @p capacitance is the diagonal of A. Throws
-    /// std::invalid_argument on inconsistent sizes or an asymmetric B.
+    /// std::invalid_argument on inconsistent sizes, an asymmetric B or a
+    /// non-positive capacitance.
     ThermalModel(linalg::Vector capacitance, linalg::Matrix conductance,
                  linalg::Vector ambient_conductance, std::size_t core_count);
 
@@ -90,39 +93,6 @@ public:
     void pad_power_into(const linalg::Vector& core_power,
                         linalg::Vector& out) const;
 
-    /// Steady-state temperatures T = B^{-1}(P + T_amb·G)  (paper Eq. (3)).
-    /// @p node_power must have node_count() entries (use pad_power).
-    linalg::Vector steady_state(const linalg::Vector& node_power,
-                                double ambient_celsius) const;
-
-    /// steady_state without allocations: the right-hand side is a fused add
-    /// of @p node_power and the workspace's memoised T_amb·G, solved in place
-    /// into @p out (resized on first use, untouched thereafter). Bit-identical
-    /// to steady_state — same products, sums and substitution order. @p out
-    /// may alias @p node_power but not a workspace buffer.
-    void steady_state_into(const linalg::Vector& node_power,
-                           double ambient_celsius, ThermalWorkspace& workspace,
-                           linalg::Vector& out) const;
-
-    /// Batched steady_state_into: solves B·T_r = P_r + T_amb·G for @p nrhs
-    /// node-power vectors in one multi-RHS substitution pass. @p node_powers
-    /// and @p out are RHS-major (RHS r occupies the contiguous range
-    /// [r·node_count(), (r+1)·node_count())); the transposes to the solver's
-    /// node-major layout are exact copies, and each RHS runs through exactly
-    /// steady_state_into's add and substitution order, so every output vector
-    /// is bit-identical to a looped steady_state_into call. @p out must not
-    /// alias @p node_powers or a workspace buffer.
-    void steady_state_batch_into(const double* node_powers, std::size_t nrhs,
-                                 double ambient_celsius,
-                                 ThermalWorkspace& workspace,
-                                 double* out) const;
-
-    /// The ambient-only equilibrium B^{-1}·T_amb·G — every node at T_amb.
-    linalg::Vector ambient_equilibrium(double ambient_celsius) const;
-
-    /// Cached LU decomposition of B, shared with the MatEx solver.
-    const linalg::LuDecomposition& conductance_lu() const { return *b_lu_; }
-
     /// Content hash (FNV-1a over the bit patterns of A, B, G and the core
     /// count), computed once at construction. Two models with identical
     /// matrices share a signature even when they are distinct objects — the
@@ -130,14 +100,6 @@ public:
     /// for an equal model is accepted while one built for a different
     /// floorplan or parameterisation is rejected.
     std::uint64_t signature() const { return signature_; }
-
-    /// Deep copy that shares nothing with this model: matrices are copied
-    /// bit-for-bit and the cached LU of B is duplicated rather than shared
-    /// (no refactorisation — the decomposition itself is copied). The
-    /// replica has the same signature, so solvers and simulators accept it
-    /// interchangeably. Used by the campaign engine to give each NUMA node
-    /// its own read-only copy of the study bundle.
-    ThermalModel replica() const;
 
 private:
     void validate() const;
@@ -147,7 +109,6 @@ private:
     linalg::Vector capacitance_;
     linalg::Matrix conductance_;
     linalg::Vector ambient_conductance_;
-    std::shared_ptr<const linalg::LuDecomposition> b_lu_;
     std::uint64_t signature_ = 0;
 };
 

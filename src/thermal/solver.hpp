@@ -12,8 +12,7 @@
 
 namespace hp::thermal {
 
-/// Location and value of a core-temperature peak (shared across backends;
-/// MatExSolver::Peak aliases this for source compatibility).
+/// Location and value of a core-temperature peak (shared across backends).
 struct Peak {
     double temperature_c = 0.0;
     double time_s = 0.0;
@@ -39,6 +38,10 @@ struct Peak {
 ///    steady-state queries are exact (direct solves) in every backend.
 ///  - *Misuse guard*: consumers pair solver and model by model_signature()
 ///    (content hash), not object identity, so equal models interoperate.
+///  - *Factorisation ownership*: ThermalModel is plain data. Each backend
+///    factors B itself (dense: LU, modal: banded Cholesky), and that
+///    factorisation is the only steady-state path — TSP budgets and the
+///    simulator's initial temperatures included.
 class TransientSolver {
 public:
     virtual ~TransientSolver() = default;
@@ -277,7 +280,9 @@ SolverBackend parse_solver_backend(const std::string& name);
 /// outlive the solver). With backend == kAuto the HOTPOTATO_SOLVER
 /// environment variable ("dense" | "modal"), when set, wins over the node
 /// threshold — the CI lever that forces the whole suite through one
-/// backend. Throws std::invalid_argument on a non-positive tolerance.
+/// backend. Throws std::invalid_argument on a non-positive tolerance, and
+/// std::domain_error or std::invalid_argument when B is singular or not
+/// positive definite.
 std::unique_ptr<const TransientSolver> make_solver(const ThermalModel& model,
                                                    const SolverConfig& config);
 

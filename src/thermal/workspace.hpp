@@ -10,9 +10,9 @@
 
 namespace hp::thermal {
 
-/// Caller-owned scratch memory for the in-place thermal kernels
-/// (ThermalModel::steady_state_into, MatExSolver::apply_exponential_into /
-/// transient_into).
+/// Caller-owned scratch memory for the in-place TransientSolver kernels
+/// (steady_state_into, apply_exponential_into, transient_into and their
+/// batch forms) of both backends.
 ///
 /// A workspace is sized once (to the thermal model's node count) and then
 /// reused for any number of queries with zero further heap traffic — the

@@ -33,6 +33,7 @@
 #include "obs/recorder.hpp"
 #include "sim/simulator.hpp"
 #include "thermal/workspace.hpp"
+#include "thermal_oracle.hpp"
 #include "workload/benchmark.hpp"
 
 namespace {
@@ -310,20 +311,22 @@ TEST(AllocGuard, WarmedHotPotatoCandidateEvaluationIsAllocationFree) {
 }
 
 TEST(AllocGuard, WarmedThermalKernelsAreAllocationFree) {
-    const campaign::StudySetup setup = campaign::StudySetup::paper_64core();
+    const campaign::StudySetup setup = campaign::StudySetup::paper_64core(
+        thermal::SolverConfig::dense());
     const thermal::ThermalModel& model = setup.model();
     const thermal::TransientSolver& matex = setup.solver();
+    ASSERT_STREQ(matex.backend_name(), "dense");
 
     linalg::Vector core_power(model.core_count(), 2.0);
     core_power[3] = 6.0;
     linalg::Vector node_power(model.node_count());
-    linalg::Vector temps = model.ambient_equilibrium(45.0);
+    linalg::Vector temps = test::oracle_ambient_equilibrium(model, 45.0);
     linalg::Vector out(model.node_count());
     thermal::ThermalWorkspace ws;
 
     // Warm every buffer and memo once.
     model.pad_power_into(core_power, node_power);
-    model.steady_state_into(node_power, 45.0, ws, out);
+    matex.steady_state_into(node_power, 45.0, ws, out);
     matex.apply_exponential_into(temps, 1e-4, ws, out);
     matex.transient_into(temps, node_power, 45.0, 1e-4, ws, temps);
 
@@ -332,7 +335,7 @@ TEST(AllocGuard, WarmedThermalKernelsAreAllocationFree) {
         model.pad_power_into(core_power, node_power);
         matex.transient_into(temps, node_power, 45.0, 1e-4, ws, temps);
     }
-    model.steady_state_into(node_power, 45.0, ws, out);
+    matex.steady_state_into(node_power, 45.0, ws, out);
     matex.apply_exponential_into(temps, 1e-4, ws, out);
     EXPECT_EQ(alloc_count() - before, 0u);
 }
@@ -347,7 +350,7 @@ TEST(AllocGuard, WarmedModalThermalKernelsAreAllocationFree) {
     linalg::Vector core_power(model.core_count(), 2.0);
     core_power[3] = 6.0;
     linalg::Vector node_power(model.node_count());
-    linalg::Vector temps = model.ambient_equilibrium(45.0);
+    linalg::Vector temps = test::oracle_ambient_equilibrium(model, 45.0);
     linalg::Vector out(model.node_count());
     thermal::ThermalWorkspace ws;
 
@@ -379,7 +382,7 @@ TEST(AllocGuard, WarmedModalBatchKernelsAreAllocationFree) {
 
     const std::size_t n = model.node_count();
     const std::size_t nrhs = 8;
-    linalg::Vector temps = model.ambient_equilibrium(45.0);
+    linalg::Vector temps = test::oracle_ambient_equilibrium(model, 45.0);
     std::vector<double> powers(nrhs * n), batch(nrhs * n);
     for (std::size_t i = 0; i < powers.size(); ++i)
         powers[i] = 0.25 + 0.125 * static_cast<double>(i % 17);

@@ -11,7 +11,7 @@
 //
 // Coverage: the element-wise dispatch kernels against reference loops,
 // kernel_matmat vs looped kernel_matvec, LU solve_batch_into vs looped
-// solve_into, the thermal batch kernels (steady_state_batch_into,
+// solve_into, the thermal batch kernels (the dense steady_state_batch_into,
 // apply_exponential_batch_into including the documented outs==xs aliasing,
 // transient_batch_into), and the analyzer slates (rotation_peak_tau_batch,
 // static_peak_batch).
@@ -30,6 +30,7 @@
 #include "thermal/matex.hpp"
 #include "thermal/rc_network.hpp"
 #include "thermal/workspace.hpp"
+#include "thermal_oracle.hpp"
 
 namespace {
 
@@ -120,7 +121,7 @@ TEST(BatchKernels, ElementwiseKernelsMatchReferenceLoops) {
 
 TEST(BatchKernels, LuSolveBatchBitIdenticalToLoopedSolve) {
     const campaign::StudySetup setup = campaign::StudySetup::paper_16core();
-    const linalg::LuDecomposition& lu = setup.model().conductance_lu();
+    const linalg::LuDecomposition lu(setup.model().conductance());
     const std::size_t n = setup.model().node_count();
 
     for (std::size_t nrhs : kWidths) {
@@ -157,6 +158,7 @@ protected:
 TEST_P(ThermalBatch, SteadyStateBatchBitIdenticalToLoop) {
     const campaign::StudySetup setup = make_setup(GetParam());
     const thermal::ThermalModel& model = setup.model();
+    const thermal::MatExSolver dense(model);
     const std::size_t n = model.node_count();
     thermal::ThermalWorkspace ws;
 
@@ -165,13 +167,13 @@ TEST_P(ThermalBatch, SteadyStateBatchBitIdenticalToLoop) {
         for (std::size_t i = 0; i < powers.size(); ++i)
             powers[i] = filler(i + 23);
         std::vector<double> batch(nrhs * n, -1.0);
-        model.steady_state_batch_into(powers.data(), nrhs, 45.0, ws,
+        dense.steady_state_batch_into(powers.data(), nrhs, 45.0, ws,
                                       batch.data());
 
         linalg::Vector rhs(n), sol(n);
         for (std::size_t r = 0; r < nrhs; ++r) {
             for (std::size_t i = 0; i < n; ++i) rhs[i] = powers[r * n + i];
-            model.steady_state_into(rhs, 45.0, ws, sol);
+            dense.steady_state_into(rhs, 45.0, ws, sol);
             for (std::size_t i = 0; i < n; ++i)
                 EXPECT_EQ(batch[r * n + i], sol[i])
                     << "nrhs=" << nrhs << " r=" << r << " i=" << i;
@@ -215,7 +217,7 @@ TEST_P(ThermalBatch, TransientBatchBitIdenticalToLoop) {
     const thermal::ThermalModel& model = setup.model();
     const thermal::TransientSolver& matex = setup.solver();
     const std::size_t n = model.node_count();
-    const linalg::Vector t_init = model.ambient_equilibrium(45.0);
+    const linalg::Vector t_init = test::oracle_ambient_equilibrium(model, 45.0);
     thermal::ThermalWorkspace ws;
 
     for (std::size_t nrhs : kWidths) {

@@ -9,10 +9,11 @@
 // compares two genuinely distinct code paths.
 //
 // Coverage: linalg kernels, matvec_into, LU solve_into, pad_power_into,
-// steady_state_into, apply_exponential_into (including the memoised exp-table
-// reuse), transient_into (including out aliasing t_init), and all four
-// PeakWorkspace analyzer overloads — on the planar 16- and 64-core models and
-// on the stacked 3D model, with workspaces reused across queries and models.
+// the dense steady_state_into, apply_exponential_into (including the
+// memoised exp-table reuse), transient_into (including out aliasing t_init),
+// and all four PeakWorkspace analyzer overloads — on the planar 16- and
+// 64-core models and on the stacked 3D model, with workspaces reused across
+// queries and models.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +30,7 @@
 #include "thermal/matex.hpp"
 #include "thermal/rc_network.hpp"
 #include "thermal/workspace.hpp"
+#include "thermal_oracle.hpp"
 
 namespace {
 
@@ -93,7 +95,7 @@ TEST(HotpathKernels, AxpyScaleHadamardExpMatchManualLoops) {
 
 TEST(HotpathKernels, LuSolveIntoMatchesSolve) {
     const campaign::StudySetup setup = campaign::StudySetup::paper_16core();
-    const linalg::LuDecomposition& lu = setup.model().conductance_lu();
+    const linalg::LuDecomposition lu(setup.model().conductance());
     linalg::Vector b(setup.model().node_count());
     for (std::size_t i = 0; i < b.size(); ++i)
         b[i] = 0.1 * static_cast<double>((i * 13 + 1) % 17);
@@ -126,19 +128,20 @@ TEST_P(HotpathThermalEquivalence, PadAndSteadyState) {
     model.pad_power_into(core_power, node_into);
     expect_bitwise_equal(node_legacy, node_into);
 
+    const thermal::MatExSolver dense(model);
     thermal::ThermalWorkspace ws;
     linalg::Vector steady_into;
-    const linalg::Vector steady_legacy = model.steady_state(node_legacy, 45.0);
-    model.steady_state_into(node_into, 45.0, ws, steady_into);
+    const linalg::Vector steady_legacy = dense.steady_state(node_legacy, 45.0);
+    dense.steady_state_into(node_into, 45.0, ws, steady_into);
     expect_bitwise_equal(steady_legacy, steady_into);
 
     // Warm workspace (memoised ambient rhs active) must give the same bits.
-    model.steady_state_into(node_into, 45.0, ws, steady_into);
+    dense.steady_state_into(node_into, 45.0, ws, steady_into);
     expect_bitwise_equal(steady_legacy, steady_into);
 
     // Changing the ambient invalidates the memo, not the identity.
-    const linalg::Vector steady50 = model.steady_state(node_legacy, 50.0);
-    model.steady_state_into(node_into, 50.0, ws, steady_into);
+    const linalg::Vector steady50 = dense.steady_state(node_legacy, 50.0);
+    dense.steady_state_into(node_into, 50.0, ws, steady_into);
     expect_bitwise_equal(steady50, steady_into);
 }
 
@@ -148,7 +151,8 @@ TEST_P(HotpathThermalEquivalence, ApplyExponentialAndTransient) {
     const thermal::TransientSolver& matex = setup.solver();
     const linalg::Vector node_power =
         model.pad_power(test_core_power(model.core_count()));
-    const linalg::Vector t_init = model.ambient_equilibrium(45.0);
+    const linalg::Vector t_init =
+        test::oracle_ambient_equilibrium(model, 45.0);
 
     thermal::ThermalWorkspace ws;
     linalg::Vector out;
@@ -257,7 +261,8 @@ TEST(HotpathWorkspaceReuse, OneWorkspaceAcrossModelsStaysBitIdentical) {
             const thermal::ThermalModel& model = setup->model();
             const linalg::Vector node_power =
                 model.pad_power(test_core_power(model.core_count()));
-            const linalg::Vector t_init = model.ambient_equilibrium(45.0);
+            const linalg::Vector t_init =
+        test::oracle_ambient_equilibrium(model, 45.0);
             const linalg::Vector legacy =
                 setup->solver().transient(t_init, node_power, 45.0, 1e-4);
             setup->solver().transient_into(t_init, node_power, 45.0, 1e-4, ws,

@@ -4,9 +4,11 @@
 #include "floorplan/floorplan.hpp"
 #include "thermal/matex.hpp"
 #include "thermal/rc_network.hpp"
+#include "thermal_oracle.hpp"
 
 namespace {
 
+using hp::test::oracle_ambient_equilibrium;
 using hp::floorplan::GridFloorplan;
 using hp::linalg::Vector;
 using hp::thermal::MatExSolver;
@@ -38,7 +40,7 @@ TEST(MatExPeak, MonotoneHeatingPeaksAtEnd) {
     Vector power(16, 0.3);
     power[5] = 6.0;
     const Vector p = f.model.pad_power(power);
-    const Vector t0 = f.model.ambient_equilibrium(kAmbient);
+    const Vector t0 = oracle_ambient_equilibrium(f.model, kAmbient);
     const auto peak =
         f.solver.peak_core_temperature_exact(t0, p, kAmbient, 0.02);
     EXPECT_NEAR(peak.time_s, 0.02, 1e-9);
@@ -49,7 +51,7 @@ TEST(MatExPeak, MonotoneHeatingPeaksAtEnd) {
 
 TEST(MatExPeak, CoolingPeaksAtStart) {
     Fixture f;
-    Vector hot = f.model.ambient_equilibrium(kAmbient);
+    Vector hot = oracle_ambient_equilibrium(f.model, kAmbient);
     hot[5] += 25.0;
     const Vector p = f.model.pad_power(Vector(16, 0.0));
     const auto peak =
@@ -64,7 +66,7 @@ TEST(MatExPeak, FindsInteriorHump) {
     // absorbs heat from core 5 (rising), then both cool towards a lower
     // steady state — an interior maximum the endpoint check would miss.
     Fixture f;
-    Vector t0 = f.model.ambient_equilibrium(kAmbient);
+    Vector t0 = oracle_ambient_equilibrium(f.model, kAmbient);
     t0[5] += 30.0;
     Vector power(16, 0.3);
     const Vector p = f.model.pad_power(power);
@@ -80,7 +82,7 @@ TEST(MatExPeak, MatchesDenseSamplingOnRandomisedCases) {
     std::uniform_real_distribution<double> watts(0.0, 6.0);
     std::uniform_real_distribution<double> dtemp(-15.0, 25.0);
     for (int trial = 0; trial < 5; ++trial) {
-        Vector t0 = f.model.ambient_equilibrium(kAmbient);
+        Vector t0 = oracle_ambient_equilibrium(f.model, kAmbient);
         for (std::size_t i = 0; i < 16; ++i) t0[i] += dtemp(rng);
         Vector power(16);
         for (std::size_t i = 0; i < 16; ++i) power[i] = watts(rng);
@@ -98,7 +100,7 @@ TEST(MatExPeak, MatchesDenseSamplingOnRandomisedCases) {
 
 TEST(MatExPeak, DominatesSampledEstimate) {
     Fixture f;
-    Vector t0 = f.model.ambient_equilibrium(kAmbient);
+    Vector t0 = oracle_ambient_equilibrium(f.model, kAmbient);
     t0[9] += 20.0;
     Vector power(16, 0.3);
     power[10] = 5.0;
@@ -111,7 +113,7 @@ TEST(MatExPeak, DominatesSampledEstimate) {
 
 TEST(MatExPeak, InvalidDtThrows) {
     Fixture f;
-    const Vector t0 = f.model.ambient_equilibrium(kAmbient);
+    const Vector t0 = oracle_ambient_equilibrium(f.model, kAmbient);
     const Vector p = f.model.pad_power(Vector(16, 0.3));
     EXPECT_THROW(
         (void)f.solver.peak_core_temperature_exact(t0, p, kAmbient, 0.0),

@@ -168,11 +168,18 @@ TEST(NonSquareChips, RingsAndSimulationWork) {
 }
 
 TEST(ThermalModelApi, AmbientEquilibriumIsUniform) {
+    // The unpowered steady state — the simulator's initial temperatures —
+    // puts every node at ambient, in both backends.
     const hp::arch::ManyCore chip = hp::arch::ManyCore::paper_16core();
     hp::thermal::ThermalModel model(chip.plan(), hp::thermal::RcNetworkConfig{});
-    const auto t = model.ambient_equilibrium(52.5);
-    for (std::size_t i = 0; i < model.node_count(); ++i)
-        EXPECT_NEAR(t[i], 52.5, 1e-8);
+    for (const auto& config : {hp::thermal::SolverConfig::dense(),
+                               hp::thermal::SolverConfig::modal()}) {
+        const auto solver = hp::thermal::make_solver(model, config);
+        const auto t =
+            solver->steady_state(hp::linalg::Vector(model.node_count()), 52.5);
+        for (std::size_t i = 0; i < model.node_count(); ++i)
+            EXPECT_NEAR(t[i], 52.5, 1e-8) << solver->backend_name();
+    }
 }
 
 }  // namespace

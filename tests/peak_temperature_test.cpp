@@ -7,9 +7,12 @@
 #include "core/peak_temperature.hpp"
 #include "thermal/matex.hpp"
 #include "thermal/rc_network.hpp"
+#include "thermal_oracle.hpp"
 
 namespace {
 
+using hp::test::oracle_ambient_equilibrium;
+using hp::test::oracle_steady_state;
 using hp::arch::ManyCore;
 using hp::core::PeakTemperatureAnalyzer;
 using hp::core::RotationRingSpec;
@@ -34,7 +37,7 @@ struct Fixture {
 std::vector<Vector> brute_boundaries(const Fixture& f,
                                      const std::vector<Vector>& core_powers,
                                      double tau, int periods) {
-    Vector t = f.model.ambient_equilibrium(kAmbient);
+    Vector t = oracle_ambient_equilibrium(f.model, kAmbient);
     for (int p = 0; p + 1 < periods; ++p)
         for (const Vector& cp : core_powers)
             t = f.solver.transient(t, f.model.pad_power(cp), kAmbient, tau);
@@ -49,7 +52,7 @@ std::vector<Vector> brute_boundaries(const Fixture& f,
 /// Brute-force peak over the final period, sampling each epoch finely.
 double brute_peak(const Fixture& f, const std::vector<Vector>& core_powers,
                   double tau, int periods, int samples_per_epoch) {
-    Vector t = f.model.ambient_equilibrium(kAmbient);
+    Vector t = oracle_ambient_equilibrium(f.model, kAmbient);
     for (int p = 0; p + 1 < periods; ++p)
         for (const Vector& cp : core_powers)
             t = f.solver.transient(t, f.model.pad_power(cp), kAmbient, tau);
@@ -115,7 +118,7 @@ TEST(Algorithm1, SingleEpochScheduleEqualsSteadyState) {
     power[5] = 5.0;
     const auto analytic = f.analyzer.boundary_temperatures({power}, 1e-3);
     const Vector steady =
-        f.model.steady_state(f.model.pad_power(power), kAmbient);
+        oracle_steady_state(f.model, f.model.pad_power(power), kAmbient);
     ASSERT_EQ(analytic.size(), 1u);
     EXPECT_LT((analytic[0] - steady).max_abs(), 1e-8);
 }

@@ -23,11 +23,14 @@
 #include "thermal/modal_solver.hpp"
 #include "thermal/rc_network.hpp"
 #include "thermal/solver.hpp"
+#include "thermal_oracle.hpp"
 #include "workload/benchmark.hpp"
 
 namespace {
 
 using hp::campaign::StudySetup;
+using hp::test::oracle_ambient_equilibrium;
+using hp::test::oracle_steady_state;
 using hp::linalg::Vector;
 using hp::thermal::MatExSolver;
 using hp::thermal::SolverBackend;
@@ -145,6 +148,31 @@ TEST(SolverSelection, NonPositiveToleranceRejected) {
         std::invalid_argument);
 }
 
+// The model is plain data, so rejecting a singular B is each backend's job:
+// a network with no heat path to ambient must not yield a solver.
+TEST(SolverSelection, SingularConductanceRejectedByBothBackends) {
+    // Three nodes in a chain with no ambient coupling: B is a symmetric
+    // graph Laplacian whose kernel holds the uniform vector.
+    hp::linalg::Matrix b(3, 3);
+    for (std::size_t i = 0; i + 1 < 3; ++i) {
+        b(i, i) += 1.0;
+        b(i + 1, i + 1) += 1.0;
+        b(i, i + 1) -= 1.0;
+        b(i + 1, i) -= 1.0;
+    }
+    const ThermalModel model(Vector(3, 1e-3), b, Vector(3), 1);
+    for (const SolverConfig& config :
+         {SolverConfig::dense(), SolverConfig::modal()}) {
+        const std::string name = hp::thermal::to_string(config.backend);
+        try {
+            (void)hp::thermal::make_solver(model, config);
+            ADD_FAILURE() << name << " accepted a singular B";
+        } catch (const std::domain_error&) {
+        } catch (const std::invalid_argument&) {
+        }
+    }
+}
+
 // ---- Dense backend: bit-identical to the pre-seam MatExSolver -----------
 
 TEST(DenseBackend, BitIdenticalToMatExSolver) {
@@ -152,7 +180,7 @@ TEST(DenseBackend, BitIdenticalToMatExSolver) {
     const MatExSolver reference(model);
     const auto dense = hp::thermal::make_solver(model, SolverConfig::dense());
     const Vector power = test_power(model);
-    const Vector t_init = model.ambient_equilibrium(45.0);
+    const Vector t_init = oracle_ambient_equilibrium(model, 45.0);
 
     const Vector steady_ref = reference.steady_state(power, 45.0);
     const Vector steady = dense->steady_state(power, 45.0);
@@ -191,7 +219,7 @@ TEST_P(SolverConformance, IntoCallsMatchAllocatingCalls) {
     const ThermalModel& model = rig16().model;
     const auto solver = make();
     const Vector power = test_power(model);
-    const Vector t_init = model.ambient_equilibrium(45.0);
+    const Vector t_init = oracle_ambient_equilibrium(model, 45.0);
     ThermalWorkspace ws;
     Vector out;
 
@@ -223,7 +251,7 @@ TEST_P(SolverConformance, BatchesMatchLoopedSingles) {
     const ThermalModel& model = rig16().model;
     const auto solver = make();
     const std::size_t n = model.node_count();
-    const Vector t_init = model.ambient_equilibrium(45.0);
+    const Vector t_init = oracle_ambient_equilibrium(model, 45.0);
     ThermalWorkspace ws;
     const std::size_t nrhs = 5;
 
@@ -260,7 +288,7 @@ TEST_P(SolverConformance, SteadyStateIsExact) {
     const ThermalModel& model = rig16().model;
     const auto solver = make();
     const Vector power = test_power(model);
-    const Vector reference = model.steady_state(power, 45.0);
+    const Vector reference = oracle_steady_state(model, power, 45.0);
     const Vector steady = solver->steady_state(power, 45.0);
     for (std::size_t i = 0; i < model.node_count(); ++i)
         EXPECT_NEAR(steady[i], reference[i], 1e-9) << i;
@@ -291,8 +319,8 @@ TEST(ModalBackend, TransientErrorWithinToleranceAndBound) {
                                                       SolverConfig::modal());
         ASSERT_GT(modal.error_bound_c(), 0.0);
         const Vector power = test_power(model);
-        const Vector t_init = model.steady_state(power, 45.0);
-        const Vector hot = model.ambient_equilibrium(60.0);
+        const Vector t_init = oracle_steady_state(model, power, 45.0);
+        const Vector hot = oracle_ambient_equilibrium(model, 60.0);
 
         for (double dt : {1e-4, 1e-3, 1e-2, 0.1, 1.0}) {
             const Vector exact = dense.transient(hot, power, 45.0, dt);
@@ -313,7 +341,7 @@ TEST(ModalBackend, RepeatedMicroStepsStayOnDenseTrajectory) {
                                                   SolverConfig::modal());
     const Vector power = test_power(model);
     ThermalWorkspace wsd, wsm;
-    Vector td = model.ambient_equilibrium(45.0);
+    Vector td = oracle_ambient_equilibrium(model, 45.0);
     Vector tm = td;
     for (int step = 0; step < 500; ++step) {
         dense.transient_into(td, power, 45.0, 1e-4, wsd, td);
@@ -328,7 +356,7 @@ TEST(ModalBackend, ExactPeakAgreesWithDenseWithinBound) {
     const hp::thermal::TruncatedModalSolver modal(model,
                                                   SolverConfig::modal());
     const Vector power = test_power(model);
-    const Vector hot = model.ambient_equilibrium(55.0);
+    const Vector hot = oracle_ambient_equilibrium(model, 55.0);
     const auto exact = dense.peak_core_temperature_exact(hot, power, 45.0, 0.5);
     const auto approx = modal.peak_core_temperature_exact(hot, power, 45.0,
                                                           0.5);
@@ -353,7 +381,7 @@ TEST(ModalBackend, BatchPropagationBitIdenticalBothHorizons) {
                            0.5 * modal.tau_switch_s(),    // Taylor, near edge
                            modal.tau_switch_s(),          // modal (boundary)
                            1.0};                          // modal closed form
-    const Vector t_init = model.ambient_equilibrium(52.0);
+    const Vector t_init = oracle_ambient_equilibrium(model, 52.0);
 
     for (std::size_t nrhs : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
         std::vector<double> xs(nrhs * n);

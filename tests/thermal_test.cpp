@@ -1,5 +1,7 @@
 #include <cmath>
+#include <memory>
 #include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,8 @@
 #include "thermal/rc_network.hpp"
 #include "linalg/expm.hpp"
 #include "thermal/reference_integrator.hpp"
+#include "thermal/solver.hpp"
+#include "thermal_oracle.hpp"
 
 namespace {
 
@@ -17,9 +21,23 @@ using hp::linalg::Vector;
 using hp::thermal::MatExSolver;
 using hp::thermal::RcNetworkConfig;
 using hp::thermal::ReferenceIntegrator;
+using hp::thermal::SolverConfig;
 using hp::thermal::ThermalModel;
+using hp::thermal::TransientSolver;
+using hp::test::oracle_ambient_equilibrium;
+using hp::test::oracle_steady_state;
 
 constexpr double kAmbient = 45.0;
+
+/// Both TransientSolver backends for @p m — the steady-state properties
+/// below hold for each backend's own factorisation of B.
+std::vector<std::unique_ptr<const TransientSolver>> backends(
+    const ThermalModel& m) {
+    std::vector<std::unique_ptr<const TransientSolver>> out;
+    out.push_back(hp::thermal::make_solver(m, SolverConfig::dense()));
+    out.push_back(hp::thermal::make_solver(m, SolverConfig::modal()));
+    return out;
+}
 
 ThermalModel make_model(std::size_t rows, std::size_t cols) {
     return ThermalModel(GridFloorplan(rows, cols, 0.81), RcNetworkConfig{});
@@ -81,55 +99,70 @@ TEST(RcNetwork, PadPowerPlacesCorePowerFirst) {
 
 TEST(SteadyState, ZeroPowerMeansAmbientEverywhere) {
     const ThermalModel m = make_model(4, 4);
-    const Vector t = m.steady_state(Vector(m.node_count()), kAmbient);
-    for (std::size_t i = 0; i < m.node_count(); ++i)
-        EXPECT_NEAR(t[i], kAmbient, 1e-8);
+    for (const auto& solver : backends(m)) {
+        const Vector t =
+            solver->steady_state(Vector(m.node_count()), kAmbient);
+        for (std::size_t i = 0; i < m.node_count(); ++i)
+            EXPECT_NEAR(t[i], kAmbient, 1e-8);
+    }
 }
 
 TEST(SteadyState, PowerRaisesTemperatureAboveAmbient) {
     const ThermalModel m = make_model(4, 4);
-    Vector core_power(16, 0.0);
-    core_power[5] = 5.0;
-    const Vector t = m.steady_state(m.pad_power(core_power), kAmbient);
-    for (std::size_t i = 0; i < m.node_count(); ++i)
-        EXPECT_GT(t[i], kAmbient - 1e-9);
-    // The powered core is the hottest node.
-    for (std::size_t i = 0; i < m.node_count(); ++i)
-        EXPECT_LE(t[i], t[5] + 1e-9);
+    for (const auto& solver : backends(m)) {
+        Vector core_power(16, 0.0);
+        core_power[5] = 5.0;
+        const Vector t =
+            solver->steady_state(m.pad_power(core_power), kAmbient);
+        for (std::size_t i = 0; i < m.node_count(); ++i)
+            EXPECT_GT(t[i], kAmbient - 1e-9);
+        // The powered core is the hottest node.
+        for (std::size_t i = 0; i < m.node_count(); ++i)
+            EXPECT_LE(t[i], t[5] + 1e-9);
+    }
 }
 
 TEST(SteadyState, SuperpositionOfPower) {
     // The model is linear: response(P1 + P2) = response(P1) + response(P2)
     // after removing the ambient offset.
     const ThermalModel m = make_model(3, 3);
-    Vector p1(m.node_count()), p2(m.node_count());
-    p1[0] = 3.0;
-    p2[4] = 2.0;
-    const Vector t1 = m.steady_state(p1, 0.0);
-    const Vector t2 = m.steady_state(p2, 0.0);
-    const Vector t12 = m.steady_state(p1 + p2, 0.0);
-    EXPECT_LT((t12 - (t1 + t2)).max_abs(), 1e-9);
+    for (const auto& solver : backends(m)) {
+        Vector p1(m.node_count()), p2(m.node_count());
+        p1[0] = 3.0;
+        p2[4] = 2.0;
+        const Vector t1 = solver->steady_state(p1, 0.0);
+        const Vector t2 = solver->steady_state(p2, 0.0);
+        const Vector t12 = solver->steady_state(p1 + p2, 0.0);
+        EXPECT_LT((t12 - (t1 + t2)).max_abs(), 1e-9);
+    }
 }
 
 TEST(SteadyState, MonotoneInPower) {
     const ThermalModel m = make_model(4, 4);
-    Vector low(16, 1.0), high(16, 2.0);
-    const Vector t_low = m.steady_state(m.pad_power(low), kAmbient);
-    const Vector t_high = m.steady_state(m.pad_power(high), kAmbient);
-    for (std::size_t i = 0; i < m.node_count(); ++i)
-        EXPECT_GT(t_high[i], t_low[i]);
+    for (const auto& solver : backends(m)) {
+        Vector low(16, 1.0), high(16, 2.0);
+        const Vector t_low =
+            solver->steady_state(m.pad_power(low), kAmbient);
+        const Vector t_high =
+            solver->steady_state(m.pad_power(high), kAmbient);
+        for (std::size_t i = 0; i < m.node_count(); ++i)
+            EXPECT_GT(t_high[i], t_low[i]);
+    }
 }
 
 TEST(SteadyState, EnergyBalance) {
     // In steady state all injected power must flow to ambient:
     // sum(P) = sum_i G_i (T_i - T_amb).
     const ThermalModel m = make_model(4, 4);
-    Vector core_power(16, 1.7);
-    const Vector t = m.steady_state(m.pad_power(core_power), kAmbient);
-    double to_ambient = 0.0;
-    for (std::size_t i = 0; i < m.node_count(); ++i)
-        to_ambient += m.ambient_conductance()[i] * (t[i] - kAmbient);
-    EXPECT_NEAR(to_ambient, 16 * 1.7, 1e-6);
+    for (const auto& solver : backends(m)) {
+        Vector core_power(16, 1.7);
+        const Vector t =
+            solver->steady_state(m.pad_power(core_power), kAmbient);
+        double to_ambient = 0.0;
+        for (std::size_t i = 0; i < m.node_count(); ++i)
+            to_ambient += m.ambient_conductance()[i] * (t[i] - kAmbient);
+        EXPECT_NEAR(to_ambient, 16 * 1.7, 1e-6);
+    }
 }
 
 // ----------------------------------------------------------------- MatEx ---
@@ -166,9 +199,9 @@ TEST(MatEx, TransientConvergesToSteadyState) {
     const MatExSolver solver(m);
     Vector core_power(16, 2.0);
     const Vector p = m.pad_power(core_power);
-    const Vector t_inf = solver.transient(m.ambient_equilibrium(kAmbient), p,
-                                          kAmbient, 1e4);
-    const Vector t_ss = m.steady_state(p, kAmbient);
+    const Vector t_inf = solver.transient(
+        oracle_ambient_equilibrium(m, kAmbient), p, kAmbient, 1e4);
+    const Vector t_ss = oracle_steady_state(m, p, kAmbient);
     EXPECT_LT((t_inf - t_ss).max_abs(), 1e-6);
 }
 
@@ -211,7 +244,7 @@ TEST_P(MatExVsRk4, TransientAgreesWithReferenceIntegrator) {
     core_power[4] = 6.0;
     core_power[0] = 2.0;
     const Vector p = m.pad_power(core_power);
-    const Vector t0 = m.ambient_equilibrium(kAmbient);
+    const Vector t0 = oracle_ambient_equilibrium(m, kAmbient);
     const Vector exact = solver.transient(t0, p, kAmbient, duration);
     const Vector numeric = rk4.integrate(t0, p, kAmbient, duration, 1e-5);
     EXPECT_LT((exact - numeric).max_abs(), 1e-5);
@@ -225,7 +258,7 @@ TEST(MatEx, PeakCoreTemperatureDominatesEndpoint) {
     // endpoint (monotone cooling) and equal the start sample region.
     const ThermalModel m = make_model(3, 3);
     const MatExSolver solver(m);
-    Vector hot = m.ambient_equilibrium(kAmbient);
+    Vector hot = oracle_ambient_equilibrium(m, kAmbient);
     hot[4] += 20.0;
     const Vector p(m.node_count(), 0.0);
     const double dt = 0.05;
@@ -241,7 +274,7 @@ TEST(MatEx, PeakCoreTemperatureDominatesEndpoint) {
 TEST(ReferenceIntegrator, InvalidArgsThrow) {
     const ThermalModel m = make_model(2, 2);
     const ReferenceIntegrator rk4(m);
-    const Vector t0 = m.ambient_equilibrium(kAmbient);
+    const Vector t0 = oracle_ambient_equilibrium(m, kAmbient);
     const Vector p(m.node_count(), 0.0);
     EXPECT_THROW((void)rk4.integrate(t0, p, kAmbient, -1.0),
                  std::invalid_argument);

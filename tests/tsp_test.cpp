@@ -1,24 +1,33 @@
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "arch/manycore.hpp"
 #include "sched/tsp.hpp"
 #include "thermal/rc_network.hpp"
+#include "thermal/solver.hpp"
 
 namespace {
 
 using hp::arch::ManyCore;
 using hp::sched::TspBudget;
 using hp::thermal::RcNetworkConfig;
+using hp::thermal::SolverConfig;
 using hp::thermal::ThermalModel;
+using hp::thermal::TransientSolver;
 
 constexpr double kAmbient = 45.0;
 constexpr double kDtm = 70.0;
 constexpr double kIdle = 0.3;
 
 struct Fixture {
+    explicit Fixture(const SolverConfig& config = {})
+        : solver(hp::thermal::make_solver(model, config)), tsp(*solver) {}
+
     ManyCore chip = ManyCore::paper_16core();
     ThermalModel model{chip.plan(), RcNetworkConfig{}};
-    TspBudget tsp{model};
+    std::unique_ptr<const TransientSolver> solver;
+    TspBudget tsp;
 };
 
 std::vector<bool> mask16(std::initializer_list<std::size_t> cores) {
@@ -29,14 +38,18 @@ std::vector<bool> mask16(std::initializer_list<std::size_t> cores) {
 
 TEST(Tsp, BudgetIsExactAtThreshold) {
     // Defining property: active cores at exactly the budget put the hottest
-    // steady-state core exactly at T_DTM.
-    Fixture f;
-    for (auto mask : {mask16({5, 10}), mask16({0, 3, 12, 15}),
-                      mask16({5, 6, 9, 10}), mask16({1})}) {
-        const double budget =
-            f.tsp.per_core_budget(mask, kIdle, kAmbient, kDtm);
-        const double peak = f.tsp.steady_peak(mask, budget, kIdle, kAmbient);
-        EXPECT_NEAR(peak, kDtm, 1e-6);
+    // steady-state core exactly at T_DTM — through either backend's solve.
+    for (const SolverConfig& config :
+         {SolverConfig::dense(), SolverConfig::modal()}) {
+        const Fixture f(config);
+        for (auto mask : {mask16({5, 10}), mask16({0, 3, 12, 15}),
+                          mask16({5, 6, 9, 10}), mask16({1})}) {
+            const double budget =
+                f.tsp.per_core_budget(mask, kIdle, kAmbient, kDtm);
+            const double peak =
+                f.tsp.steady_peak(mask, budget, kIdle, kAmbient);
+            EXPECT_NEAR(peak, kDtm, 1e-6) << f.solver->backend_name();
+        }
     }
 }
 
