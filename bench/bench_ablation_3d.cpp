@@ -55,6 +55,12 @@ int main(int argc, char** argv) {
     // (2) rotation across layers vs pinned placements.
     {
         hp::core::PeakTemperatureAnalyzer analyzer(s.solver(), kAmbient, kIdle);
+        hp::core::PeakWorkspace ws;
+        const auto static_peak = [&](const Vector& power) {
+            double peak;
+            analyzer.static_peaks(power.data(), 1, ws, &peak);
+            return peak;
+        };
         const auto& ring = chip.rings().front();  // spans both layers
         hp::core::RotationRingSpec spec;
         spec.cores = ring.cores;
@@ -67,15 +73,18 @@ int main(int argc, char** argv) {
         pinned_top[chip.plan().index_of(1, 1, 1)] = 6.0;
         pinned_top[chip.plan().index_of(2, 2, 1)] = 6.0;
         std::printf("    pinned on top layer          : %.1f C\n",
-                    analyzer.static_peak(pinned_top));
+                    static_peak(pinned_top));
         Vector pinned_bottom(32, kIdle);
         pinned_bottom[chip.plan().index_of(1, 1, 0)] = 6.0;
         pinned_bottom[chip.plan().index_of(2, 2, 0)] = 6.0;
         std::printf("    pinned on bottom layer       : %.1f C\n",
-                    analyzer.static_peak(pinned_bottom));
-        for (double tau : {2e-3, 0.5e-3, 0.125e-3})
-            std::printf("    rotating, tau = %5.3f ms     : %.1f C\n", tau * 1e3,
-                        analyzer.rotation_peak({spec}, tau, 4));
+                    static_peak(pinned_bottom));
+        const double taus[] = {2e-3, 0.5e-3, 0.125e-3};
+        double peaks[3];
+        analyzer.rotation_peaks({spec}, taus, 3, 4, ws, peaks);
+        for (std::size_t t = 0; t < 3; ++t)
+            std::printf("    rotating, tau = %5.3f ms     : %.1f C\n",
+                        taus[t] * 1e3, peaks[t]);
     }
 
     // (3) end-to-end: HotPotato vs PCMig on a loaded 3D chip.

@@ -120,6 +120,17 @@ void measure(const std::string& name, std::size_t reps, Op&& op) {
     g_cases.push_back(std::move(c));
 }
 
+/// One Algorithm-1 rotation query at τ = 0.5 ms, 2 samples per epoch — the
+/// count-1 slate HotPotato's candidate loop runs.
+double rotation_peak(const hp::core::PeakTemperatureAnalyzer& analyzer,
+                     const std::vector<hp::core::RotationRingSpec>& rings,
+                     hp::core::PeakWorkspace& ws) {
+    const double tau = 0.5e-3;
+    double peak;
+    analyzer.rotation_peaks(rings, &tau, 1, 2, ws, &peak);
+    return peak;
+}
+
 /// Whole-simulation measurement: ns and allocations per micro-step, averaged
 /// over the entire run (setup + epochs included — the strict per-step zero
 /// is asserted by tests/alloc_guard_test).
@@ -253,9 +264,6 @@ int main(int argc, char** argv) {
     ring.cores = {27, 28, 36, 35, 34, 26, 18, 19};
     ring.slot_power_w = {6.0, 5.5, 5.0, 0.3, 0.3, 4.0, 0.3, 0.3};
     const std::vector<core::RotationRingSpec> rings = {ring};
-    measure("rotation_peak/legacy", smoke ? 5 : 200, [&] {
-        return analyzer.rotation_peak(rings, 0.5e-3, 2);
-    });
 
     std::printf("\n-- in-place workspace kernels (same queries) --\n");
     thermal::ThermalWorkspace ws;
@@ -274,7 +282,7 @@ int main(int argc, char** argv) {
     });
     core::PeakWorkspace peak_ws;
     measure("rotation_peak/workspace", smoke ? 5 : 200, [&] {
-        return analyzer.rotation_peak(rings, 0.5e-3, 2, peak_ws);
+        return rotation_peak(analyzer, rings, peak_ws);
     });
 
     std::printf("\n-- whole-simulator micro-steps --\n");
@@ -328,7 +336,7 @@ int main(int argc, char** argv) {
         const std::vector<core::RotationRingSpec> rings256 = {ring256};
         core::PeakWorkspace peak_ws256;
         measure("rotation_peak_256", smoke ? 3 : 50, [&] {
-            return analyzer256.rotation_peak(rings256, 0.5e-3, 2, peak_ws256);
+            return rotation_peak(analyzer256, rings256, peak_ws256);
         });
     }
 
@@ -363,8 +371,7 @@ int main(int argc, char** argv) {
             const std::vector<core::RotationRingSpec> rings1024 = {ring1024};
             core::PeakWorkspace peak_ws1024;
             measure("rotation_peak_1024", 20, [&] {
-                return analyzer1024.rotation_peak(rings1024, 0.5e-3, 2,
-                                                  peak_ws1024);
+                return rotation_peak(analyzer1024, rings1024, peak_ws1024);
             });
         }
 

@@ -16,6 +16,7 @@ namespace {
 
 using hp::bench::testbed_64core;
 using hp::core::PeakTemperatureAnalyzer;
+using hp::core::PeakWorkspace;
 using hp::core::RotationRingSpec;
 
 constexpr double kAmbient = 45.0;
@@ -43,6 +44,15 @@ const PeakTemperatureAnalyzer& analyzer() {
     return a;
 }
 
+/// One uniform-τ rotation query through the caller's workspace — the path
+/// HotPotato's candidate loop runs.
+double rotation_peak(const std::vector<RotationRingSpec>& rings,
+                     PeakWorkspace& ws) {
+    double peak;
+    analyzer().rotation_peaks(rings, &kTau, 1, 2, ws, &peak);
+    return peak;
+}
+
 /// Design-time phase of Algorithm 1 (paper lines 1-7): eigendecomposition is
 /// shared with the simulator, so this measures the beta/alpha set-up.
 void BM_Algorithm1_DesignTime(benchmark::State& state) {
@@ -59,8 +69,9 @@ BENCHMARK(BM_Algorithm1_DesignTime)->Unit(benchmark::kMillisecond);
 /// quantity).
 void BM_Algorithm1_RotationPeak_FullLoad(benchmark::State& state) {
     const auto rings = full_load_rings();
+    PeakWorkspace ws;
     for (auto _ : state)
-        benchmark::DoNotOptimize(analyzer().rotation_peak(rings, kTau, 2));
+        benchmark::DoNotOptimize(rotation_peak(rings, ws));
 }
 BENCHMARK(BM_Algorithm1_RotationPeak_FullLoad)->Unit(benchmark::kMicrosecond);
 
@@ -68,8 +79,9 @@ BENCHMARK(BM_Algorithm1_RotationPeak_FullLoad)->Unit(benchmark::kMicrosecond);
 void BM_Algorithm1_RotationPeak_Rings(benchmark::State& state) {
     auto rings = full_load_rings();
     rings.resize(static_cast<std::size_t>(state.range(0)));
+    PeakWorkspace ws;
     for (auto _ : state)
-        benchmark::DoNotOptimize(analyzer().rotation_peak(rings, kTau, 2));
+        benchmark::DoNotOptimize(rotation_peak(rings, ws));
 }
 BENCHMARK(BM_Algorithm1_RotationPeak_Rings)->DenseRange(1, 9, 2)
     ->Unit(benchmark::kMicrosecond);
@@ -83,17 +95,23 @@ void BM_Algorithm1_SchedulePeak_Delta(benchmark::State& state) {
         for (std::size_t c = e % 4; c < 64; c += 4) p[c] = 4.0;
         schedule.push_back(p);
     }
+    PeakWorkspace ws;
     for (auto _ : state)
-        benchmark::DoNotOptimize(analyzer().schedule_peak(schedule, kTau, 2));
+        benchmark::DoNotOptimize(
+            analyzer().schedule_peak(schedule, kTau, 2, ws));
 }
 BENCHMARK(BM_Algorithm1_SchedulePeak_Delta)->RangeMultiplier(2)->Range(1, 16)
     ->Unit(benchmark::kMicrosecond);
 
 /// Static steady-state peak (the no-rotation path of the scheduler).
 void BM_Algorithm1_StaticPeak(benchmark::State& state) {
-    hp::linalg::Vector power(64, 2.5);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(analyzer().static_peak(power));
+    const std::vector<double> power(64, 2.5);
+    PeakWorkspace ws;
+    double peak;
+    for (auto _ : state) {
+        analyzer().static_peaks(power.data(), 1, ws, &peak);
+        benchmark::DoNotOptimize(peak);
+    }
 }
 BENCHMARK(BM_Algorithm1_StaticPeak)->Unit(benchmark::kMicrosecond);
 

@@ -66,6 +66,7 @@ int main() {
 
     const auto& tb = testbed_16core();
     const PeakTemperatureAnalyzer analyzer(tb.solver(), kAmbient, kIdle);
+    hp::core::PeakWorkspace ws;
     const RotationRingSpec ring{{5, 6, 10, 9}, {6.2, 5.0, kIdle, kIdle}};
     const auto schedule = ring_schedule(ring, 16);
 
@@ -81,7 +82,7 @@ int main() {
         double analytic = 0.0;
         constexpr int kReps = 50;
         for (int i = 0; i < kReps; ++i)
-            analytic = analyzer.schedule_peak(schedule, tau, 4);
+            analytic = analyzer.schedule_peak(schedule, tau, 4, ws);
         const auto t1 = clock::now();
         const double brute = brute_peak(schedule, tau, 4, 12.0);
         const auto t2 = clock::now();

@@ -28,6 +28,7 @@ int main() {
     constexpr double kIdle = 0.3;
     constexpr double kDtm = 70.0;
     const core::PeakTemperatureAnalyzer analyzer(solver, kAmbient, kIdle);
+    core::PeakWorkspace ws;  // query scratch, reused by every call below
 
     // The centre ring of the 16-core chip (cores 5-6-10-9 in cycle order).
     const arch::AmdRing& ring = chip.rings().front();
@@ -49,15 +50,18 @@ int main() {
         for (std::size_t t = 0; t < threads; ++t) spec.slot_power_w[t] = 6.0;
 
         std::printf("  %-8zu", threads);
-        for (double tau : taus) {
-            const double peak = analyzer.rotation_peak({spec}, tau, 4);
+        // One slate query evaluates the ring at every interval of the row.
+        std::vector<double> peaks(taus.size());
+        analyzer.rotation_peaks({spec}, taus.data(), taus.size(), 4, ws,
+                                peaks.data());
+        for (double peak : peaks)
             std::printf(" | %8.2f %s", peak, peak < kDtm ? "ok " : "HOT");
-        }
         // Static placement (no rotation) for comparison.
-        linalg::Vector power(chip.core_count(), kIdle);
+        std::vector<double> power(chip.core_count(), kIdle);
         for (std::size_t t = 0; t < threads; ++t)
             power[ring.cores[t]] = 6.0;
-        const double st = analyzer.static_peak(power);
+        double st;
+        analyzer.static_peaks(power.data(), 1, ws, &st);
         std::printf(" | %.2f %s\n", st, st < kDtm ? "ok" : "HOT");
     }
 
@@ -68,7 +72,9 @@ int main() {
     std::printf("\nslowest thermally-safe rotation for 2x6W threads: ");
     double chosen = -1.0;
     for (double tau = 8e-3; tau >= 0.1e-3; tau *= 0.5) {
-        if (analyzer.rotation_peak({two}, tau, 4) < kDtm - 1.0) {
+        double peak;
+        analyzer.rotation_peaks({two}, &tau, 1, 4, ws, &peak);
+        if (peak < kDtm - 1.0) {
             chosen = tau;
             break;
         }
@@ -91,7 +97,7 @@ int main() {
                     mid_tau * 1e3,
                     analyzer.rotation_peak({two, middle},
                                            std::vector<double>{0.5e-3, mid_tau},
-                                           4));
+                                           4, ws));
 
     // Design-time planning (Algorithm 2 offline): where should a mixed
     // thread set live, and how fast should it rotate?

@@ -33,7 +33,6 @@ HotPotatoScheduler::HotPotatoScheduler(HotPotatoParams params)
         throw std::invalid_argument("HotPotato: tau ladder must be ascending");
     // Ladder-sized scratch is fixed at construction; sizing it here keeps
     // the first prefetch_tau_ladder call allocation-free.
-    tau_batch_scratch_.resize(params_.tau_ladder_s.size());
     peaks_batch_scratch_.resize(params_.tau_ladder_s.size());
 }
 
@@ -94,11 +93,8 @@ void HotPotatoScheduler::initialize(sim::SimContext& ctx) {
             "hotpotato.batch_size", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
     }
     if (params_.use_peak_cache) {
-        // Keys: 1 backend word + 1 tag word + 1 size word per ring + 1
-        // power word per slot (rotation), or backend + tag + 1 power word
-        // per core (static).
-        const std::size_t max_words =
-            3 + ctx.chip().core_count() + ctx.chip().rings().size();
+        const std::size_t max_words = peak_key_words(
+            ctx.chip().core_count(), ctx.chip().rings().size());
         peak_cache_.configure(256, max_words, /*shards=*/1);
         peak_key_.reserve(max_words);
     } else {
@@ -178,28 +174,6 @@ void HotPotatoScheduler::build_static_powers(sim::SimContext& ctx) const {
                     slot_power(ctx, ring.slots[j]);
 }
 
-void HotPotatoScheduler::stage_static_key(const double* powers,
-                                          std::size_t count) const {
-    peak_key_.clear();
-    peak_key_.push(backend_sig_);
-    peak_key_.push(std::uint64_t{0});  // tag: static prediction
-    for (std::size_t i = 0; i < count; ++i) peak_key_.push(powers[i]);
-}
-
-void HotPotatoScheduler::stage_rotation_key(std::size_t tau_index) const {
-    // Assumes spec_scratch_ is current (build_ring_specs ran this query).
-    peak_key_.clear();
-    peak_key_.push(backend_sig_);
-    peak_key_.push((std::uint64_t{1} << 63) |
-                   (static_cast<std::uint64_t>(params_.samples_per_epoch)
-                    << 32) |
-                   static_cast<std::uint64_t>(tau_index));
-    for (const RotationRingSpec& spec : spec_scratch_) {
-        peak_key_.push(static_cast<std::uint64_t>(spec.slot_power_w.size()));
-        for (double p : spec.slot_power_w) peak_key_.push(p);
-    }
-}
-
 bool HotPotatoScheduler::cache_lookup(double* out) const {
     const bool hit =
         peak_cache_.lookup(peak_key_.data(), peak_key_.size(), out);
@@ -224,25 +198,29 @@ double HotPotatoScheduler::predict_peak_with(sim::SimContext& ctx,
     if (!rotation_on) {
         build_static_powers(ctx);
         if (peak_cache_.enabled()) {
-            stage_static_key(static_power_scratch_.data(),
+            stage_static_key(peak_key_, backend_sig_,
+                             static_power_scratch_.data(),
                              static_power_scratch_.size());
             double hit;
             if (cache_lookup(&hit)) return hit;
         }
-        const double peak =
-            analyzer_->static_peak(static_power_scratch_, *peak_ws_);
+        double peak;
+        analyzer_->static_peaks(static_power_scratch_.data(), 1, *peak_ws_,
+                                &peak);
         cache_insert(peak);
         return peak;
     }
     build_ring_specs(ctx);
     if (peak_cache_.enabled()) {
-        stage_rotation_key(tau_index);
+        stage_rotation_key(peak_key_, backend_sig_,
+                           params_.tau_ladder_s[tau_index],
+                           params_.samples_per_epoch, spec_scratch_);
         double hit;
         if (cache_lookup(&hit)) return hit;
     }
-    const double peak =
-        analyzer_->rotation_peak(spec_scratch_, params_.tau_ladder_s[tau_index],
-                                 params_.samples_per_epoch, *peak_ws_);
+    double peak;
+    analyzer_->rotation_peaks(spec_scratch_, &params_.tau_ladder_s[tau_index],
+                              1, params_.samples_per_epoch, *peak_ws_, &peak);
     cache_insert(peak);
     return peak;
 }
@@ -254,15 +232,13 @@ void HotPotatoScheduler::prefetch_tau_ladder(sim::SimContext& ctx,
     obs::ScopedPhase timer(obs_, obs::Phase::kPeakAnalysis);
     if (obs_batch_size_) obs_batch_size_->observe(static_cast<double>(count));
     build_ring_specs(ctx);
-    if (tau_batch_scratch_.size() < count) tau_batch_scratch_.resize(count);
     if (peaks_batch_scratch_.size() < count) peaks_batch_scratch_.resize(count);
-    for (std::size_t t = 0; t < count; ++t)
-        tau_batch_scratch_[t] = params_.tau_ladder_s[t];
-    analyzer_->rotation_peak_tau_batch(spec_scratch_, tau_batch_scratch_.data(),
-                                       count, params_.samples_per_epoch,
-                                       *peak_ws_, peaks_batch_scratch_.data());
+    analyzer_->rotation_peaks(spec_scratch_, params_.tau_ladder_s.data(), count,
+                              params_.samples_per_epoch, *peak_ws_,
+                              peaks_batch_scratch_.data());
     for (std::size_t t = 0; t < count; ++t) {
-        stage_rotation_key(t);
+        stage_rotation_key(peak_key_, backend_sig_, params_.tau_ladder_s[t],
+                           params_.samples_per_epoch, spec_scratch_);
         cache_insert(peaks_batch_scratch_[t]);
     }
 }
@@ -330,7 +306,8 @@ std::optional<std::size_t> HotPotatoScheduler::best_static_slot(
     slate_miss_.clear();
     for (std::size_t c = 0; c < count; ++c) {
         if (peak_cache_.enabled()) {
-            stage_static_key(slate_powers_.data() + c * n, n);
+            stage_static_key(peak_key_, backend_sig_,
+                             slate_powers_.data() + c * n, n);
             if (cache_lookup(&slate_peaks_[c])) continue;
         }
         slate_miss_.push_back(c);
@@ -345,14 +322,14 @@ std::optional<std::size_t> HotPotatoScheduler::best_static_slot(
         }
         if (peaks_batch_scratch_.size() < slate_miss_.size())
             peaks_batch_scratch_.resize(slate_miss_.size());
-        analyzer_->static_peak_batch(slate_miss_powers_.data(),
-                                     slate_miss_.size(), *peak_ws_,
-                                     peaks_batch_scratch_.data());
+        analyzer_->static_peaks(slate_miss_powers_.data(), slate_miss_.size(),
+                                *peak_ws_, peaks_batch_scratch_.data());
         for (std::size_t m = 0; m < slate_miss_.size(); ++m) {
             const std::size_t c = slate_miss_[m];
             slate_peaks_[c] = peaks_batch_scratch_[m];
             if (peak_cache_.enabled()) {
-                stage_static_key(slate_powers_.data() + c * n, n);
+                stage_static_key(peak_key_, backend_sig_,
+                                 slate_powers_.data() + c * n, n);
                 cache_insert(slate_peaks_[c]);
             }
         }

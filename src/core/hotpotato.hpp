@@ -136,7 +136,7 @@ private:
     /// Fills static_power_scratch_ with the current assignment's quantised
     /// per-core powers (idle everywhere a slot is empty).
     void build_static_powers(sim::SimContext& ctx) const;
-    /// Batch-evaluates rotation_peak at ladder rungs [0, count) in one
+    /// Batch-evaluates rotation_peaks at ladder rungs [0, count) in one
     /// shared-target pass and seeds the prediction cache, so the
     /// restore_safety speed-up walk hits instead of re-evaluating. Values
     /// are bit-identical to the walk's own evaluations; no-op with the
@@ -148,9 +148,8 @@ private:
     std::optional<std::size_t> best_static_slot(sim::SimContext& ctx,
                                                 std::size_t ring_index,
                                                 sim::ThreadId id);
-    // Prediction-cache key staging and counter-mirroring helpers.
-    void stage_static_key(const double* powers, std::size_t count) const;
-    void stage_rotation_key(std::size_t tau_index) const;
+    // Prediction-cache counter-mirroring helpers (keys are staged into
+    // peak_key_ by the shared builders of core/peak_cache.hpp).
     /// Looks the staged key up; on a hit writes the peak to @p out.
     bool cache_lookup(double* out) const;
     void cache_insert(double peak) const;
@@ -206,7 +205,6 @@ private:
     mutable obs::Counter* obs_cache_hits_ = nullptr;
     mutable obs::Counter* obs_cache_misses_ = nullptr;
     mutable obs::Histogram* obs_batch_size_ = nullptr;
-    mutable std::vector<double> tau_batch_scratch_;
     mutable std::vector<double> peaks_batch_scratch_;
     std::vector<std::size_t> slate_slots_;   ///< free-slot candidates
     std::vector<double> slate_powers_;       ///< RHS-major candidate powers

@@ -45,6 +45,29 @@ private:
     std::vector<std::uint64_t> words_;
 };
 
+struct RotationRingSpec;
+
+/// The one key format of Algorithm-1 predictions, shared by HotPotato and
+/// the advice daemon. Both forms start with the solver backend_signature
+/// (separating backends and chip models) and a tag word (so a static and a
+/// rotation query over the same powers never alias):
+///
+///   static:   backend · "STATIC_P" · core count · one power per core
+///   rotation: backend · "ROTATE_P" · τ bits · samples_per_epoch ·
+///             ring count · per ring (slot count · one power per slot)
+///
+/// Powers must already be quantised (quantise_power_w). Ring core lists are
+/// not part of the key: a cache holds one chip's ring layout, and HotPotato
+/// invalidates on every ring re-formation.
+void stage_static_key(CacheKey& key, std::uint64_t backend_signature,
+                      const double* core_power_w, std::size_t cores);
+void stage_rotation_key(CacheKey& key, std::uint64_t backend_signature,
+                        double tau_s, std::size_t samples_per_epoch,
+                        const std::vector<RotationRingSpec>& rings);
+/// Longest key either builder stages for a chip of @p cores cores in
+/// @p rings rings (the rotation form dominates).
+std::size_t peak_key_words(std::size_t cores, std::size_t rings);
+
 /// Sharded, lock-free, lossy memo of scalar thermal predictions, keyed by an
 /// opaque sequence of 64-bit words (the solver backend_signature, a
 /// static/rotation discriminator and the quantised powers). The one

@@ -173,16 +173,6 @@ std::vector<linalg::Vector> PeakTemperatureAnalyzer::boundary_temperatures(
     return out;
 }
 
-void PeakTemperatureAnalyzer::periodic_response_max_into(
-    const linalg::Vector* node_power_per_epoch, std::size_t delta, double tau,
-    std::size_t samples_per_epoch, PeakWorkspace& ws,
-    linalg::Vector& core_max) const {
-    if (delta == 0 || tau <= 0.0 || samples_per_epoch == 0)
-        throw std::invalid_argument("periodic_response_max: bad arguments");
-    build_modal_targets(node_power_per_epoch, delta, ws);
-    evaluate_periodic_max(delta, tau, samples_per_epoch, ws, core_max);
-}
-
 void PeakTemperatureAnalyzer::reserve_sample_batch(
     const std::vector<RotationRingSpec>& rings, std::size_t samples_per_epoch,
     PeakWorkspace& ws) const {
@@ -382,97 +372,74 @@ void PeakTemperatureAnalyzer::evaluate_periodic_max(
 
 double PeakTemperatureAnalyzer::schedule_peak(
     const std::vector<linalg::Vector>& core_power_per_epoch, double tau,
-    std::size_t samples_per_epoch) const {
-    // Delegate to the workspace overload with throwaway scratch; the
-    // workspace path is the single numeric implementation, so the overloads
-    // agree bit for bit by construction.
-    PeakWorkspace workspace;
-    return schedule_peak(core_power_per_epoch, tau, samples_per_epoch,
-                         workspace);
-}
-
-double PeakTemperatureAnalyzer::schedule_peak(
-    const std::vector<linalg::Vector>& core_power_per_epoch, double tau,
     std::size_t samples_per_epoch, PeakWorkspace& workspace) const {
     const thermal::ThermalModel& model = solver_->model();
     const std::size_t delta = core_power_per_epoch.size();
+    if (delta == 0 || tau <= 0.0 || samples_per_epoch == 0)
+        throw std::invalid_argument("schedule_peak: bad arguments");
     ensure_list(workspace.deltas_, delta, model.node_count(), /*zero=*/false, workspace.resource());
     for (std::size_t f = 0; f < delta; ++f)
         model.pad_power_into(core_power_per_epoch[f], workspace.deltas_[f]);
-    periodic_response_max_into(workspace.deltas_.data(), delta, tau,
-                               samples_per_epoch, workspace,
-                               workspace.core_max_);
+    build_modal_targets(workspace.deltas_.data(), delta, workspace);
+    evaluate_periodic_max(delta, tau, samples_per_epoch, workspace,
+                          workspace.core_max_);
     double peak = -1e300;
     for (std::size_t i = 0; i < model.core_count(); ++i)
         peak = std::max(peak, ambient_offset_[i] + workspace.core_max_[i]);
     return peak;
 }
 
-double PeakTemperatureAnalyzer::static_peak(
-    const linalg::Vector& core_power) const {
-    PeakWorkspace workspace;
-    return static_peak(core_power, workspace);
-}
-
-double PeakTemperatureAnalyzer::static_peak(const linalg::Vector& core_power,
-                                            PeakWorkspace& workspace) const {
-    const thermal::ThermalModel& model = solver_->model();
-    model.pad_power_into(core_power, workspace.node_power_);
-    solver_->steady_state_into(workspace.node_power_, ambient_c_,
-                               workspace.thermal_, workspace.t_idle_);
-    double peak = -1e300;
-    for (std::size_t i = 0; i < model.core_count(); ++i)
-        peak = std::max(peak, workspace.t_idle_[i]);
-    return peak;
-}
-
-double PeakTemperatureAnalyzer::static_peak_map(
-    const linalg::Vector& core_power, PeakWorkspace& workspace,
-    double* core_peak_c) const {
-    // Run the scalar query, then copy the per-core steady state straight out
-    // of the workspace it left behind — same operations, same results.
-    const double peak = static_peak(core_power, workspace);
+void PeakTemperatureAnalyzer::static_peaks(const double* core_powers,
+                                           std::size_t nrhs,
+                                           PeakWorkspace& workspace,
+                                           double* peaks,
+                                           double* core_peak_c) const {
+    if (nrhs == 0) return;
     const std::size_t n = solver_->model().core_count();
-    for (std::size_t i = 0; i < n; ++i)
-        core_peak_c[i] = workspace.t_idle_[i];
-    return peak;
+    const std::size_t big_n = solver_->model().node_count();
+
+    // Pad each candidate to the node vector (zero power off the core layer),
+    // solve, and leave the RHS-major steady states in `steady`.
+    const double* steady;
+    if (nrhs == 1) {
+        linalg::Vector& padded = workspace.node_power_;
+        ensure_size(padded, big_n);
+        for (std::size_t i = 0; i < n; ++i) padded[i] = core_powers[i];
+        for (std::size_t i = n; i < big_n; ++i) padded[i] = 0.0;
+        solver_->steady_state_into(padded, ambient_c_, workspace.thermal_,
+                                   workspace.t_idle_);
+        steady = workspace.t_idle_.data();
+    } else {
+        std::pmr::vector<double>& padded = workspace.batch_node_power_;
+        if (padded.size() < big_n * nrhs) padded.resize(big_n * nrhs);
+        std::pmr::vector<double>& out = workspace.batch_steady_;
+        if (out.size() < big_n * nrhs) out.resize(big_n * nrhs);
+        for (std::size_t r = 0; r < nrhs; ++r) {
+            double* dst = padded.data() + r * big_n;
+            const double* src = core_powers + r * n;
+            for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
+            for (std::size_t i = n; i < big_n; ++i) dst[i] = 0.0;
+        }
+        solver_->steady_state_batch_into(padded.data(), nrhs, ambient_c_,
+                                         workspace.thermal_, out.data());
+        steady = out.data();
+    }
+
+    for (std::size_t r = 0; r < nrhs; ++r) {
+        const double* t = steady + r * big_n;
+        double peak = -1e300;
+        for (std::size_t i = 0; i < n; ++i) peak = std::max(peak, t[i]);
+        peaks[r] = peak;
+        if (core_peak_c) std::copy(t, t + n, core_peak_c + r * n);
+    }
 }
 
-double PeakTemperatureAnalyzer::rotation_peak(
-    const std::vector<RotationRingSpec>& rings, double tau,
-    std::size_t samples_per_epoch) const {
-    PeakWorkspace workspace;
-    return rotation_peak(rings, tau, samples_per_epoch, workspace);
-}
-
-double PeakTemperatureAnalyzer::rotation_peak_map(
-    const std::vector<RotationRingSpec>& rings, double tau,
-    std::size_t samples_per_epoch, PeakWorkspace& workspace,
-    double* core_peak_c) const {
-    // Scalar query first; its final reduction ran over exactly the
-    // t_idle_ + extra_ sums copied out here, so map and scalar agree bit for
-    // bit.
-    const double peak = rotation_peak(rings, tau, samples_per_epoch,
-                                      workspace);
-    const std::size_t n = solver_->model().core_count();
-    for (std::size_t i = 0; i < n; ++i)
-        core_peak_c[i] = workspace.t_idle_[i] + workspace.extra_[i];
-    return peak;
-}
-
-double PeakTemperatureAnalyzer::rotation_peak(
-    const std::vector<RotationRingSpec>& rings, double tau,
-    std::size_t samples_per_epoch, PeakWorkspace& workspace) const {
-    workspace.tau_.assign(rings.size(), tau);
-    return rotation_peak(rings, workspace.tau_, samples_per_epoch, workspace);
-}
-
-double PeakTemperatureAnalyzer::rotation_peak(
-    const std::vector<RotationRingSpec>& rings,
-    const std::vector<double>& tau_per_ring,
-    std::size_t samples_per_epoch) const {
-    PeakWorkspace workspace;
-    return rotation_peak(rings, tau_per_ring, samples_per_epoch, workspace);
+void PeakTemperatureAnalyzer::rotation_peaks(
+    const std::vector<RotationRingSpec>& rings, const double* taus,
+    std::size_t count, std::size_t samples_per_epoch, PeakWorkspace& workspace,
+    double* peaks, double* core_peak_c) const {
+    ring_peaks(rings, taus, /*ring_stride=*/0, count, samples_per_epoch,
+               workspace, peaks, core_peak_c);
 }
 
 double PeakTemperatureAnalyzer::rotation_peak(
@@ -482,27 +449,49 @@ double PeakTemperatureAnalyzer::rotation_peak(
     if (tau_per_ring.size() != rings.size())
         throw std::invalid_argument(
             "rotation_peak: one tau per ring required");
+    double peak = 0.0;
+    ring_peaks(rings, tau_per_ring.data(), /*ring_stride=*/1, /*count=*/1,
+               samples_per_epoch, workspace, &peak, nullptr);
+    return peak;
+}
+
+void PeakTemperatureAnalyzer::ring_peaks(
+    const std::vector<RotationRingSpec>& rings, const double* taus,
+    std::size_t ring_stride, std::size_t count, std::size_t samples_per_epoch,
+    PeakWorkspace& workspace, double* peaks, double* core_peak_c) const {
+    const std::size_t tau_count = ring_stride != 0 ? rings.size() : count;
+    for (std::size_t t = 0; t < tau_count; ++t)
+        if (!(taus[t] > 0.0))
+            throw std::invalid_argument("rotation_peak: tau must be > 0");
+    if (samples_per_epoch == 0)
+        throw std::invalid_argument(
+            "rotation_peak: samples_per_epoch must be > 0");
+    for (const RotationRingSpec& ring : rings)
+        if (ring.slot_power_w.size() != ring.cores.size())
+            throw std::invalid_argument(
+                "rotation_peak: ring slot/core size mismatch");
+    if (count == 0) return;
+
     const thermal::ThermalModel& model = solver_->model();
     const std::size_t n = model.core_count();
     const std::size_t big_n = model.node_count();
 
-    // All-idle baseline.
-    ensure_size(workspace.core_power_, n);
+    // All-idle baseline — shared by every ring and rung.
+    ensure_size(workspace.node_power_, big_n);
     for (std::size_t i = 0; i < n; ++i)
-        workspace.core_power_[i] = idle_power_w_;
-    model.pad_power_into(workspace.core_power_, workspace.node_power_);
+        workspace.node_power_[i] = idle_power_w_;
+    for (std::size_t i = n; i < big_n; ++i) workspace.node_power_[i] = 0.0;
     solver_->steady_state_into(workspace.node_power_, ambient_c_,
                                workspace.thermal_, workspace.t_idle_);
 
-    ensure_size(workspace.extra_, n);
-    for (std::size_t i = 0; i < n; ++i) workspace.extra_[i] = 0.0;
+    std::pmr::vector<double>& extra = workspace.extra_batch_;
+    if (extra.size() < count * n) extra.resize(count * n);
+    for (std::size_t i = 0; i < count * n; ++i) extra[i] = 0.0;
     reserve_sample_batch(rings, samples_per_epoch, workspace);
+
     for (std::size_t r = 0; r < rings.size(); ++r) {
         const RotationRingSpec& ring = rings[r];
         const std::size_t k = ring.cores.size();
-        if (ring.slot_power_w.size() != k)
-            throw std::invalid_argument(
-                "rotation_peak: ring slot/core size mismatch");
         if (k == 0) continue;
         bool any_delta = false;
         for (double p : ring.slot_power_w)
@@ -511,64 +500,9 @@ double PeakTemperatureAnalyzer::rotation_peak(
 
         // Per-epoch power deltas: at epoch f the occupant of initial slot j
         // sits on cores[(j + f) mod k]. The delta buffers are zeroed because
-        // only the ring's cores are written.
-        ensure_list(workspace.deltas_, k, big_n, /*zero=*/true, workspace.resource());
-        for (std::size_t f = 0; f < k; ++f)
-            for (std::size_t pos = 0; pos < k; ++pos) {
-                const std::size_t slot = (pos + k - (f % k)) % k;
-                workspace.deltas_[f][ring.cores[pos]] =
-                    ring.slot_power_w[slot] - idle_power_w_;
-            }
-        periodic_response_max_into(workspace.deltas_.data(), k,
-                                   tau_per_ring[r], samples_per_epoch,
-                                   workspace, workspace.core_max_);
-        for (std::size_t i = 0; i < n; ++i)
-            workspace.extra_[i] += workspace.core_max_[i];
-    }
-
-    double peak = -1e300;
-    for (std::size_t i = 0; i < n; ++i)
-        peak = std::max(peak, workspace.t_idle_[i] + workspace.extra_[i]);
-    return peak;
-}
-
-void PeakTemperatureAnalyzer::rotation_peak_tau_batch(
-    const std::vector<RotationRingSpec>& rings, const double* taus,
-    std::size_t tau_count, std::size_t samples_per_epoch,
-    PeakWorkspace& workspace, double* peaks) const {
-    if (tau_count == 0) return;
-    const thermal::ThermalModel& model = solver_->model();
-    const std::size_t n = model.core_count();
-    const std::size_t big_n = model.node_count();
-
-    // All-idle baseline — shared by every τ rung.
-    ensure_size(workspace.core_power_, n);
-    for (std::size_t i = 0; i < n; ++i)
-        workspace.core_power_[i] = idle_power_w_;
-    model.pad_power_into(workspace.core_power_, workspace.node_power_);
-    solver_->steady_state_into(workspace.node_power_, ambient_c_,
-                               workspace.thermal_, workspace.t_idle_);
-
-    std::pmr::vector<double>& extra = workspace.extra_batch_;
-    if (extra.size() < tau_count * n) extra.resize(tau_count * n);
-    for (std::size_t i = 0; i < tau_count * n; ++i) extra[i] = 0.0;
-    reserve_sample_batch(rings, samples_per_epoch, workspace);
-
-    for (std::size_t r = 0; r < rings.size(); ++r) {
-        const RotationRingSpec& ring = rings[r];
-        const std::size_t k = ring.cores.size();
-        if (ring.slot_power_w.size() != k)
-            throw std::invalid_argument(
-                "rotation_peak: ring slot/core size mismatch");
-        if (k == 0) continue;
-        bool any_delta = false;
-        for (double p : ring.slot_power_w)
-            if (std::abs(p - idle_power_w_) > 1e-12) any_delta = true;
-        if (!any_delta) continue;
-
-        // The per-epoch power deltas and their modal targets y_f = β·P_f are
-        // τ-independent: build them once per ring, then re-run only the
-        // geometric-series evaluation at each rung.
+        // only the ring's cores are written. Deltas and their modal targets
+        // are τ-independent: build them once, then run only the
+        // geometric-series evaluation per rung.
         ensure_list(workspace.deltas_, k, big_n, /*zero=*/true, workspace.resource());
         for (std::size_t f = 0; f < k; ++f)
             for (std::size_t pos = 0; pos < k; ++pos) {
@@ -577,8 +511,9 @@ void PeakTemperatureAnalyzer::rotation_peak_tau_batch(
                     ring.slot_power_w[slot] - idle_power_w_;
             }
         build_modal_targets(workspace.deltas_.data(), k, workspace);
-        for (std::size_t t = 0; t < tau_count; ++t) {
-            evaluate_periodic_max(k, taus[t], samples_per_epoch, workspace,
+        for (std::size_t t = 0; t < count; ++t) {
+            evaluate_periodic_max(k, taus[r * ring_stride + t],
+                                  samples_per_epoch, workspace,
                                   workspace.core_max_);
             double* extra_t = extra.data() + t * n;
             for (std::size_t i = 0; i < n; ++i)
@@ -586,42 +521,16 @@ void PeakTemperatureAnalyzer::rotation_peak_tau_batch(
         }
     }
 
-    for (std::size_t t = 0; t < tau_count; ++t) {
+    for (std::size_t t = 0; t < count; ++t) {
         const double* extra_t = extra.data() + t * n;
+        double* map_t = core_peak_c ? core_peak_c + t * n : nullptr;
         double peak = -1e300;
-        for (std::size_t i = 0; i < n; ++i)
-            peak = std::max(peak, workspace.t_idle_[i] + extra_t[i]);
+        for (std::size_t i = 0; i < n; ++i) {
+            const double core_peak = workspace.t_idle_[i] + extra_t[i];
+            peak = std::max(peak, core_peak);
+            if (map_t) map_t[i] = core_peak;
+        }
         peaks[t] = peak;
-    }
-}
-
-void PeakTemperatureAnalyzer::static_peak_batch(const double* core_powers,
-                                                std::size_t nrhs,
-                                                PeakWorkspace& workspace,
-                                                double* peaks) const {
-    if (nrhs == 0) return;
-    const thermal::ThermalModel& model = solver_->model();
-    const std::size_t n = model.core_count();
-    const std::size_t big_n = model.node_count();
-
-    std::pmr::vector<double>& padded = workspace.batch_node_power_;
-    if (padded.size() < big_n * nrhs) padded.resize(big_n * nrhs);
-    std::pmr::vector<double>& steady = workspace.batch_steady_;
-    if (steady.size() < big_n * nrhs) steady.resize(big_n * nrhs);
-
-    for (std::size_t r = 0; r < nrhs; ++r) {
-        double* dst = padded.data() + r * big_n;
-        const double* src = core_powers + r * n;
-        for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
-        for (std::size_t i = n; i < big_n; ++i) dst[i] = 0.0;
-    }
-    solver_->steady_state_batch_into(padded.data(), nrhs, ambient_c_,
-                                     workspace.thermal_, steady.data());
-    for (std::size_t r = 0; r < nrhs; ++r) {
-        const double* t = steady.data() + r * big_n;
-        double peak = -1e300;
-        for (std::size_t i = 0; i < n; ++i) peak = std::max(peak, t[i]);
-        peaks[r] = peak;
     }
 }
 

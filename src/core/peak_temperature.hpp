@@ -22,11 +22,11 @@ struct RotationRingSpec {
 
 /// Caller-owned scratch for PeakTemperatureAnalyzer queries.
 ///
-/// Every run-time entry point has an overload taking one of these; after the
-/// first (sizing) call the query runs without heap allocations — the
-/// modal y/z arrays, geometric e^{λτ} tables and per-ring delta vectors are
-/// all reused. Buffer lists only ever grow, so alternating between rings of
-/// different sizes does not re-allocate. A workspace may be reused across
+/// Every run-time query takes one of these; after the first (sizing) call
+/// the query runs without heap allocations — the modal y/z arrays,
+/// geometric e^{λτ} tables and per-ring delta vectors are all reused.
+/// Buffer lists only ever grow, so alternating between rings of different
+/// sizes does not re-allocate. A workspace may be reused across
 /// analyzers/models (buffers re-size on demand) but must not be shared
 /// between threads; the analyzer itself stays immutable and shareable.
 class PeakWorkspace {
@@ -44,9 +44,7 @@ public:
           zs_batch_(mr),
           resp_batch_(mr),
           core_max_(mr),
-          extra_(mr),
           t_idle_(mr),
-          core_power_(mr),
           node_power_(mr),
           extra_batch_(mr),
           batch_node_power_(mr),
@@ -68,16 +66,13 @@ private:
     std::vector<linalg::Vector> z_;         ///< periodic boundary solution
     std::vector<linalg::Vector> eks_frac_;  ///< intra-epoch decay factors
     std::vector<linalg::Vector> deltas_;    ///< per-epoch node power deltas
-    std::vector<double> tau_;               ///< broadcast per-ring τ
     linalg::Vector coeff_;                  ///< (1-e^{λτ})/(1-e^{λδτ})
     std::pmr::vector<double> zs_batch_;     ///< RHS-major modal samples
     std::pmr::vector<double> resp_batch_;   ///< RHS-major projected responses
     linalg::Vector core_max_;
-    linalg::Vector extra_;
-    linalg::Vector t_idle_;
-    linalg::Vector core_power_;
-    linalg::Vector node_power_;
-    std::pmr::vector<double> extra_batch_;  ///< per-τ-rung response maxima
+    linalg::Vector t_idle_;      ///< idle baseline / one static candidate
+    linalg::Vector node_power_;  ///< its padded node power
+    std::pmr::vector<double> extra_batch_;  ///< rung-major ring response sums
     std::pmr::vector<double> batch_node_power_;  ///< RHS-major padded cands
     std::pmr::vector<double> batch_steady_;      ///< RHS-major batched solves
     std::pmr::vector<double> ek_;                ///< e^{λ_k τ}
@@ -118,12 +113,10 @@ private:
 /// historical dense results bit for bit.
 ///
 /// Thread safety: immutable after construction. The α/β eigen-tables are
-/// built in the constructor and the analysis entry points are const and
-/// allocate only locals, so one analyzer may serve concurrent campaign
-/// workers sharing a campaign::StudySetup. The overloads taking a
-/// PeakWorkspace preserve this: all mutable state lives in the caller's
-/// workspace, so concurrent queries remain safe with one workspace per
-/// thread.
+/// built in the constructor and the query entry points are const; all
+/// mutable state lives in the caller's PeakWorkspace, so one analyzer may
+/// serve concurrent campaign workers sharing a campaign::StudySetup with
+/// one workspace per thread.
 class PeakTemperatureAnalyzer {
 public:
     /// @p solver (and its thermal model) must outlive the analyzer.
@@ -137,8 +130,8 @@ public:
 
     /// Exact periodic-steady-state node temperatures at the end of each
     /// epoch for an explicit periodic schedule: core_power_per_epoch[f] is
-    /// held for @p tau seconds, the whole pattern repeats. Used by
-    /// schedule_peak and by the validation tests.
+    /// held for @p tau seconds, the whole pattern repeats. The full-node
+    /// form the brute-force validation tests check.
     std::vector<linalg::Vector> boundary_temperatures(
         const std::vector<linalg::Vector>& core_power_per_epoch,
         double tau) const;
@@ -146,38 +139,32 @@ public:
     /// Peak core temperature of the periodic schedule, sampling
     /// @p samples_per_epoch points inside every epoch (the end point plus
     /// interior points — per-node transients are not monotonic, so pure
-    /// boundary sampling can shave an interior hump).
-    double schedule_peak(
-        const std::vector<linalg::Vector>& core_power_per_epoch, double tau,
-        std::size_t samples_per_epoch = 2) const;
-
-    /// schedule_peak reusing caller-owned scratch (zero heap allocations
-    /// once @p workspace is warm). Results are bit-identical to the
-    /// allocating overload.
+    /// boundary sampling can shave an interior hump). Zero heap allocations
+    /// once @p workspace is warm. Throws std::invalid_argument for an empty
+    /// schedule, τ ≤ 0 or @p samples_per_epoch == 0.
     double schedule_peak(const std::vector<linalg::Vector>& core_power_per_epoch,
                          double tau, std::size_t samples_per_epoch,
                          PeakWorkspace& workspace) const;
 
-    /// Steady-state peak core temperature of a static (non-rotating) power
-    /// assignment.
-    double static_peak(const linalg::Vector& core_power) const;
-
-    /// static_peak reusing caller-owned scratch.
-    double static_peak(const linalg::Vector& core_power,
-                       PeakWorkspace& workspace) const;
-
-    /// static_peak that additionally writes the steady-state temperature of
-    /// every core into @p core_peak_c (core_count() entries, caller-sized).
-    /// The scalar result and the map entries are exactly what static_peak
-    /// computes — the map is copied out of the same workspace state, so this
-    /// overload is bit-identical to the scalar one. Used by the advice
-    /// server, whose responses carry the full peak map.
-    double static_peak_map(const linalg::Vector& core_power,
-                           PeakWorkspace& workspace,
-                           double* core_peak_c) const;
+    /// Steady-state peak core temperature of @p nrhs static (non-rotating)
+    /// power assignments. @p core_powers is RHS-major — candidate r occupies
+    /// [r·core_count(), (r+1)·core_count()) — and peaks[r] receives its
+    /// peak. When @p core_peak_c is set it receives every candidate's
+    /// per-core steady state, nrhs × core_count() entries RHS-major, read
+    /// from the same solve the peaks reduce over.
+    ///
+    /// One candidate runs the single-RHS steady_state_into; a slate
+    /// (HotPotato's rotation-off placement scan) runs one
+    /// steady_state_batch_into. The two agree bit for bit, so the choice is
+    /// purely on input size: the batched dense LU at one lane degenerates
+    /// to length-1 axpys.
+    void static_peaks(const double* core_powers, std::size_t nrhs,
+                      PeakWorkspace& workspace, double* peaks,
+                      double* core_peak_c = nullptr) const;
 
     /// Peak core temperature with every listed ring rotating synchronously
-    /// at interval @p tau and all remaining cores idle.
+    /// and all remaining cores idle, evaluated at @p count rotation
+    /// intervals: peaks[t] is the peak at interval taus[t].
     ///
     /// Rings generally have coprime sizes, so the exact joint schedule only
     /// repeats after lcm(sizes) epochs; instead of materialising that, the
@@ -187,73 +174,45 @@ public:
     /// single occupied ring this is exact at the sample points; for multiple
     /// rings it is a safe upper bound whose slack is the (tiny) cross-ring
     /// ripple correlation.
-    double rotation_peak(const std::vector<RotationRingSpec>& rings,
-                         double tau, std::size_t samples_per_epoch = 2) const;
-
-    /// rotation_peak (uniform τ) reusing caller-owned scratch — the form the
-    /// HotPotato candidate loop evaluates hundreds of times per epoch.
-    double rotation_peak(const std::vector<RotationRingSpec>& rings,
-                         double tau, std::size_t samples_per_epoch,
-                         PeakWorkspace& workspace) const;
-
-    /// rotation_peak (uniform τ) that additionally writes each core's
-    /// sampled peak — all-idle baseline plus its summed per-ring periodic
-    /// response maxima — into @p core_peak_c (core_count() entries,
-    /// caller-sized). Bit-identical to the scalar overload: the map is read
-    /// out of the same workspace state the scalar max runs over.
-    double rotation_peak_map(const std::vector<RotationRingSpec>& rings,
-                             double tau, std::size_t samples_per_epoch,
-                             PeakWorkspace& workspace,
-                             double* core_peak_c) const;
+    ///
+    /// The baseline, the per-epoch deltas and their modal targets
+    /// y_f = β·P_f are τ-independent, so they are built once per ring and
+    /// only the geometric-series evaluation runs per rung; each rung's
+    /// result is bit-identical to a count-1 query at that interval. When
+    /// @p core_peak_c is set it receives each core's sampled peak — baseline
+    /// plus summed per-ring response maxima — count × core_count() entries,
+    /// rung-major: exactly the values peaks[t] is the maximum of.
+    ///
+    /// Throws std::invalid_argument for a τ ≤ 0, @p samples_per_epoch == 0
+    /// or a ring whose slot and core counts differ.
+    void rotation_peaks(const std::vector<RotationRingSpec>& rings,
+                        const double* taus, std::size_t count,
+                        std::size_t samples_per_epoch, PeakWorkspace& workspace,
+                        double* peaks, double* core_peak_c = nullptr) const;
 
     /// Per-ring rotation intervals: rings[i] rotates every tau_per_ring[i]
     /// seconds. The superposition decomposition makes heterogeneous
     /// cadences free — each ring's periodic response is solved at its own
     /// interval — enabling e.g. slow rotation on thermally-unconstrained
     /// outer rings while the centre rotates fast (an extension beyond the
-    /// paper's single global τ).
-    double rotation_peak(const std::vector<RotationRingSpec>& rings,
-                         const std::vector<double>& tau_per_ring,
-                         std::size_t samples_per_epoch = 2) const;
-
-    /// Per-ring-τ rotation_peak reusing caller-owned scratch.
+    /// paper's single global τ). Runs the same ring loop as rotation_peaks,
+    /// so uniform intervals give bit-identical results.
     double rotation_peak(const std::vector<RotationRingSpec>& rings,
                          const std::vector<double>& tau_per_ring,
                          std::size_t samples_per_epoch,
                          PeakWorkspace& workspace) const;
 
-    /// Evaluates rotation_peak for the same ring set at @p tau_count
-    /// different rotation intervals in one pass: the all-idle baseline and
-    /// every ring's modal epoch targets y_f = β·P_f are τ-independent, so
-    /// they are computed once and only the geometric-series evaluation runs
-    /// per rung. peaks[t] is bit-identical to
-    /// rotation_peak(rings, taus[t], samples_per_epoch, workspace) — the
-    /// per-rung operation sequence is unchanged, only shared work is hoisted.
-    /// This is the batched slate HotPotato scores when probing its τ ladder.
-    void rotation_peak_tau_batch(const std::vector<RotationRingSpec>& rings,
-                                 const double* taus, std::size_t tau_count,
-                                 std::size_t samples_per_epoch,
-                                 PeakWorkspace& workspace,
-                                 double* peaks) const;
-
-    /// static_peak over @p nrhs candidate core-power vectors in one batched
-    /// steady-state solve (the multi-candidate slate of HotPotato's
-    /// rotation-off placement scan). @p core_powers is RHS-major — candidate
-    /// r occupies [r·core_count(), (r+1)·core_count()). peaks[r] is
-    /// bit-identical to static_peak(candidate r, workspace).
-    void static_peak_batch(const double* core_powers, std::size_t nrhs,
-                           PeakWorkspace& workspace, double* peaks) const;
-
 private:
-    /// The allocation-free core of Algorithm 1's run-time phase: consumes
-    /// @p delta node-power vectors starting at @p node_power_per_epoch and
-    /// writes the per-core response maxima into @p core_max (resized on
-    /// first use). All intermediates live in @p workspace.
-    void periodic_response_max_into(const linalg::Vector* node_power_per_epoch,
-                                    std::size_t delta, double tau,
-                                    std::size_t samples_per_epoch,
-                                    PeakWorkspace& workspace,
-                                    linalg::Vector& core_max) const;
+    /// The one ring loop behind both rotation queries. Validates every
+    /// argument, builds the all-idle baseline and, per non-idle ring, the
+    /// per-epoch deltas and modal targets; then evaluates @p count rungs
+    /// where ring r at rung t rotates every taus[r·ring_stride + t]
+    /// (ring_stride 0: one interval per rung; 1 with count 1: one per ring).
+    void ring_peaks(const std::vector<RotationRingSpec>& rings,
+                    const double* taus, std::size_t ring_stride,
+                    std::size_t count, std::size_t samples_per_epoch,
+                    PeakWorkspace& workspace, double* peaks,
+                    double* core_peak_c) const;
 
     /// Pre-grows the RHS-major sample staging/projection buffers to the
     /// largest ring of a query, so evaluate_periodic_max never reallocates
@@ -262,10 +221,11 @@ private:
                               std::size_t samples_per_epoch,
                               PeakWorkspace& workspace) const;
 
-    /// τ-independent half of periodic_response_max_into: fills workspace.y_
-    /// with the modal epoch targets y_f = β·P_f. Splitting this out lets
-    /// rotation_peak_tau_batch evaluate one ring at many rotation intervals
-    /// without redoing the (dominant) β projections.
+    /// τ-independent half of Algorithm 1's run-time phase: fills
+    /// workspace.y_ with the modal epoch targets y_f = β·P_f of the @p delta
+    /// node-power vectors starting at @p node_power_per_epoch, so one ring
+    /// can be evaluated at many rotation intervals without redoing the
+    /// (dominant) β projections.
     void build_modal_targets(const linalg::Vector* node_power_per_epoch,
                              std::size_t delta, PeakWorkspace& workspace) const;
 

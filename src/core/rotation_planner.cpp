@@ -6,6 +6,11 @@
 
 namespace hp::core {
 
+namespace {
+/// Algorithm-1 samples per rotation epoch for every planner query.
+constexpr std::size_t kSamplesPerEpoch = 2;
+}  // namespace
+
 RotationPlanner::RotationPlanner(
     const arch::ManyCore& chip,
     const perf::IntervalPerformanceModel& perf_model,
@@ -46,15 +51,21 @@ std::vector<RotationRingSpec> RotationPlanner::build_specs(
 double RotationPlanner::predicted_peak_c(
     const std::vector<ThreadEstimate>& threads,
     const std::vector<std::size_t>& ring_of_thread, bool rotation_on,
-    double tau_s) const {
+    double tau_s, PeakWorkspace& workspace) const {
     const auto specs = build_specs(threads, ring_of_thread);
-    if (rotation_on) return analyzer_->rotation_peak(specs, tau_s);
+    double peak;
+    if (rotation_on) {
+        analyzer_->rotation_peaks(specs, &tau_s, 1, kSamplesPerEpoch,
+                                  workspace, &peak);
+        return peak;
+    }
     // Pinned execution: materialise the slot assignment as a static vector.
     linalg::Vector power(chip_->core_count(), analyzer_->idle_power_w());
     for (const RotationRingSpec& spec : specs)
         for (std::size_t j = 0; j < spec.cores.size(); ++j)
             power[spec.cores[j]] = spec.slot_power_w[j];
-    return analyzer_->static_peak(power);
+    analyzer_->static_peaks(power.data(), 1, workspace, &peak);
+    return peak;
 }
 
 double RotationPlanner::throughput_score(
@@ -88,6 +99,7 @@ RotationPlan RotationPlanner::plan_greedy(
         throw std::invalid_argument("RotationPlanner: threads do not fit");
 
     const double limit = t_dtm_c - headroom_delta_c;
+    PeakWorkspace ws;
     std::vector<std::size_t> counts(rings.size(), 0);
     std::vector<std::size_t> assignment;
     bool rotation_on = true;
@@ -107,7 +119,7 @@ RotationPlan RotationPlanner::plan_greedy(
             const std::vector<ThreadEstimate> so_far(threads.begin(),
                                                      threads.begin() + i + 1);
             if (predicted_peak_c(so_far, assignment, rotation_on,
-                                 tau_ladder_s_[tau_idx]) < limit) {
+                                 tau_ladder_s_[tau_idx], ws) < limit) {
                 placed = true;
             } else {
                 assignment.pop_back();
@@ -127,7 +139,7 @@ RotationPlan RotationPlanner::plan_greedy(
                                                      threads.begin() + i + 1);
             while (tau_idx > 0 &&
                    predicted_peak_c(so_far, assignment, rotation_on,
-                                    tau_ladder_s_[tau_idx]) >= limit)
+                                    tau_ladder_s_[tau_idx], ws) >= limit)
                 --tau_idx;
         }
     }
@@ -137,7 +149,7 @@ RotationPlan RotationPlanner::plan_greedy(
     // threads outward and speed the rotation until headroom appears.
     const double f_max = chip_->dvfs().f_max_hz;
     double peak = predicted_peak_c(threads, assignment, rotation_on,
-                                   tau_ladder_s_[tau_idx]);
+                                   tau_ladder_s_[tau_idx], ws);
     std::size_t guard = threads.size() * rings.size();
     while (peak >= limit && guard-- > 0) {
         std::size_t victim = threads.size();
@@ -163,12 +175,12 @@ RotationPlan RotationPlanner::plan_greedy(
             break;
         }
         peak = predicted_peak_c(threads, assignment, rotation_on,
-                                tau_ladder_s_[tau_idx]);
+                                tau_ladder_s_[tau_idx], ws);
     }
     while (peak >= limit && tau_idx > 0) {
         --tau_idx;
         peak = predicted_peak_c(threads, assignment, rotation_on,
-                                tau_ladder_s_[tau_idx]);
+                                tau_ladder_s_[tau_idx], ws);
     }
 
     // Lines 23-27: relax the rotation while safety holds.
@@ -177,7 +189,7 @@ RotationPlan RotationPlanner::plan_greedy(
         const bool candidate_on = !at_top;
         const std::size_t candidate_idx = at_top ? tau_idx : tau_idx + 1;
         if (predicted_peak_c(threads, assignment, candidate_on,
-                             tau_ladder_s_[candidate_idx]) < limit) {
+                             tau_ladder_s_[candidate_idx], ws) < limit) {
             rotation_on = candidate_on;
             tau_idx = candidate_idx;
         } else {
@@ -190,7 +202,7 @@ RotationPlan RotationPlanner::plan_greedy(
     plan.rotation_on = rotation_on;
     plan.tau_s = tau_ladder_s_[tau_idx];
     plan.predicted_peak_c = predicted_peak_c(threads, plan.ring_of_thread,
-                                             plan.rotation_on, plan.tau_s);
+                                             plan.rotation_on, plan.tau_s, ws);
     plan.thermally_safe = plan.predicted_peak_c < limit;
     plan.throughput_score = throughput_score(threads, plan.ring_of_thread,
                                              plan.rotation_on, plan.tau_s);
@@ -205,6 +217,7 @@ RotationPlan RotationPlanner::plan_exhaustive(
             "RotationPlanner: exhaustive search limited to small instances");
     const auto& rings = chip_->rings();
     const double limit = t_dtm_c - headroom_delta_c;
+    PeakWorkspace ws;
 
     RotationPlan best_safe;      // highest throughput among safe plans
     RotationPlan best_fallback;  // lowest peak overall
@@ -226,7 +239,7 @@ RotationPlan RotationPlanner::plan_exhaustive(
             plan.rotation_on = rotation_on;
             plan.tau_s = tau;
             plan.predicted_peak_c =
-                predicted_peak_c(threads, assignment, rotation_on, tau);
+                predicted_peak_c(threads, assignment, rotation_on, tau, ws);
             plan.thermally_safe = plan.predicted_peak_c < limit;
             plan.throughput_score =
                 throughput_score(threads, assignment, rotation_on, tau);

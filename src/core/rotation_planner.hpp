@@ -52,10 +52,13 @@ public:
                             const std::vector<std::size_t>& ring_of_thread,
                             bool rotation_on, double tau_s) const;
 
-    /// Certified peak temperature of an assignment (Algorithm 1).
+    /// Certified peak temperature of an assignment (Algorithm 1), using
+    /// @p workspace as the query scratch. The plan_* calls each hold one
+    /// workspace for all of their queries.
     double predicted_peak_c(const std::vector<ThreadEstimate>& threads,
                             const std::vector<std::size_t>& ring_of_thread,
-                            bool rotation_on, double tau_s) const;
+                            bool rotation_on, double tau_s,
+                            PeakWorkspace& workspace) const;
 
     /// Greedy plan following Algorithm 2's arrival logic: threads in input
     /// order, each into the lowest-AMD ring that stays safe; if none is

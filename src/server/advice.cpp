@@ -10,12 +10,6 @@
 namespace hp::server {
 namespace {
 
-// Key-space discriminators so a static and a rotation evaluation of the
-// same powers can never alias (the backend_signature prefix already
-// separates solver backends and chip models).
-constexpr std::uint64_t kStaticTag = 0x5354415449435f50ull;  // "STATIC_P"
-constexpr std::uint64_t kRotationTag = 0x524f544154455f50ull;  // "ROTATE_P"
-
 template <typename Compute>
 double eval_cached(core::ConcurrentPeakCache* cache,
                    const core::CacheKey& key, Compute&& compute) {
@@ -44,10 +38,7 @@ std::size_t AdviceBundle::core_count() const {
 }
 
 std::size_t AdviceBundle::max_key_words() const {
-    // Static key: sig + tag + count + one word per core.
-    // Rotation key: sig + tag + τ + ring count + one word per ring (size)
-    // + one word per core (slot power). The rotation form dominates.
-    return 4 + setup_.chip().rings().size() + core_count();
+    return core::peak_key_words(core_count(), setup_.chip().rings().size());
 }
 
 AdviceBundle AdviceBundle::replicate() const {
@@ -132,15 +123,13 @@ AdviceResponse advise(const AdviceBundle& bundle,
         scratch.static_power_[response.core_of_thread[t]] =
             scratch.qpower_[t];
 
-    scratch.key_.clear();
-    scratch.key_.push(bundle.backend_signature());
-    scratch.key_.push(kStaticTag);
-    scratch.key_.push(static_cast<std::uint64_t>(n));
-    for (std::size_t i = 0; i < n; ++i)
-        scratch.key_.push(scratch.static_power_[i]);
+    core::stage_static_key(scratch.key_, bundle.backend_signature(),
+                           scratch.static_power_.data(), n);
     const double static_peak = eval_cached(cache, scratch.key_, [&] {
-        return analyzer.static_peak(scratch.static_power_,
-                                    scratch.workspace_);
+        double peak;
+        analyzer.static_peaks(scratch.static_power_.data(), 1,
+                              scratch.workspace_, &peak);
+        return peak;
     });
 
     if (static_peak < limit) {
@@ -151,8 +140,9 @@ AdviceResponse advise(const AdviceBundle& bundle,
         // the same deterministic computation the (possibly cached) scan
         // value came from, so the response carries identical bits either
         // way.
-        response.predicted_peak_c = analyzer.static_peak_map(
-            scratch.static_power_, scratch.workspace_, scratch.map_.data());
+        analyzer.static_peaks(scratch.static_power_.data(), 1,
+                              scratch.workspace_, &response.predicted_peak_c,
+                              scratch.map_.data());
         response.peak_core_c = scratch.map_;
         return response;
     }
@@ -161,20 +151,14 @@ AdviceResponse advise(const AdviceBundle& bundle,
     double chosen_tau = scratch.taus_.back();  // fastest rung as fallback
     bool safe = false;
     for (double tau : scratch.taus_) {
-        scratch.key_.clear();
-        scratch.key_.push(bundle.backend_signature());
-        scratch.key_.push(kRotationTag);
-        scratch.key_.push(tau);
-        scratch.key_.push(static_cast<std::uint64_t>(scratch.rings_.size()));
-        for (const core::RotationRingSpec& ring : scratch.rings_) {
-            scratch.key_.push(
-                static_cast<std::uint64_t>(ring.slot_power_w.size()));
-            for (double p : ring.slot_power_w) scratch.key_.push(p);
-        }
+        core::stage_rotation_key(scratch.key_, bundle.backend_signature(),
+                                 tau, d.samples_per_epoch, scratch.rings_);
         const double peak = eval_cached(cache, scratch.key_, [&] {
-            return analyzer.rotation_peak(scratch.rings_, tau,
-                                          d.samples_per_epoch,
-                                          scratch.workspace_);
+            double value;
+            analyzer.rotation_peaks(scratch.rings_, &tau, 1,
+                                    d.samples_per_epoch, scratch.workspace_,
+                                    &value);
+            return value;
         });
         if (peak < limit) {
             chosen_tau = tau;
@@ -185,10 +169,9 @@ AdviceResponse advise(const AdviceBundle& bundle,
 
     response.rotation_on = 1;
     response.tau_s = chosen_tau;
-    response.predicted_peak_c =
-        analyzer.rotation_peak_map(scratch.rings_, chosen_tau,
-                                   d.samples_per_epoch, scratch.workspace_,
-                                   scratch.map_.data());
+    analyzer.rotation_peaks(scratch.rings_, &chosen_tau, 1,
+                            d.samples_per_epoch, scratch.workspace_,
+                            &response.predicted_peak_c, scratch.map_.data());
     response.peak_core_c = scratch.map_;
     response.thermally_safe =
         (safe || response.predicted_peak_c < limit) ? 1 : 0;

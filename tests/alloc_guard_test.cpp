@@ -7,9 +7,9 @@
 //    HotPotato's synchronous slot rotation in on_step) performs no heap
 //    allocations on steps without scheduler events;
 //  * a HotPotato candidate evaluation (predict_peak: ring specs + Algorithm 1
-//    rotation_peak / static steady-state) performs no heap allocations;
-//  * the thermal _into kernels and the analyzer workspace overloads perform
-//    no heap allocations.
+//    rotation_peaks / static_peaks) performs no heap allocations;
+//  * the thermal _into kernels and the analyzer queries perform no heap
+//    allocations.
 //
 // Event steps (epochs, task arrival/finish, the first sizing pass) are
 // exempt: schedulers may allocate while making decisions; the per-step
@@ -33,6 +33,7 @@
 #include "obs/recorder.hpp"
 #include "sim/simulator.hpp"
 #include "thermal/workspace.hpp"
+#include "peak_queries.hpp"
 #include "thermal_oracle.hpp"
 #include "workload/benchmark.hpp"
 
@@ -66,16 +67,28 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
     return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+// noinline: inlined into a caller, a free() of memory the counting
+// operator new malloc'd trips gcc's -Wmismatched-new-delete at -O3.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
     std::free(p);
 }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+    std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+    std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept {
+    std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
+    std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t,
+                                         std::align_val_t) noexcept {
     std::free(p);
 }
 
@@ -431,15 +444,15 @@ TEST(AllocGuard, WarmedModalBatchPeakAnalysisIsAllocationFree) {
     std::vector<double> cands(nrhs * cores, 0.3), peaks(taus.size(), 0.0);
     for (std::size_t r = 0; r < nrhs; ++r) cands[r * cores + 11 + r] = 6.0;
 
-    analyzer.rotation_peak_tau_batch(rings, taus.data(), taus.size(), 2, ws,
-                                     peaks.data());  // warm
-    analyzer.static_peak_batch(cands.data(), nrhs, ws, peaks.data());
+    analyzer.rotation_peaks(rings, taus.data(), taus.size(), 2, ws,
+                            peaks.data());  // warm
+    analyzer.static_peaks(cands.data(), nrhs, ws, peaks.data());
 
     const std::uint64_t before = alloc_count();
     for (int i = 0; i < 20; ++i) {
-        analyzer.rotation_peak_tau_batch(rings, taus.data(), taus.size(), 2,
-                                         ws, peaks.data());
-        analyzer.static_peak_batch(cands.data(), nrhs, ws, peaks.data());
+        analyzer.rotation_peaks(rings, taus.data(), taus.size(), 2, ws,
+                                peaks.data());
+        analyzer.static_peaks(cands.data(), nrhs, ws, peaks.data());
     }
     EXPECT_EQ(alloc_count() - before, 0u);
 }
@@ -456,13 +469,13 @@ TEST(AllocGuard, WarmedRotationPeakIsAllocationFree) {
     linalg::Vector static_power(setup.model().core_count(), 0.3);
     static_power[27] = 6.0;
 
-    (void)analyzer.rotation_peak(rings, 0.5e-3, 2, ws);  // warm
-    (void)analyzer.static_peak(static_power, ws);
+    (void)test::rotation_peak(analyzer, rings, 0.5e-3, 2, ws);  // warm
+    (void)test::static_peak(analyzer, static_power, ws);
 
     const std::uint64_t before = alloc_count();
     for (int i = 0; i < 20; ++i) {
-        (void)analyzer.rotation_peak(rings, 0.5e-3, 2, ws);
-        (void)analyzer.static_peak(static_power, ws);
+        (void)test::rotation_peak(analyzer, rings, 0.5e-3, 2, ws);
+        (void)test::static_peak(analyzer, static_power, ws);
     }
     EXPECT_EQ(alloc_count() - before, 0u);
 }

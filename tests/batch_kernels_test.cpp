@@ -13,11 +13,13 @@
 // kernel_matmat vs looped kernel_matvec, LU solve_batch_into vs looped
 // solve_into, the thermal batch kernels (the dense steady_state_batch_into,
 // apply_exponential_batch_into including the documented outs==xs aliasing,
-// transient_batch_into), and the analyzer slates (rotation_peak_tau_batch,
-// static_peak_batch).
+// transient_batch_into), and the analyzer slates (rotation_peaks at
+// count > 1 against count 1, static_peaks at nrhs > 1 against nrhs 1, and
+// the per-core maps both slates can write).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <vector>
@@ -248,54 +250,124 @@ INSTANTIATE_TEST_SUITE_P(Models, ThermalBatch,
 
 // --- analyzer slates ---------------------------------------------------------
 
-TEST(BatchKernels, RotationPeakTauBatchBitIdenticalToLoop) {
-    const campaign::StudySetup setup = campaign::StudySetup::paper_64core();
-    const core::PeakTemperatureAnalyzer analyzer(setup.solver(), 45.0, 0.3);
-    core::PeakWorkspace ws;
-
+/// Two rings of coprime sizes on the 64-core chip, one of them busy.
+std::vector<core::RotationRingSpec> slate_rings() {
     core::RotationRingSpec busy;
     busy.cores = {27, 28, 36, 35, 34, 26, 18, 19};
     busy.slot_power_w = {6.0, 5.5, 5.0, 0.3, 0.3, 4.0, 0.3, 0.3};
     core::RotationRingSpec small;
     small.cores = {0, 1, 9};
     small.slot_power_w = {3.5, 0.3, 2.0};
-    const std::vector<core::RotationRingSpec> rings = {busy, small};
+    return {busy, small};
+}
 
-    const std::vector<double> taus = {0.125e-3, 0.25e-3, 0.5e-3,
-                                      1e-3,     2e-3,    4e-3};
-    for (std::size_t count : {std::size_t{1}, taus.size()}) {
-        std::vector<double> peaks(count, -1.0);
-        analyzer.rotation_peak_tau_batch(rings, taus.data(), count, 2, ws,
-                                         peaks.data());
-        for (std::size_t t = 0; t < count; ++t)
-            EXPECT_EQ(peaks[t], analyzer.rotation_peak(rings, taus[t], 2, ws))
-                << "count=" << count << " rung=" << t;
+const std::vector<double> kSlateTaus = {0.125e-3, 0.25e-3, 0.5e-3,
+                                        1e-3,     2e-3,    4e-3};
+
+/// RHS-major static candidates: idle cores plus an irregular hot pattern.
+std::vector<double> static_candidates(std::size_t nrhs, std::size_t cores) {
+    std::vector<double> candidates(nrhs * cores);
+    for (std::size_t r = 0; r < nrhs; ++r)
+        for (std::size_t c = 0; c < cores; ++c)
+            candidates[r * cores + c] =
+                0.3 + ((c + r) % 4 == 0 ? 5.0 + filler(r) : 0.0);
+    return candidates;
+}
+
+TEST(BatchKernels, RotationPeakTauBatchBitIdenticalToLoop) {
+    const campaign::StudySetup setup = campaign::StudySetup::paper_64core();
+    const core::PeakTemperatureAnalyzer analyzer(setup.solver(), 45.0, 0.3);
+    core::PeakWorkspace ws;
+    const std::vector<core::RotationRingSpec> rings = slate_rings();
+
+    const std::size_t count = kSlateTaus.size();
+    std::vector<double> peaks(count, -1.0);
+    analyzer.rotation_peaks(rings, kSlateTaus.data(), count, 2, ws,
+                            peaks.data());
+    for (std::size_t t = 0; t < count; ++t) {
+        double single = -1.0;
+        analyzer.rotation_peaks(rings, &kSlateTaus[t], 1, 2, ws, &single);
+        EXPECT_EQ(peaks[t], single) << "rung=" << t;
     }
 }
 
 TEST(BatchKernels, StaticPeakBatchBitIdenticalToLoop) {
-    const campaign::StudySetup setup = campaign::StudySetup::paper_16core();
-    const thermal::ThermalModel& model = setup.model();
-    const std::size_t cores = model.core_count();
+    // Both backends: the dense LU's batched solve and the modal backend's
+    // batched banded Cholesky must each match their single-RHS solve, since
+    // static_peaks picks between them on nrhs alone.
+    for (const campaign::StudySetup& setup :
+         {campaign::StudySetup::paper_16core(),
+          campaign::StudySetup::paper_64core(
+              thermal::SolverConfig::modal())}) {
+        const std::size_t cores = setup.model().core_count();
+        const core::PeakTemperatureAnalyzer analyzer(setup.solver(), 45.0,
+                                                     0.3);
+        core::PeakWorkspace ws;
+        for (std::size_t nrhs : kWidths) {
+            const std::vector<double> candidates =
+                static_candidates(nrhs, cores);
+            std::vector<double> peaks(nrhs, -1.0);
+            analyzer.static_peaks(candidates.data(), nrhs, ws, peaks.data());
+            for (std::size_t r = 0; r < nrhs; ++r) {
+                double single = -1.0;
+                analyzer.static_peaks(candidates.data() + r * cores, 1, ws,
+                                      &single);
+                EXPECT_EQ(peaks[r], single)
+                    << setup.solver().backend_name() << " nrhs=" << nrhs
+                    << " r=" << r;
+            }
+        }
+    }
+}
+
+TEST(BatchKernels, SlateMapsMatchTheirScalarPeaks) {
+    // The optional per-core maps are read from the state the peaks reduce
+    // over: every map row's maximum is its peak bit for bit, a map-writing
+    // call returns the same peaks as a map-less one, and a slate's rows
+    // equal the count-1 / nrhs-1 maps.
+    const campaign::StudySetup setup = campaign::StudySetup::paper_64core();
+    const std::size_t cores = setup.model().core_count();
     const core::PeakTemperatureAnalyzer analyzer(setup.solver(), 45.0, 0.3);
     core::PeakWorkspace ws;
+    const auto row_max = [&](const double* row) {
+        double m = -1e300;
+        for (std::size_t i = 0; i < cores; ++i) m = std::max(m, row[i]);
+        return m;
+    };
 
-    for (std::size_t nrhs : kWidths) {
-        std::vector<double> candidates(nrhs * cores);
-        for (std::size_t r = 0; r < nrhs; ++r)
-            for (std::size_t c = 0; c < cores; ++c)
-                candidates[r * cores + c] =
-                    0.3 + ((c + r) % 4 == 0 ? 5.0 + filler(r) : 0.0);
-        std::vector<double> peaks(nrhs, -1.0);
-        analyzer.static_peak_batch(candidates.data(), nrhs, ws, peaks.data());
+    const std::vector<core::RotationRingSpec> rings = slate_rings();
+    const std::size_t count = kSlateTaus.size();
+    std::vector<double> peaks(count), plain(count), map(count * cores);
+    analyzer.rotation_peaks(rings, kSlateTaus.data(), count, 2, ws,
+                            plain.data());
+    analyzer.rotation_peaks(rings, kSlateTaus.data(), count, 2, ws,
+                            peaks.data(), map.data());
+    std::vector<double> one(cores);
+    for (std::size_t t = 0; t < count; ++t) {
+        EXPECT_EQ(peaks[t], plain[t]) << "rung=" << t;
+        EXPECT_EQ(peaks[t], row_max(map.data() + t * cores)) << "rung=" << t;
+        double single;
+        analyzer.rotation_peaks(rings, &kSlateTaus[t], 1, 2, ws, &single,
+                                one.data());
+        for (std::size_t i = 0; i < cores; ++i)
+            EXPECT_EQ(map[t * cores + i], one[i]) << "rung=" << t << " i=" << i;
+    }
 
-        linalg::Vector one(cores);
-        for (std::size_t r = 0; r < nrhs; ++r) {
-            for (std::size_t c = 0; c < cores; ++c)
-                one[c] = candidates[r * cores + c];
-            EXPECT_EQ(peaks[r], analyzer.static_peak(one, ws))
-                << "nrhs=" << nrhs << " r=" << r;
-        }
+    const std::size_t nrhs = 5;
+    const std::vector<double> candidates = static_candidates(nrhs, cores);
+    std::vector<double> speaks(nrhs), splain(nrhs), smap(nrhs * cores);
+    analyzer.static_peaks(candidates.data(), nrhs, ws, splain.data());
+    analyzer.static_peaks(candidates.data(), nrhs, ws, speaks.data(),
+                          smap.data());
+    for (std::size_t r = 0; r < nrhs; ++r) {
+        EXPECT_EQ(speaks[r], splain[r]) << "r=" << r;
+        EXPECT_EQ(speaks[r], row_max(smap.data() + r * cores)) << "r=" << r;
+        double single;
+        analyzer.static_peaks(candidates.data() + r * cores, 1, ws, &single,
+                              one.data());
+        EXPECT_EQ(single, speaks[r]) << "r=" << r;
+        for (std::size_t i = 0; i < cores; ++i)
+            EXPECT_EQ(smap[r * cores + i], one[i]) << "r=" << r << " i=" << i;
     }
 }
 

@@ -31,6 +31,7 @@
 #include "thermal/modal_solver.hpp"
 #include "thermal/solver.hpp"
 #include "thermal/workspace.hpp"
+#include "peak_queries.hpp"
 
 namespace {
 
@@ -260,8 +261,8 @@ TEST(Dispatch, AnalyzerResultsAgreeAcrossTiersWithinTolerance) {
         ForcedTier forced(tier);
         core::PeakWorkspace ws;  // fresh per tier: no cross-tier residue
         return std::pair<double, double>(
-            analyzer.rotation_peak(rings, 0.5e-3, 2, ws),
-            analyzer.static_peak(static_power, ws));
+            test::rotation_peak(analyzer, rings, 0.5e-3, 2, ws),
+            test::static_peak(analyzer, static_power, ws));
     };
 
     const auto scalar = eval_with(Tier::kScalar);

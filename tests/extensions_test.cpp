@@ -8,6 +8,7 @@
 #include "sim/types.hpp"
 #include "thermal/matex.hpp"
 #include "thermal/rc_network.hpp"
+#include "peak_queries.hpp"
 
 namespace {
 
@@ -22,6 +23,7 @@ struct Fixture {
     hp::thermal::ThermalModel model{chip.plan(), hp::thermal::RcNetworkConfig{}};
     hp::thermal::MatExSolver solver{model};
     PeakTemperatureAnalyzer analyzer{solver, 45.0, kIdle};
+    hp::core::PeakWorkspace ws;
 
     std::vector<RotationRingSpec> two_rings() const {
         RotationRingSpec inner{chip.rings()[0].cores, {}};
@@ -38,10 +40,11 @@ struct Fixture {
 TEST(PerRingTau, UniformOverloadMatchesScalarOverload) {
     Fixture f;
     const auto rings = f.two_rings();
-    const double scalar = f.analyzer.rotation_peak(rings, 0.5e-3, 4);
+    const double scalar =
+        hp::test::rotation_peak(f.analyzer, rings, 0.5e-3, 4, f.ws);
     const double vectored =
-        f.analyzer.rotation_peak(rings, {0.5e-3, 0.5e-3}, 4);
-    EXPECT_NEAR(scalar, vectored, 1e-12);
+        f.analyzer.rotation_peak(rings, {0.5e-3, 0.5e-3}, 4, f.ws);
+    EXPECT_EQ(scalar, vectored);  // one ring loop serves both forms
 }
 
 TEST(PerRingTau, SlowOuterRingBarelyHurts) {
@@ -49,11 +52,12 @@ TEST(PerRingTau, SlowOuterRingBarelyHurts) {
     // peak temperature than slowing the hot inner ring.
     Fixture f;
     const auto rings = f.two_rings();
-    const double base = f.analyzer.rotation_peak(rings, {0.5e-3, 0.5e-3}, 4);
+    const double base =
+        f.analyzer.rotation_peak(rings, {0.5e-3, 0.5e-3}, 4, f.ws);
     const double slow_outer =
-        f.analyzer.rotation_peak(rings, {0.5e-3, 8e-3}, 4);
+        f.analyzer.rotation_peak(rings, {0.5e-3, 8e-3}, 4, f.ws);
     const double slow_inner =
-        f.analyzer.rotation_peak(rings, {8e-3, 0.5e-3}, 4);
+        f.analyzer.rotation_peak(rings, {8e-3, 0.5e-3}, 4, f.ws);
     EXPECT_GT(slow_inner - base, 4.0 * (slow_outer - base));
     EXPECT_GE(slow_outer, base - 1e-9);
 }
@@ -61,7 +65,7 @@ TEST(PerRingTau, SlowOuterRingBarelyHurts) {
 TEST(PerRingTau, SizeMismatchThrows) {
     Fixture f;
     EXPECT_THROW((void)f.analyzer.rotation_peak(
-                     f.two_rings(), std::vector<double>{0.5e-3}, 4),
+                     f.two_rings(), std::vector<double>{0.5e-3}, 4, f.ws),
                  std::invalid_argument);
 }
 

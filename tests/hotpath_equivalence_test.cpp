@@ -11,9 +11,9 @@
 // Coverage: linalg kernels, matvec_into, LU solve_into, pad_power_into,
 // the dense steady_state_into, apply_exponential_into (including the
 // memoised exp-table reuse), transient_into (including out aliasing t_init),
-// and all four PeakWorkspace analyzer overloads — on the planar 16- and
-// 64-core models and on the stacked 3D model, with workspaces reused across
-// queries and models.
+// and workspace reuse across every PeakTemperatureAnalyzer query — on the
+// planar 16- and 64-core models and on the stacked 3D model, with workspaces
+// reused across queries and models.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +30,7 @@
 #include "thermal/matex.hpp"
 #include "thermal/rc_network.hpp"
 #include "thermal/workspace.hpp"
+#include "peak_queries.hpp"
 #include "thermal_oracle.hpp"
 
 namespace {
@@ -189,27 +190,30 @@ TEST_P(HotpathThermalEquivalence, ApplyExponentialAndTransient) {
 }
 
 TEST_P(HotpathThermalEquivalence, PeakAnalyzerWorkspaceOverloads) {
+    // Every analyzer query takes a caller-owned workspace. A warm workspace
+    // that has served other queries — other ring sizes, schedules, static
+    // candidates — must give bit-identical answers to a fresh one.
     const campaign::StudySetup setup = make_setup(GetParam());
     const thermal::ThermalModel& model = setup.model();
     const std::size_t cores = model.core_count();
     const core::PeakTemperatureAnalyzer analyzer(setup.solver(), 45.0, 0.3);
-    core::PeakWorkspace ws;
+    core::PeakWorkspace warm;
 
-    // static_peak.
     const linalg::Vector core_power = test_core_power(cores);
-    EXPECT_EQ(analyzer.static_peak(core_power),
-              analyzer.static_peak(core_power, ws));
+    const auto static_peak = [&](core::PeakWorkspace& ws) {
+        double peak;
+        analyzer.static_peaks(core_power.data(), 1, ws, &peak);
+        return peak;
+    };
 
     // schedule_peak: three-epoch rotating pattern.
     std::vector<linalg::Vector> epochs(3, linalg::Vector(cores, 0.3));
     epochs[0][0] = 6.0;
     epochs[1][cores / 2] = 6.0;
     epochs[2][cores - 1] = 6.0;
-    EXPECT_EQ(analyzer.schedule_peak(epochs, 1e-3, 3),
-              analyzer.schedule_peak(epochs, 1e-3, 3, ws));
 
-    // rotation_peak with two rings of coprime sizes, one of them idle, plus
-    // the uniform-τ and per-ring-τ forms.
+    // Two rings of coprime sizes, one of them idle, for the uniform-τ and
+    // per-ring-τ rotation forms; then a single wider ring.
     core::RotationRingSpec busy;
     busy.cores = {0, 1, 2, 3};
     busy.slot_power_w = {6.0, 5.0, 0.3, 4.0};
@@ -217,28 +221,27 @@ TEST_P(HotpathThermalEquivalence, PeakAnalyzerWorkspaceOverloads) {
     idle.cores = {cores - 1, cores - 2, cores - 3};
     idle.slot_power_w = {0.3, 0.3, 0.3};
     const std::vector<core::RotationRingSpec> rings = {busy, idle};
-
-    EXPECT_EQ(analyzer.rotation_peak(rings, 0.5e-3, 2),
-              analyzer.rotation_peak(rings, 0.5e-3, 2, ws));
     const std::vector<double> taus = {0.5e-3, 2e-3};
-    EXPECT_EQ(analyzer.rotation_peak(rings, taus, 2),
-              analyzer.rotation_peak(rings, taus, 2, ws));
-
-    // Reusing the (now warm, ring-sized) workspace on a different query must
-    // not leak state: alternate ring sizes and repeat every query.
     core::RotationRingSpec wide;
     wide.cores.assign(busy.cores.begin(), busy.cores.end());
     wide.cores.push_back(4 % cores);
     wide.slot_power_w = {5.5, 0.3, 0.3, 4.5, 3.0};
     const std::vector<core::RotationRingSpec> rings2 = {wide};
-    EXPECT_EQ(analyzer.rotation_peak(rings2, 1e-3, 3),
-              analyzer.rotation_peak(rings2, 1e-3, 3, ws));
-    EXPECT_EQ(analyzer.rotation_peak(rings, 0.5e-3, 2),
-              analyzer.rotation_peak(rings, 0.5e-3, 2, ws));
-    EXPECT_EQ(analyzer.static_peak(core_power),
-              analyzer.static_peak(core_power, ws));
-    EXPECT_EQ(analyzer.schedule_peak(epochs, 1e-3, 3),
-              analyzer.schedule_peak(epochs, 1e-3, 3, ws));
+
+    // Alternate ring sizes and query kinds through the warm workspace, and
+    // repeat every query so each one also runs on buffers another left.
+    for (int round = 0; round < 2; ++round) {
+        core::PeakWorkspace fresh[5];
+        EXPECT_EQ(static_peak(warm), static_peak(fresh[0]));
+        EXPECT_EQ(analyzer.schedule_peak(epochs, 1e-3, 3, warm),
+                  analyzer.schedule_peak(epochs, 1e-3, 3, fresh[1]));
+        EXPECT_EQ(test::rotation_peak(analyzer, rings, 0.5e-3, 2, warm),
+                  test::rotation_peak(analyzer, rings, 0.5e-3, 2, fresh[2]));
+        EXPECT_EQ(analyzer.rotation_peak(rings, taus, 2, warm),
+                  analyzer.rotation_peak(rings, taus, 2, fresh[3]));
+        EXPECT_EQ(test::rotation_peak(analyzer, rings2, 1e-3, 3, warm),
+                  test::rotation_peak(analyzer, rings2, 1e-3, 3, fresh[4]));
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, HotpathThermalEquivalence,

@@ -7,6 +7,7 @@
 #include "core/peak_temperature.hpp"
 #include "thermal/matex.hpp"
 #include "thermal/rc_network.hpp"
+#include "peak_queries.hpp"
 #include "thermal_oracle.hpp"
 
 namespace {
@@ -29,6 +30,16 @@ struct Fixture {
     ThermalModel model{chip.plan(), RcNetworkConfig{}};
     MatExSolver solver{model};
     PeakTemperatureAnalyzer analyzer{solver, kAmbient, kIdle};
+    hp::core::PeakWorkspace ws;
+
+    double rotation_peak(const std::vector<RotationRingSpec>& rings,
+                         double tau, std::size_t samples_per_epoch) {
+        return hp::test::rotation_peak(analyzer, rings, tau,
+                                       samples_per_epoch, ws);
+    }
+    double static_peak(const Vector& core_power) {
+        return hp::test::static_peak(analyzer, core_power, ws);
+    }
 };
 
 /// Brute force: start from ambient and march the periodic schedule with the
@@ -130,8 +141,9 @@ TEST(Algorithm1, InvalidInputsThrow) {
     EXPECT_THROW((void)f.analyzer.boundary_temperatures(
                      {Vector(16, 1.0)}, 0.0),
                  std::invalid_argument);
-    EXPECT_THROW((void)f.analyzer.schedule_peak({Vector(16, 1.0)}, 1e-3, 0),
-                 std::invalid_argument);
+    EXPECT_THROW(
+        (void)f.analyzer.schedule_peak({Vector(16, 1.0)}, 1e-3, 0, f.ws),
+        std::invalid_argument);
 }
 
 // -------------------------------------------------------------- peak temp ---
@@ -144,7 +156,7 @@ TEST_P(Algorithm1Peak, MatchesBruteForceAcrossRotationIntervals) {
     RotationRingSpec ring{{5, 6, 10, 9}, {6.5, 4.0, kIdle, kIdle}};
     const auto schedule = ring_schedule(f, ring);
 
-    const double analytic = f.analyzer.schedule_peak(schedule, tau, 8);
+    const double analytic = f.analyzer.schedule_peak(schedule, tau, 8, f.ws);
     const double brute =
         brute_peak(f, schedule, tau, periods_to_converge(tau, 4), 8);
     EXPECT_NEAR(analytic, brute, 0.02) << "tau=" << tau;
@@ -169,7 +181,8 @@ TEST(Algorithm1, RandomSchedulesMatchBruteForce) {
             schedule.push_back(p);
         }
         const double tau = 0.5e-3;
-        const double analytic = f.analyzer.schedule_peak(schedule, tau, 6);
+        const double analytic =
+            f.analyzer.schedule_peak(schedule, tau, 6, f.ws);
         const double brute = brute_peak(f, schedule, tau,
                                         periods_to_converge(tau, delta), 6);
         EXPECT_NEAR(analytic, brute, 0.05) << "trial " << trial;
@@ -183,7 +196,7 @@ TEST(Algorithm1, FasterRotationLowersPeak) {
     const auto schedule = ring_schedule(f, ring);
     double prev = 1e300;
     for (double tau : {8e-3, 4e-3, 2e-3, 1e-3, 0.5e-3, 0.25e-3}) {
-        const double peak = f.analyzer.schedule_peak(schedule, tau, 8);
+        const double peak = f.analyzer.schedule_peak(schedule, tau, 8, f.ws);
         EXPECT_LT(peak, prev) << "tau=" << tau;
         prev = peak;
     }
@@ -195,11 +208,11 @@ TEST(Algorithm1, RotationBeatsStaticPlacement) {
     Vector static_power(16, kIdle);
     static_power[5] = 6.0;
     static_power[10] = 6.0;
-    const double static_peak = f.analyzer.static_peak(static_power);
+    const double static_peak = f.static_peak(static_power);
 
     RotationRingSpec ring{{5, 6, 10, 9}, {6.0, kIdle, 6.0, kIdle}};
     const double rotating_peak =
-        f.analyzer.rotation_peak({ring}, 0.5e-3, 4);
+        f.rotation_peak({ring}, 0.5e-3, 4);
     EXPECT_LT(rotating_peak, static_peak - 5.0);
 }
 
@@ -209,9 +222,9 @@ TEST(RotationPeak, SingleRingMatchesExplicitSchedule) {
     Fixture f;
     RotationRingSpec ring{{5, 6, 10, 9}, {6.0, 5.0, kIdle, kIdle}};
     const double tau = 0.5e-3;
-    const double via_rings = f.analyzer.rotation_peak({ring}, tau, 4);
+    const double via_rings = f.rotation_peak({ring}, tau, 4);
     const double via_schedule =
-        f.analyzer.schedule_peak(ring_schedule(f, ring), tau, 4);
+        f.analyzer.schedule_peak(ring_schedule(f, ring), tau, 4, f.ws);
     EXPECT_NEAR(via_rings, via_schedule, 1e-6);
 }
 
@@ -231,7 +244,7 @@ TEST(RotationPeak, MultiRingIsSafeUpperBound) {
     middle.slot_power_w[3] = 6.0;
 
     const double tau = 0.5e-3;
-    const double bound = f.analyzer.rotation_peak({inner, middle}, tau, 4);
+    const double bound = f.rotation_peak({inner, middle}, tau, 4);
 
     // Build the exact joint schedule over lcm(4,8) = 8 epochs.
     std::vector<Vector> joint;
@@ -247,23 +260,50 @@ TEST(RotationPeak, MultiRingIsSafeUpperBound) {
         }
         joint.push_back(p);
     }
-    const double exact = f.analyzer.schedule_peak(joint, tau, 4);
+    const double exact = f.analyzer.schedule_peak(joint, tau, 4, f.ws);
     EXPECT_GE(bound, exact - 1e-9);   // never optimistic
     EXPECT_LT(bound, exact + 1.5);    // and reasonably tight
 }
 
 TEST(RotationPeak, EmptyRingsGiveIdleBaseline) {
     Fixture f;
-    const double peak = f.analyzer.rotation_peak({}, 0.5e-3, 2);
-    const double idle_peak = f.analyzer.static_peak(Vector(16, kIdle));
+    const double peak = f.rotation_peak({}, 0.5e-3, 2);
+    const double idle_peak = f.static_peak(Vector(16, kIdle));
     EXPECT_NEAR(peak, idle_peak, 1e-9);
 }
 
 TEST(RotationPeak, MismatchedRingSpecThrows) {
     Fixture f;
     RotationRingSpec bad{{5, 6}, {1.0}};
-    EXPECT_THROW((void)f.analyzer.rotation_peak({bad}, 0.5e-3, 2),
+    EXPECT_THROW((void)f.rotation_peak({bad}, 0.5e-3, 2),
                  std::invalid_argument);
+}
+
+TEST(RotationPeak, SlateRejectsInvalidArguments) {
+    // Every argument is checked once at entry, before any buffer is sized
+    // from it: a τ <= 0 would close the geometric series as 0/0, and
+    // samples_per_epoch == 0 would size the interior-sample list from
+    // samples - 1.
+    Fixture f;
+    const std::vector<RotationRingSpec> rings = {
+        RotationRingSpec{{5, 6, 10, 9}, {6.0, 5.0, kIdle, kIdle}}};
+    double peaks[2];
+    const double zero_tau[] = {0.5e-3, 0.0};
+    EXPECT_THROW(f.analyzer.rotation_peaks(rings, zero_tau, 2, 2, f.ws, peaks),
+                 std::invalid_argument);
+    const double negative_tau = -0.5e-3;
+    EXPECT_THROW(
+        f.analyzer.rotation_peaks(rings, &negative_tau, 1, 2, f.ws, peaks),
+        std::invalid_argument);
+    const double tau = 0.5e-3;
+    EXPECT_THROW(f.analyzer.rotation_peaks(rings, &tau, 1, 0, f.ws, peaks),
+                 std::invalid_argument);
+    const std::vector<RotationRingSpec> bad = {
+        RotationRingSpec{{5, 6}, {1.0}}};
+    EXPECT_THROW(f.analyzer.rotation_peaks(bad, &tau, 1, 2, f.ws, peaks),
+                 std::invalid_argument);
+    // The workspace is still usable after a rejected query.
+    EXPECT_NO_THROW(f.analyzer.rotation_peaks(rings, &tau, 1, 2, f.ws, peaks));
 }
 
 TEST(RotationPeak, MoreThreadsRaisePeak) {
@@ -272,9 +312,9 @@ TEST(RotationPeak, MoreThreadsRaisePeak) {
     RotationRingSpec two{{5, 6, 10, 9}, {6.0, 6.0, kIdle, kIdle}};
     RotationRingSpec four{{5, 6, 10, 9}, {6.0, 6.0, 6.0, 6.0}};
     const double tau = 0.5e-3;
-    const double p1 = f.analyzer.rotation_peak({one}, tau, 4);
-    const double p2 = f.analyzer.rotation_peak({two}, tau, 4);
-    const double p4 = f.analyzer.rotation_peak({four}, tau, 4);
+    const double p1 = f.rotation_peak({one}, tau, 4);
+    const double p2 = f.rotation_peak({two}, tau, 4);
+    const double p4 = f.rotation_peak({four}, tau, 4);
     EXPECT_LT(p1, p2);
     EXPECT_LT(p2, p4);
 }

@@ -114,8 +114,11 @@ TEST(Planner, FasterRotationCostsThroughput) {
 
 TEST(Planner, PredictedPeakMonotoneInPower) {
     Fixture f;
-    const double low = f.planner.predicted_peak_c({hot(3.0)}, {0}, true, 0.5e-3);
-    const double high = f.planner.predicted_peak_c({hot(6.0)}, {0}, true, 0.5e-3);
+    hp::core::PeakWorkspace ws;
+    const double low =
+        f.planner.predicted_peak_c({hot(3.0)}, {0}, true, 0.5e-3, ws);
+    const double high =
+        f.planner.predicted_peak_c({hot(6.0)}, {0}, true, 0.5e-3, ws);
     EXPECT_GT(high, low);
 }
 

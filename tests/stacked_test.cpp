@@ -11,6 +11,7 @@
 #include "thermal/matex.hpp"
 #include "thermal/rc_network.hpp"
 #include "workload/benchmark.hpp"
+#include "peak_queries.hpp"
 #include "thermal_oracle.hpp"
 
 namespace {
@@ -169,11 +170,13 @@ TEST(Stacked3d, RotationAveragesAcrossLayers) {
     spec.cores = ring.cores;
     spec.slot_power_w.assign(ring.cores.size(), 0.3);
     spec.slot_power_w[0] = 6.0;
-    const double rotating = analyzer.rotation_peak({spec}, 0.5e-3, 4);
+    hp::core::PeakWorkspace ws;
+    const double rotating =
+        hp::test::rotation_peak(analyzer, {spec}, 0.5e-3, 4, ws);
 
     Vector pinned(32, 0.3);
     pinned[b.chip.plan().index_of(1, 1, 1)] = 6.0;  // top-layer centre
-    const double static_peak = analyzer.static_peak(pinned);
+    const double static_peak = hp::test::static_peak(analyzer, pinned, ws);
     EXPECT_LT(rotating, static_peak - 5.0);
 }
 
