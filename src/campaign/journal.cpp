@@ -5,12 +5,11 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <sstream>
 
 #include "campaign/atomic_file.hpp"
 #include "obs/metrics.hpp"
+#include "textio/textio.hpp"
 
 namespace hp::campaign {
 
@@ -65,7 +64,7 @@ std::string escape(const std::string& text) {
     return out;
 }
 
-std::string unescape(const std::string& text) {
+std::string unescape(std::string_view text) {
     std::string out;
     out.reserve(text.size());
     for (std::size_t i = 0; i < text.size(); ++i) {
@@ -107,45 +106,30 @@ private:
 
 class FieldReader {
 public:
-    explicit FieldReader(const std::string& payload) {
-        std::size_t start = 0;
-        for (std::size_t i = 0; i <= payload.size(); ++i) {
-            if (i == payload.size() || payload[i] == kSep) {
-                fields_.push_back(payload.substr(start, i - start));
-                start = i + 1;
-            }
-        }
-    }
+    explicit FieldReader(std::string_view payload)
+        : fields_(textio::split(payload, kSep)) {}
 
-    const std::string& raw() {
+    std::string_view raw() {
         if (next_ >= fields_.size())
             throw JournalError("journal: truncated record payload");
         return fields_[next_++];
     }
     std::string str() { return unescape(raw()); }
     std::uint64_t u64() {
-        const std::string& f = raw();
-        errno = 0;
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(f.c_str(), &end, 10);
-        if (errno != 0 || end != f.c_str() + f.size() || f.empty())
-            throw JournalError("journal: bad integer field: " + f);
-        return v;
+        const std::string_view f = raw();
+        if (const auto v = textio::parse_u64(f)) return *v;
+        throw JournalError("journal: bad integer field: " + std::string(f));
     }
     double f64() {
-        const std::string& f = raw();
-        errno = 0;
-        char* end = nullptr;
-        const double v = std::strtod(f.c_str(), &end);
-        if (end != f.c_str() + f.size() || f.empty())
-            throw JournalError("journal: bad double field: " + f);
-        return v;
+        const std::string_view f = raw();
+        if (const auto v = textio::parse_f64(f)) return *v;
+        throw JournalError("journal: bad double field: " + std::string(f));
     }
     bool boolean() { return u64() != 0; }
     bool exhausted() const { return next_ == fields_.size(); }
 
 private:
-    std::vector<std::string> fields_;
+    std::vector<std::string_view> fields_;
     std::size_t next_ = 0;
 };
 
@@ -392,12 +376,15 @@ JournalContents scan_journal(const std::string& path,
         if (line_no == 1) {
             // Header: "hpjournal1 <grid hex> <runs>". Created atomically, so
             // a torn header means the file is not a journal at all.
-            std::istringstream h(line);
-            std::string magic, grid;
-            if (!complete || !(h >> magic >> grid >> out.total_runs) ||
-                magic != kMagic || grid.size() != 16)
+            const auto h = textio::split(line, ' ');
+            const bool ok = complete && h.size() == 3 && h[0] == kMagic &&
+                            h[1].size() == 16;
+            const auto grid = ok ? textio::parse_u64(h[1], 16) : std::nullopt;
+            const auto runs = ok ? textio::parse_u64(h[2]) : std::nullopt;
+            if (!grid || !runs)
                 throw JournalError("journal: bad header: " + path);
-            out.grid_hash = std::strtoull(grid.c_str(), nullptr, 16);
+            out.grid_hash = *grid;
+            out.total_runs = *runs;
         } else {
             const std::size_t space = line.find(' ');
             const bool well_formed =

@@ -30,6 +30,7 @@
 #include "server/server.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace_io.hpp"
+#include "textio/textio.hpp"
 #include "thermal/rc_network.hpp"
 #include "thermal/solver.hpp"
 #include "workload/workload_io.hpp"
@@ -152,42 +153,20 @@ exit codes:
 namespace {
 
 double parse_double(const std::string& flag, const std::string& value) {
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception&) {
-        throw std::invalid_argument("bad value for " + flag + ": " + value);
-    }
+    if (const auto v = textio::parse_f64(value)) return *v;
+    throw std::invalid_argument("bad value for " + flag + ": " + value);
 }
 
 std::uint64_t parse_uint(const std::string& flag, const std::string& value) {
-    try {
-        std::size_t used = 0;
-        const unsigned long long v = std::stoull(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception&) {
-        throw std::invalid_argument("bad value for " + flag + ": " + value);
-    }
+    if (const auto v = textio::parse_u64(value)) return *v;
+    throw std::invalid_argument("bad value for " + flag + ": " + value);
 }
 
 /// Splits a comma-separated list, keeping empty entries so validation can
 /// flag them.
 std::vector<std::string> split_names(const std::string& list) {
-    std::vector<std::string> names;
-    std::string current;
-    for (char c : list) {
-        if (c == ',') {
-            names.push_back(current);
-            current.clear();
-        } else {
-            current += c;
-        }
-    }
-    names.push_back(current);
-    return names;
+    const auto names = textio::split(list, ',');
+    return std::vector<std::string>(names.begin(), names.end());
 }
 
 }  // namespace

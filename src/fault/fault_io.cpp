@@ -1,113 +1,47 @@
 #include "fault/fault_io.hpp"
 
-#include <fstream>
-#include <istream>
 #include <ostream>
-#include <sstream>
-#include <stdexcept>
+
+#include "textio/textio.hpp"
 
 namespace hp::fault {
-
-namespace {
-
-[[noreturn]] void fail(const std::string& source, std::size_t line,
-                       const std::string& what) {
-    throw std::runtime_error("fault_io: " + source + ":" +
-                             std::to_string(line) + ": " + what);
-}
-
-/// Strips comments and surrounding whitespace; true if anything remains.
-bool clean_line(std::string& line) {
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    const auto is_space = [](char c) {
-        return c == ' ' || c == '\t' || c == '\r';
-    };
-    while (!line.empty() && is_space(line.front())) line.erase(line.begin());
-    while (!line.empty() && is_space(line.back())) line.pop_back();
-    return !line.empty();
-}
-
-double parse_field_double(const std::string& source, std::size_t line_no,
-                          const std::string& field, const std::string& value) {
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception&) {
-        fail(source, line_no, "bad " + field + " '" + value + "'");
-    }
-}
-
-std::size_t parse_field_index(const std::string& source, std::size_t line_no,
-                              const std::string& field,
-                              const std::string& value) {
-    try {
-        std::size_t used = 0;
-        const unsigned long long v = std::stoull(value, &used);
-        if (used != value.size() || value.front() == '-')
-            throw std::invalid_argument(value);
-        return static_cast<std::size_t>(v);
-    } catch (const std::exception&) {
-        fail(source, line_no, "bad " + field + " '" + value + "'");
-    }
-}
-
-}  // namespace
 
 FaultSchedule read_fault_schedule(std::istream& in,
                                   const std::string& source_name) {
     FaultSchedule schedule;
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (!clean_line(line)) continue;
-        if (line.rfind("time_s", 0) == 0) continue;  // optional header row
-
-        std::vector<std::string> fields;
-        std::stringstream row(line);
-        std::string field;
-        while (std::getline(row, field, ',')) fields.push_back(field);
+    textio::LineReader r(in, "fault_io", source_name);
+    while (r.next()) {
+        if (r.line().starts_with("time_s")) continue;  // optional header row
+        const auto fields = r.fields(',');
         if (fields.size() != 5)
-            fail(source_name, line_no,
-                 "expected 5 fields (time_s,kind,target,duration_s,magnitude)"
-                 ", got " + std::to_string(fields.size()));
-
+            r.fail("expected 5 fields (time_s,kind,target,duration_s,magnitude)"
+                   ", got " + std::to_string(fields.size()));
         FaultEvent e;
-        e.time_s = parse_field_double(source_name, line_no, "time_s",
-                                      fields[0]);
+        e.time_s = r.f64(fields[0], "time_s");
         const auto kind = kind_from_string(fields[1]);
         if (!kind)
-            fail(source_name, line_no, "unknown fault kind '" + fields[1] +
-                                           "'");
+            r.fail("unknown fault kind '" + std::string(fields[1]) + "'");
         e.kind = *kind;
-        e.target = parse_field_index(source_name, line_no, "target",
-                                     fields[2]);
-        e.duration_s = parse_field_double(source_name, line_no, "duration_s",
-                                          fields[3]);
-        e.magnitude = parse_field_double(source_name, line_no, "magnitude",
-                                         fields[4]);
-        if (e.time_s < 0.0)
-            fail(source_name, line_no, "negative time_s");
+        e.target = r.u64(fields[2], "target");
+        e.duration_s = r.f64(fields[3], "duration_s");
+        e.magnitude = r.f64(fields[4], "magnitude");
+        if (e.time_s < 0.0) r.fail("negative time_s");
         schedule.events.push_back(e);
     }
     return schedule;
 }
 
 FaultSchedule read_fault_schedule_file(const std::string& path) {
-    std::ifstream file(path);
-    if (!file)
-        throw std::runtime_error("fault_io: cannot open " + path);
+    auto file = textio::open_input(path, "fault_io");
     return read_fault_schedule(file, path);
 }
 
 void write_fault_schedule(std::ostream& out, const FaultSchedule& schedule) {
     out << "time_s,kind,target,duration_s,magnitude\n";
     for (const FaultEvent& e : schedule.events)
-        out << e.time_s << ',' << to_string(e.kind) << ',' << e.target << ','
-            << e.duration_s << ',' << e.magnitude << '\n';
+        out << textio::format_f64(e.time_s) << ',' << to_string(e.kind) << ','
+            << e.target << ',' << textio::format_f64(e.duration_s) << ','
+            << textio::format_f64(e.magnitude) << '\n';
 }
 
 }  // namespace hp::fault

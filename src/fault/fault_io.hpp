@@ -7,7 +7,8 @@
 
 namespace hp::fault {
 
-/// Fault-schedule CSV format (one event per line, '#' comments allowed):
+/// Fault-schedule CSV format (one event per line; the shared input rules of
+/// src/textio apply):
 ///
 ///     time_s,kind,target,duration_s,magnitude
 ///     0.010,sensor_stuck,3,0,45.0
@@ -16,16 +17,13 @@ namespace hp::fault {
 ///
 /// `kind` is one of: sensor_stuck, sensor_drift, sensor_spike,
 /// sensor_dropout, core_transient, core_permanent, rotation_abort. A header
-/// line starting with "time_s" is accepted and skipped. Malformed rows are
-/// rejected with a std::runtime_error naming the source (@p source_name /
-/// file path) and line number — never a bare std::stod exception.
+/// line starting with "time_s" is accepted and skipped.
 
 /// Parses a schedule from @p in; @p source_name labels diagnostics.
 FaultSchedule read_fault_schedule(std::istream& in,
                                   const std::string& source_name = "<stream>");
 
-/// Convenience overload reading @p path; throws std::runtime_error when the
-/// file cannot be opened.
+/// Convenience overload reading @p path.
 FaultSchedule read_fault_schedule_file(const std::string& path);
 
 /// Writes @p schedule in the same CSV format (round-trips with the reader).

@@ -1,10 +1,9 @@
 #include "obs/trace.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <istream>
 #include <ostream>
-#include <stdexcept>
+
+#include "textio/textio.hpp"
 
 namespace hp::obs {
 
@@ -29,20 +28,6 @@ const char* to_string(EventKind kind) {
     }
     return "unknown";
 }
-
-namespace {
-
-/// Inverse of to_string; throws on an unknown name.
-EventKind kind_from_string(const std::string& name,
-                           const std::string& where) {
-    for (int k = 0; k <= static_cast<int>(EventKind::kDivergence); ++k) {
-        const EventKind kind = static_cast<EventKind>(k);
-        if (name == to_string(kind)) return kind;
-    }
-    throw std::runtime_error(where + ": unknown event kind: " + name);
-}
-
-}  // namespace
 
 TraceBuffer::TraceBuffer(std::size_t capacity) : ring_(capacity) {}
 
@@ -103,49 +88,27 @@ void write_chrome_trace(std::ostream& out, const std::vector<Event>& events,
 
 std::vector<Event> read_events_csv(std::istream& in,
                                    const std::string& source_name) {
+    constexpr int kKinds = static_cast<int>(EventKind::kDivergence) + 1;
+    constexpr std::uint32_t kU32 = UINT32_MAX;
     std::vector<Event> events;
-    std::string line;
-    std::size_t line_no = 0;
-    const auto fail = [&](const std::string& why) {
-        throw std::runtime_error(source_name + ":" +
-                                 std::to_string(line_no) + ": " + why);
-    };
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (line_no == 1) {
-            if (line != "time_s,kind,arg0,arg1,value")
-                fail("bad header: " + line);
-            continue;
-        }
-        if (line.empty()) continue;
-        // Split into exactly five fields.
-        std::vector<std::string> fields;
-        std::string current;
-        for (char c : line) {
-            if (c == ',') {
-                fields.push_back(current);
-                current.clear();
-            } else {
-                current += c;
-            }
-        }
-        fields.push_back(current);
+    textio::LineReader r(in, "events_csv", source_name);
+    if (r.next() && r.line() != "time_s,kind,arg0,arg1,value")
+        r.fail("bad header: " + std::string(r.line()));
+    while (r.next()) {
+        const auto fields = r.fields(',');
         if (fields.size() != 5)
-            fail("expected 5 fields, got " + std::to_string(fields.size()));
-        const auto number = [&](const std::string& text) {
-            char* end = nullptr;
-            const double v = std::strtod(text.c_str(), &end);
-            if (end == text.c_str() || *end != '\0')
-                fail("bad numeric field: " + text);
-            return v;
-        };
+            r.fail("expected 5 fields, got " + std::to_string(fields.size()));
         Event e;
-        e.time_s = number(fields[0]);
-        e.kind = kind_from_string(fields[1],
-                                  source_name + ":" + std::to_string(line_no));
-        e.arg0 = static_cast<std::uint32_t>(number(fields[2]));
-        e.arg1 = static_cast<std::uint32_t>(number(fields[3]));
-        e.value = number(fields[4]);
+        e.time_s = r.f64(fields[0], "time_s");
+        int k = 0;
+        while (k < kKinds && fields[1] != to_string(static_cast<EventKind>(k)))
+            ++k;
+        if (k == kKinds)
+            r.fail("unknown event kind '" + std::string(fields[1]) + "'");
+        e.kind = static_cast<EventKind>(k);
+        e.arg0 = static_cast<std::uint32_t>(r.u64(fields[2], "arg0", kU32));
+        e.arg1 = static_cast<std::uint32_t>(r.u64(fields[3], "arg1", kU32));
+        e.value = r.f64(fields[4], "value");
         events.push_back(e);
     }
     return events;

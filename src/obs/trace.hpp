@@ -57,9 +57,9 @@ void write_events_csv(std::ostream& out, const std::vector<Event>& events);
 void write_chrome_trace(std::ostream& out, const std::vector<Event>& events,
                         const std::string& process_name);
 
-/// Parses a CSV written by write_events_csv (round-trips). Malformed rows
-/// are rejected with a std::runtime_error naming @p source_name and the
-/// line number.
+/// Parses a CSV written by write_events_csv (round-trips; the shared input
+/// rules of src/textio apply, arg0/arg1 must fit 32 bits). @p source_name
+/// labels diagnostics.
 std::vector<Event> read_events_csv(std::istream& in,
                                    const std::string& source_name = "<stream>");
 

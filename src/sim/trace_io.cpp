@@ -1,45 +1,12 @@
 #include "sim/trace_io.hpp"
 
 #include <fstream>
-#include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
+#include "textio/textio.hpp"
+
 namespace hp::sim {
-
-namespace {
-
-[[noreturn]] void fail(const std::string& source, std::size_t line,
-                       const std::string& what) {
-    throw std::runtime_error("trace_io: " + source + ":" +
-                             std::to_string(line) + ": " + what);
-}
-
-std::vector<std::string> split_csv(const std::string& line) {
-    std::vector<std::string> fields;
-    std::stringstream row(line);
-    std::string field;
-    while (std::getline(row, field, ',')) fields.push_back(field);
-    if (!line.empty() && line.back() == ',') fields.push_back("");
-    return fields;
-}
-
-double parse_number(const std::string& source, std::size_t line_no,
-                    std::size_t column, const std::string& value) {
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception&) {
-        fail(source, line_no,
-             "column " + std::to_string(column + 1) + ": bad number '" +
-                 value + "'");
-    }
-}
-
-}  // namespace
 
 void write_trace_csv(std::ostream& out,
                      const std::vector<TraceSample>& trace) {
@@ -70,53 +37,42 @@ void write_trace_csv(const std::string& path,
 std::vector<TraceSample> read_trace_csv(std::istream& in,
                                         const std::string& source_name) {
     std::vector<TraceSample> trace;
-    std::string line;
-    std::size_t line_no = 0;
-
-    if (!std::getline(in, line)) return trace;  // empty stream: empty trace
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    const std::vector<std::string> header = split_csv(line);
+    textio::LineReader r(in, "trace_io", source_name);
+    if (!r.next()) return trace;  // empty stream: empty trace
+    const auto header = r.fields(',');
     if (header.size() < 2 || header[0] != "time_s" ||
         header[1] != "max_temp_c")
-        fail(source_name, line_no,
-             "expected header starting with 'time_s,max_temp_c'");
+        r.fail("expected header starting with 'time_s,max_temp_c'");
     // Core count from the temp_c* columns; the layout is then fixed.
     std::size_t cores = 0;
     while (2 + cores < header.size() &&
-           header[2 + cores].rfind("temp_c", 0) == 0)
+           header[2 + cores].starts_with("temp_c"))
         ++cores;
     if (cores == 0 || header.size() != 2 + 3 * cores)
-        fail(source_name, line_no,
-             "header must be time_s,max_temp_c,temp_c*,power_c*,freq_c* ("
-             "got " + std::to_string(header.size()) + " columns for " +
-             std::to_string(cores) + " cores)");
+        r.fail("header must be time_s,max_temp_c,temp_c*,power_c*,freq_c* ("
+               "got " + std::to_string(header.size()) + " columns for " +
+               std::to_string(cores) + " cores)");
 
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        if (line.empty()) continue;
-        const std::vector<std::string> fields = split_csv(line);
+    while (r.next()) {
+        const auto fields = r.fields(',');
         if (fields.size() != 2 + 3 * cores)
-            fail(source_name, line_no,
-                 "expected " + std::to_string(2 + 3 * cores) +
-                     " fields, got " + std::to_string(fields.size()));
+            r.fail("expected " + std::to_string(2 + 3 * cores) +
+                   " fields, got " + std::to_string(fields.size()));
+        const auto number = [&](std::size_t column) {
+            if (const auto v = textio::parse_f64(fields[column])) return *v;
+            r.fail("column " + std::to_string(column + 1) + ": bad number '" +
+                   std::string(fields[column]) + "'");
+        };
         TraceSample s;
-        s.time_s = parse_number(source_name, line_no, 0, fields[0]);
-        s.max_core_temperature_c =
-            parse_number(source_name, line_no, 1, fields[1]);
+        s.time_s = number(0);
+        s.max_core_temperature_c = number(1);
         s.core_temperature_c.resize(cores);
         s.core_power_w.resize(cores);
         s.core_frequency_hz.resize(cores);
         for (std::size_t c = 0; c < cores; ++c) {
-            s.core_temperature_c[c] =
-                parse_number(source_name, line_no, 2 + c, fields[2 + c]);
-            s.core_power_w[c] = parse_number(source_name, line_no,
-                                             2 + cores + c,
-                                             fields[2 + cores + c]);
-            s.core_frequency_hz[c] =
-                parse_number(source_name, line_no, 2 + 2 * cores + c,
-                             fields[2 + 2 * cores + c]);
+            s.core_temperature_c[c] = number(2 + c);
+            s.core_power_w[c] = number(2 + cores + c);
+            s.core_frequency_hz[c] = number(2 + 2 * cores + c);
         }
         trace.push_back(std::move(s));
     }
@@ -124,9 +80,7 @@ std::vector<TraceSample> read_trace_csv(std::istream& in,
 }
 
 std::vector<TraceSample> read_trace_csv_file(const std::string& path) {
-    std::ifstream file(path);
-    if (!file)
-        throw std::runtime_error("read_trace_csv: cannot open " + path);
+    auto file = textio::open_input(path, "trace_io");
     return read_trace_csv(file, path);
 }
 

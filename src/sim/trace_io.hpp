@@ -18,15 +18,12 @@ void write_trace_csv(std::ostream& out, const std::vector<TraceSample>& trace);
 void write_trace_csv(const std::string& path,
                      const std::vector<TraceSample>& trace);
 
-/// Parses a trace CSV written by write_trace_csv (round-trips). Malformed
-/// rows — wrong field count, non-numeric fields — are rejected with a
-/// std::runtime_error naming the source (@p source_name / file path) and
-/// line number, never a bare numeric-conversion exception.
+/// Parses a trace CSV written by write_trace_csv (round-trips; the shared
+/// input rules of src/textio apply). @p source_name labels diagnostics.
 std::vector<TraceSample> read_trace_csv(
     std::istream& in, const std::string& source_name = "<stream>");
 
-/// Convenience overload reading @p path; throws std::runtime_error when the
-/// file cannot be opened.
+/// Convenience overload reading @p path.
 std::vector<TraceSample> read_trace_csv_file(const std::string& path);
 
 }  // namespace hp::sim

@@ -1,102 +1,71 @@
 #include "workload/workload_io.hpp"
 
-#include <fstream>
-#include <istream>
 #include <ostream>
-#include <sstream>
-#include <stdexcept>
+
+#include "textio/textio.hpp"
 
 namespace hp::workload {
-
-namespace {
-
-[[noreturn]] void fail(const std::string& source, std::size_t line,
-                       const std::string& what) {
-    throw std::runtime_error("workload_io: " + source + ":" +
-                             std::to_string(line) + ": " + what);
-}
-
-/// Strips comments and surrounding whitespace; returns true if anything
-/// remains.
-bool clean_line(std::string& line) {
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    const auto is_space = [](char c) { return c == ' ' || c == '\t' || c == '\r'; };
-    while (!line.empty() && is_space(line.front())) line.erase(line.begin());
-    while (!line.empty() && is_space(line.back())) line.pop_back();
-    return !line.empty();
-}
-
-std::ifstream open_or_throw(const std::string& path) {
-    std::ifstream file(path);
-    if (!file)
-        throw std::runtime_error("workload_io: cannot open " + path);
-    return file;
-}
-
-}  // namespace
 
 std::vector<BenchmarkProfile> read_profiles(std::istream& in,
                                             const std::string& source_name) {
     std::vector<BenchmarkProfile> out;
     BenchmarkProfile current;
     bool in_block = false;
-    std::string line;
-    std::size_t line_no = 0;
-
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (!clean_line(line)) continue;
-        std::istringstream fields(line);
-        std::string keyword;
-        fields >> keyword;
-
+    textio::LineReader r(in, "workload_io", source_name);
+    while (r.next()) {
+        const auto w = r.words();
+        const std::string_view keyword = w[0];
         if (keyword == "benchmark") {
-            if (in_block) fail(source_name, line_no, "nested 'benchmark' (missing 'end'?)");
+            if (in_block) r.fail("nested 'benchmark' (missing 'end'?)");
+            if (w.size() != 2) r.fail("'benchmark' needs a name");
             current = BenchmarkProfile{};
-            if (!(fields >> current.name))
-                fail(source_name, line_no, "'benchmark' needs a name");
+            current.name = w[1];
             in_block = true;
         } else if (keyword == "threads") {
-            if (!in_block) fail(source_name, line_no, "'threads' outside benchmark block");
-            if (!(fields >> current.default_threads) ||
-                current.default_threads < 1)
-                fail(source_name, line_no, "'threads' needs a positive count");
+            if (!in_block) r.fail("'threads' outside benchmark block");
+            const auto n =
+                w.size() == 2 ? textio::parse_u64(w[1]) : std::nullopt;
+            if (!n || *n < 1) r.fail("'threads' needs a positive count");
+            current.default_threads = *n;
         } else if (keyword == "phase") {
-            if (!in_block) fail(source_name, line_no, "'phase' outside benchmark block");
+            if (!in_block) r.fail("'phase' outside benchmark block");
+            if (w.size() != 7 && w.size() != 8)
+                r.fail("'phase' needs: label master_Minstr worker_Minstr cpi "
+                       "apki watts [miss_ratio]");
             PhaseSpec phase;
-            double master_m = 0.0, worker_m = 0.0;
-            if (!(fields >> phase.label >> master_m >> worker_m >>
-                  phase.perf.base_cpi >> phase.perf.llc_apki >>
-                  phase.perf.nominal_power_w))
-                fail(source_name, line_no,
-                     "'phase' needs: label master_Minstr worker_Minstr cpi "
-                     "apki watts [miss_ratio]");
-            fields >> phase.perf.llc_miss_ratio;  // optional trailing field
+            phase.label = w[1];
+            const double master_m = r.f64(w[2], "master_Minstr");
+            const double worker_m = r.f64(w[3], "worker_Minstr");
+            phase.perf.base_cpi = r.f64(w[4], "cpi");
+            phase.perf.llc_apki = r.f64(w[5], "apki");
+            phase.perf.nominal_power_w = r.f64(w[6], "watts");
+            if (w.size() == 8)
+                phase.perf.llc_miss_ratio = r.f64(w[7], "miss_ratio");
             if (master_m < 0.0 || worker_m < 0.0 || phase.perf.base_cpi <= 0.0 ||
                 phase.perf.llc_apki < 0.0 || phase.perf.nominal_power_w <= 0.0 ||
                 phase.perf.llc_miss_ratio < 0.0 ||
                 phase.perf.llc_miss_ratio > 1.0)
-                fail(source_name, line_no, "'phase' values out of range");
+                r.fail("'phase' values out of range");
             phase.master_instructions = master_m * 1e6;
             phase.worker_instructions = worker_m * 1e6;
             current.phases.push_back(std::move(phase));
         } else if (keyword == "end") {
-            if (!in_block) fail(source_name, line_no, "'end' without 'benchmark'");
+            if (!in_block) r.fail("'end' without 'benchmark'");
+            if (w.size() != 1) r.fail("'end' takes no arguments");
             if (current.phases.empty())
-                fail(source_name, line_no, "benchmark '" + current.name + "' has no phases");
+                r.fail("benchmark '" + current.name + "' has no phases");
             out.push_back(std::move(current));
             in_block = false;
         } else {
-            fail(source_name, line_no, "unknown directive '" + keyword + "'");
+            r.fail("unknown directive '" + std::string(keyword) + "'");
         }
     }
-    if (in_block) fail(source_name, line_no, "unterminated benchmark block");
+    if (in_block) r.fail("unterminated benchmark block");
     return out;
 }
 
 std::vector<BenchmarkProfile> read_profiles_file(const std::string& path) {
-    auto file = open_or_throw(path);
+    auto file = textio::open_input(path, "workload_io");
     return read_profiles(file, path);
 }
 
@@ -105,13 +74,16 @@ void write_profiles(std::ostream& out,
     for (const BenchmarkProfile& p : profiles) {
         out << "benchmark " << p.name << '\n';
         out << "threads " << p.default_threads << '\n';
-        for (const PhaseSpec& phase : p.phases)
-            out << "phase " << phase.label << ' '
-                << phase.master_instructions / 1e6 << ' '
-                << phase.worker_instructions / 1e6 << ' '
-                << phase.perf.base_cpi << ' ' << phase.perf.llc_apki << ' '
-                << phase.perf.nominal_power_w << ' '
-                << phase.perf.llc_miss_ratio << '\n';
+        for (const PhaseSpec& phase : p.phases) {
+            out << "phase " << phase.label;
+            for (double v : {phase.master_instructions / 1e6,
+                             phase.worker_instructions / 1e6,
+                             phase.perf.base_cpi, phase.perf.llc_apki,
+                             phase.perf.nominal_power_w,
+                             phase.perf.llc_miss_ratio})
+                out << ' ' << textio::format_f64(v);
+            out << '\n';
+        }
         out << "end\n";
     }
 }
@@ -119,31 +91,27 @@ void write_profiles(std::ostream& out,
 std::vector<TaskSpec> read_tasks(
     std::istream& in, const std::vector<BenchmarkProfile>& profiles,
     const std::string& source_name) {
-    const auto resolve = [&](const std::string& name,
-                             std::size_t line_no) -> const BenchmarkProfile* {
+    std::vector<TaskSpec> out;
+    textio::LineReader r(in, "workload_io", source_name);
+    const auto resolve = [&](std::string_view name) -> const BenchmarkProfile* {
         for (const BenchmarkProfile& p : profiles)
             if (p.name == name) return &p;
         for (const BenchmarkProfile& p : parsec_profiles())
             if (p.name == name) return &p;
-        fail(source_name, line_no, "unknown benchmark '" + name + "'");
+        r.fail("unknown benchmark '" + std::string(name) + "'");
     };
-
-    std::vector<TaskSpec> out;
-    std::string line;
-    std::size_t line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (!clean_line(line)) continue;
-        std::istringstream fields(line);
-        std::string keyword, name;
+    while (r.next()) {
+        const auto w = r.words();
+        if (w[0] != "task")
+            r.fail("expected 'task <benchmark> <threads> <arrival_s>'");
+        if (w.size() != 4)
+            r.fail("'task' needs: benchmark threads arrival_seconds");
         TaskSpec spec;
-        if (!(fields >> keyword) || keyword != "task")
-            fail(source_name, line_no, "expected 'task <benchmark> <threads> <arrival_s>'");
-        if (!(fields >> name >> spec.thread_count >> spec.arrival_s))
-            fail(source_name, line_no, "'task' needs: benchmark threads arrival_seconds");
+        spec.thread_count = r.u64(w[2], "threads");
+        spec.arrival_s = r.f64(w[3], "arrival_s");
         if (spec.thread_count < 1 || spec.arrival_s < 0.0)
-            fail(source_name, line_no, "'task' values out of range");
-        spec.profile = resolve(name, line_no);
+            r.fail("'task' values out of range");
+        spec.profile = resolve(w[1]);
         out.push_back(spec);
     }
     return out;
@@ -151,14 +119,14 @@ std::vector<TaskSpec> read_tasks(
 
 std::vector<TaskSpec> read_tasks_file(
     const std::string& path, const std::vector<BenchmarkProfile>& profiles) {
-    auto file = open_or_throw(path);
+    auto file = textio::open_input(path, "workload_io");
     return read_tasks(file, profiles, path);
 }
 
 void write_tasks(std::ostream& out, const std::vector<TaskSpec>& tasks) {
     for (const TaskSpec& t : tasks)
         out << "task " << (t.profile ? t.profile->name : "?") << ' '
-            << t.thread_count << ' ' << t.arrival_s << '\n';
+            << t.thread_count << ' ' << textio::format_f64(t.arrival_s) << '\n';
 }
 
 }  // namespace hp::workload

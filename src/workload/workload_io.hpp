@@ -12,7 +12,8 @@ namespace hp::workload {
 /// Text formats for user-defined workloads, so downstream users can describe
 /// benchmarks and task mixes without recompiling.
 ///
-/// Benchmark profile format (one directive per line, '#' comments):
+/// Benchmark profile format (one directive per line; the shared input rules
+/// of src/textio apply):
 ///
 ///     benchmark <name>
 ///     threads <default_thread_count>
@@ -30,9 +31,8 @@ namespace hp::workload {
 /// Task lines resolve benchmark names against the profiles passed in (plus
 /// the built-in PARSEC set).
 
-/// Parses benchmark profile blocks from @p in. Malformed input is rejected
-/// with a std::runtime_error naming the source (@p source_name / file path)
-/// and line number — never a bare numeric-conversion exception.
+/// Parses benchmark profile blocks from @p in; @p source_name labels
+/// diagnostics.
 std::vector<BenchmarkProfile> read_profiles(
     std::istream& in, const std::string& source_name = "<stream>");
 std::vector<BenchmarkProfile> read_profiles_file(const std::string& path);
@@ -43,9 +43,8 @@ void write_profiles(std::ostream& out,
 
 /// Parses a task list; benchmark names are resolved against @p profiles
 /// first, then the built-in PARSEC profiles. The returned TaskSpecs point
-/// into @p profiles / the built-in set, which must outlive them. Throws
-/// std::runtime_error carrying the source name and line number on malformed
-/// input or unknown benchmark names.
+/// into @p profiles / the built-in set, which must outlive them. Unknown
+/// benchmark names are rejected like malformed lines.
 std::vector<TaskSpec> read_tasks(std::istream& in,
                                  const std::vector<BenchmarkProfile>& profiles,
                                  const std::string& source_name = "<stream>");

@@ -86,6 +86,10 @@ TEST(CliParse, Errors) {
     EXPECT_THROW((void)parse({"--rows", "abc"}), std::invalid_argument);
     EXPECT_THROW((void)parse({"--rows", "0"}), std::invalid_argument);
     EXPECT_THROW((void)parse({"--rate", "1x"}), std::invalid_argument);
+    EXPECT_THROW((void)parse({"--rows", "-1"}), std::invalid_argument);
+    EXPECT_THROW((void)parse({"--jobs", "-1"}), std::invalid_argument);
+    EXPECT_THROW((void)parse({"--seed", "99999999999999999999"}),
+                 std::invalid_argument);
     EXPECT_THROW((void)parse({"--min-threads", "1"}), std::invalid_argument);
     EXPECT_THROW(
         (void)parse({"--tasks-file", "a", "--benchmark", "blackscholes"}),
@@ -234,6 +238,19 @@ TEST(CliExitCodes, ConfigErrorsReturnTwo) {
     std::ostringstream out2, err2;
     EXPECT_EQ(hp::cli::run_cli({"--benchmark", "doesnotexist"}, out2, err2),
               hp::cli::kExitConfigError);
+}
+
+TEST(CliExitCodes, NegativeCountsReturnTwo) {
+    // "-1" once wrapped to 2^64 - 1: --rows died later in vector::reserve,
+    // --jobs silently asked for 2^64 - 1 workers.
+    for (const std::string flag : {"--rows", "--jobs"}) {
+        std::ostringstream out, err;
+        EXPECT_EQ(hp::cli::run_cli({flag, "-1"}, out, err),
+                  hp::cli::kExitConfigError);
+        EXPECT_NE(err.str().find("bad value for " + flag + ": -1"),
+                  std::string::npos)
+            << err.str();
+    }
 }
 
 TEST(CliExitCodes, UnfinishedRunReturnsOne) {

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "arch/manycore.hpp"
+#include "decode_error.hpp"
 #include "core/hotpotato.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_io.hpp"
@@ -259,6 +261,62 @@ TEST(FaultIo, MalformedRowsCarrySourceAndLine) {
                  "bad duration_s");
     expect_error((ok + "-0.5,sensor_stuck,1,0,45\n").c_str(),
                  "negative time_s");
+}
+
+TEST(FaultIo, NegativeTargetAfterBlankIsRejected) {
+    // " -2" once slipped past the sign check and wrapped to 2^64 - 2.
+    expect_decode_error(
+        [] {
+            std::istringstream in("0.5,core_transient, -2,0.1,0\n");
+            (void)hp::fault::read_fault_schedule(in, "faults.csv");
+        },
+        "fault_io: faults.csv:1:");
+}
+
+TEST(FaultIo, CrlfDecodesLikeLf) {
+    const std::string lf =
+        "time_s,kind,target,duration_s,magnitude\n0.5,sensor_spike,3,0.1,30\n"
+        "0.75,rotation_abort,0,0.002,0\n";
+    std::string crlf;
+    for (char c : lf) {
+        if (c == '\n') crlf += '\r';
+        crlf += c;
+    }
+    std::istringstream lf_in(lf), crlf_in(crlf);
+    std::ostringstream lf_out, crlf_out;
+    hp::fault::write_fault_schedule(lf_out,
+                                    hp::fault::read_fault_schedule(lf_in));
+    hp::fault::write_fault_schedule(crlf_out,
+                                    hp::fault::read_fault_schedule(crlf_in));
+    EXPECT_EQ(crlf_out.str(), lf_out.str());
+}
+
+TEST(FaultIo, SeededRandomScheduleRoundTripsExactly) {
+    std::mt19937_64 rng(2024);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    FaultSchedule s;
+    s.events.push_back(event(0.0123456789, FaultKind::kSensorDrift, 1, 0.0,
+                             0.1));
+    for (int i = 0; i < 64; ++i) {
+        FaultEvent e;
+        e.time_s = 0.05 * unit(rng);
+        e.kind = static_cast<FaultKind>(rng() % 7);
+        e.target = rng() % 64;
+        e.duration_s = 0.01 * unit(rng);
+        e.magnitude = 40.0 * unit(rng) - 20.0;
+        s.events.push_back(e);
+    }
+    std::stringstream buffer;
+    hp::fault::write_fault_schedule(buffer, s);
+    const FaultSchedule back = hp::fault::read_fault_schedule(buffer);
+    ASSERT_EQ(back.events.size(), s.events.size());
+    for (std::size_t i = 0; i < s.events.size(); ++i) {
+        EXPECT_EQ(back.events[i].time_s, s.events[i].time_s) << i;
+        EXPECT_EQ(back.events[i].kind, s.events[i].kind) << i;
+        EXPECT_EQ(back.events[i].target, s.events[i].target) << i;
+        EXPECT_EQ(back.events[i].duration_s, s.events[i].duration_s) << i;
+        EXPECT_EQ(back.events[i].magnitude, s.events[i].magnitude) << i;
+    }
 }
 
 TEST(FaultIo, MissingFileThrows) {

@@ -76,6 +76,24 @@ TEST(TraceIo, MalformedRowsCarrySourceAndLine) {
     expect_error(header + "0,oops,60,1,4e9\n", "bad number");
 }
 
+TEST(TraceIo, CrlfDecodesLikeLf) {
+    const std::string lf =
+        "time_s,max_temp_c,temp_c0,power_c0,freq_c0\n"
+        "0.25,61.5,61.5,1.25,4000000000\n0.5,60,60,0.5,1e9\n";
+    std::string crlf;
+    for (char c : lf) {
+        if (c == '\n') crlf += '\r';
+        crlf += c;
+    }
+    std::istringstream lf_in(lf), crlf_in(crlf);
+    const auto from_crlf = hp::sim::read_trace_csv(crlf_in, "crlf.csv");
+    ASSERT_EQ(from_crlf.size(), 2u);
+    std::ostringstream lf_out, crlf_out;
+    hp::sim::write_trace_csv(lf_out, hp::sim::read_trace_csv(lf_in));
+    hp::sim::write_trace_csv(crlf_out, from_crlf);
+    EXPECT_EQ(crlf_out.str(), lf_out.str());
+}
+
 TEST(TraceIo, EmptyStreamReadsAsEmptyTrace) {
     std::istringstream in("");
     EXPECT_TRUE(hp::sim::read_trace_csv(in).empty());

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "decode_error.hpp"
 #include "campaign/study_setup.hpp"
 #include "core/hotpotato.hpp"
 #include "obs/events.hpp"
@@ -122,6 +123,39 @@ TEST(TraceCsvTest, MalformedRowsNameSourceAndLine) {
 
     std::istringstream short_row("time_s,kind,arg0,arg1,value\n0.5,rotation\n");
     EXPECT_THROW(hp::obs::read_events_csv(short_row), std::runtime_error);
+}
+
+TEST(TraceCsvTest, OutOfRangeArgsAreRejected) {
+    // -1 and 1e20 once went through an out-of-range double -> uint32 cast.
+    expect_decode_error(
+        [] {
+            std::istringstream in(
+                "time_s,kind,arg0,arg1,value\n0.1,migration,-1,1e20,nan\n");
+            (void)hp::obs::read_events_csv(in, "events.csv");
+        },
+        "events.csv:2:");
+    expect_decode_error(
+        [] {
+            std::istringstream in(
+                "time_s,kind,arg0,arg1,value\n0.1,migration,4294967296,0,1\n");
+            (void)hp::obs::read_events_csv(in, "events.csv");
+        },
+        "events.csv:2:");
+}
+
+TEST(TraceCsvTest, CrlfDecodesLikeLf) {
+    std::vector<Event> events = {
+        make_event(0.25, EventKind::kMigration, 3, 4294967295u, 1.5),
+        make_event(0.5, EventKind::kDtmEngage, 1, 0, 71.0)};
+    std::ostringstream out;
+    hp::obs::write_events_csv(out, events);
+    std::string crlf;
+    for (char c : out.str()) {
+        if (c == '\n') crlf += '\r';
+        crlf += c;
+    }
+    std::istringstream in(crlf);
+    EXPECT_EQ(hp::obs::read_events_csv(in, "crlf.csv"), events);
 }
 
 TEST(TraceChromeTest, EmitsValidInstantEvents) {

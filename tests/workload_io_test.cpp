@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "decode_error.hpp"
 #include "workload/workload_io.hpp"
 
 namespace {
@@ -148,6 +149,76 @@ TEST(WorkloadIo, TasksRoundTrip) {
         EXPECT_EQ(again[i].profile, tasks[i].profile);
         EXPECT_EQ(again[i].thread_count, tasks[i].thread_count);
         EXPECT_DOUBLE_EQ(again[i].arrival_s, tasks[i].arrival_s);
+    }
+}
+
+// Malformed counts and numbers: each once decoded silently (a wrapped
+// negative, a prefix parse, a defaulted field, an ignored trailing field).
+std::vector<BenchmarkProfile> profiles_of(const std::string& text) {
+    std::istringstream in(text);
+    return read_profiles(in, "profiles.txt");
+}
+
+std::vector<TaskSpec> tasks_of(const std::string& text) {
+    std::istringstream in(text);
+    return read_tasks(in, {}, "tasks.txt");
+}
+
+TEST(WorkloadIo, NegativeTaskThreadsAreRejected) {
+    expect_decode_error([] { tasks_of("task blackscholes -3 0.5\n"); },
+                        "workload_io: tasks.txt:1:");
+}
+
+TEST(WorkloadIo, ThreadsWithTrailingTextAreRejected) {
+    expect_decode_error(
+        [] {
+            profiles_of("benchmark a\nthreads 4x\nphase p 1 1 1 1 1\nend\n");
+        },
+        "workload_io: profiles.txt:2:");
+}
+
+TEST(WorkloadIo, NonNumericMissRatioIsRejected) {
+    expect_decode_error(
+        [] { profiles_of("benchmark a\nphase p 1 1 1 1 1 abc\nend\n"); },
+        "workload_io: profiles.txt:2:");
+}
+
+TEST(WorkloadIo, TrailingTaskFieldIsRejected) {
+    expect_decode_error([] { tasks_of("task blackscholes 4 0.5 junk\n"); },
+                        "workload_io: tasks.txt:1:");
+}
+
+TEST(WorkloadIo, CrlfProfilesDecodeLikeLf) {
+    std::string crlf;
+    for (const char* c = kProfileText; *c; ++c) {
+        if (*c == '\n') crlf += '\r';
+        crlf += *c;
+    }
+    std::ostringstream lf_out, crlf_out;
+    write_profiles(lf_out, profiles_of(kProfileText));
+    write_profiles(crlf_out, profiles_of(crlf));
+    EXPECT_EQ(crlf_out.str(), lf_out.str());
+}
+
+TEST(WorkloadIo, CrlfTasksDecodeLikeLf) {
+    const auto tasks =
+        tasks_of("task blackscholes 2 0.25\r\n\r\ntask canneal 4 1e-3\r\n");
+    ASSERT_EQ(tasks.size(), 2u);
+    EXPECT_EQ(tasks[1].profile->name, "canneal");
+    EXPECT_EQ(tasks[1].thread_count, 4u);
+    EXPECT_EQ(tasks[1].arrival_s, 1e-3);
+}
+
+TEST(WorkloadIo, PoissonMixRoundTripsExactly) {
+    const auto tasks = hp::workload::poisson_mix(20, 200.0, 2, 8, 7);
+    std::ostringstream out;
+    write_tasks(out, tasks);
+    const auto again = tasks_of(out.str());
+    ASSERT_EQ(again.size(), tasks.size());
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+        EXPECT_EQ(again[i].profile, tasks[i].profile);
+        EXPECT_EQ(again[i].thread_count, tasks[i].thread_count);
+        EXPECT_EQ(again[i].arrival_s, tasks[i].arrival_s) << "task " << i;
     }
 }
 
