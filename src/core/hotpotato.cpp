@@ -67,6 +67,7 @@ void HotPotatoScheduler::initialize(sim::SimContext& ctx) {
         peak_ws_ = &scratch->slot<PeakWorkspace>();
     else
         peak_ws_ = &own_peak_ws_;
+    peak_ws_->forget_survivors();
     rebuild_rings(ctx);
     displaced_.clear();
     sensor_fallback_ = false;
@@ -91,6 +92,8 @@ void HotPotatoScheduler::initialize(sim::SimContext& ctx) {
         obs_cache_misses_ = &obs_->counter("hotpotato.peak_cache_misses");
         obs_batch_size_ = &obs_->histogram(
             "hotpotato.batch_size", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
+        obs_rows_exact_ = &obs_->counter("hotpotato.alg1_rows_exact");
+        obs_rows_total_ = &obs_->counter("hotpotato.alg1_rows_total");
     }
     if (params_.use_peak_cache) {
         const std::size_t max_words = peak_key_words(
@@ -189,6 +192,13 @@ void HotPotatoScheduler::cache_insert(double peak) const {
     peak_cache_.insert(peak_key_.data(), peak_key_.size(), peak);
 }
 
+void HotPotatoScheduler::note_exact_rows(sim::SimContext& ctx,
+                                         std::size_t count) const {
+    if (!obs_rows_exact_) return;
+    obs_rows_exact_->add(peak_ws_->last_exact_rows());
+    obs_rows_total_->add(count * ctx.chip().core_count());
+}
+
 double HotPotatoScheduler::predict_peak_with(sim::SimContext& ctx,
                                              bool rotation_on,
                                              std::size_t tau_index) const {
@@ -221,6 +231,7 @@ double HotPotatoScheduler::predict_peak_with(sim::SimContext& ctx,
     double peak;
     analyzer_->rotation_peaks(spec_scratch_, &params_.tau_ladder_s[tau_index],
                               1, params_.samples_per_epoch, *peak_ws_, &peak);
+    note_exact_rows(ctx, 1);
     cache_insert(peak);
     return peak;
 }
@@ -236,6 +247,7 @@ void HotPotatoScheduler::prefetch_tau_ladder(sim::SimContext& ctx,
     analyzer_->rotation_peaks(spec_scratch_, params_.tau_ladder_s.data(), count,
                               params_.samples_per_epoch, *peak_ws_,
                               peaks_batch_scratch_.data());
+    note_exact_rows(ctx, count);
     for (std::size_t t = 0; t < count; ++t) {
         stage_rotation_key(peak_key_, backend_sig_, params_.tau_ladder_s[t],
                            params_.samples_per_epoch, spec_scratch_);

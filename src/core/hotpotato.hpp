@@ -153,6 +153,9 @@ private:
     /// Looks the staged key up; on a hit writes the peak to @p out.
     bool cache_lookup(double* out) const;
     void cache_insert(double peak) const;
+    /// Adds the last rotation query's exact and covered row counts (a slate
+    /// of @p count rungs) to the alg1_rows_* counters.
+    void note_exact_rows(sim::SimContext& ctx, std::size_t count) const;
     /// Algorithm 2 lines 1-14 for a single thread. Returns false only when
     /// no ring has a free slot at all.
     bool place_thread(sim::SimContext& ctx, sim::ThreadId id);
@@ -192,7 +195,9 @@ private:
     // Inside a campaign worker the workspace is borrowed from the worker's
     // WorkerScratch bag (arena-backed, reused across the worker's runs);
     // elsewhere the scheduler owns it. Safe to borrow because every buffer
-    // is fully overwritten before use — only its capacity persists.
+    // is fully overwritten before use — only its capacity persists, plus
+    // the pruned maxima's survivor hint, which initialize() drops so the
+    // alg1_rows_* counters depend on this run alone.
     mutable PeakWorkspace own_peak_ws_;
     mutable PeakWorkspace* peak_ws_ = &own_peak_ws_;
     mutable std::vector<RotationRingSpec> spec_scratch_;
@@ -205,6 +210,10 @@ private:
     mutable obs::Counter* obs_cache_hits_ = nullptr;
     mutable obs::Counter* obs_cache_misses_ = nullptr;
     mutable obs::Histogram* obs_batch_size_ = nullptr;
+    // Rows Algorithm 1 projected exactly vs. rows its rotation queries
+    // covered (DESIGN.md §14.5): their ratio is the unpruned share.
+    mutable obs::Counter* obs_rows_exact_ = nullptr;
+    mutable obs::Counter* obs_rows_total_ = nullptr;
     mutable std::vector<double> peaks_batch_scratch_;
     std::vector<std::size_t> slate_slots_;   ///< free-slot candidates
     std::vector<double> slate_powers_;       ///< RHS-major candidate powers

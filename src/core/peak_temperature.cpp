@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -36,6 +37,22 @@ void ensure_list(std::vector<linalg::Vector>& list, std::size_t count,
         }
     }
 }
+
+/// Dropped-cluster response of one core at an intra-epoch sample:
+/// c_e + e^{λ̄ τ s/S}·(x*_{e-1} - c_e), which at s = S is the boundary state
+/// x*_e. The one expression every projection folds in, so the full and the
+/// pruned paths add the same bits.
+inline double dropped_response(double ce, double prev, double qs) {
+    return ce + qs * (prev - ce);
+}
+
+/// Relative and absolute slack of the pruned maxima's bounds. Rounding can
+/// move a computed ring-response sum away from its exact bound by at most
+/// (3K + 4R + 6)·u·(1 + O((K+R)·u)) times the magnitudes the slack
+/// multiplies (K retained modes, R rings, u = 2^-53; DESIGN.md §14.5):
+/// below 1.9e-12 for K + R ≤ 4096, so 1e-11 of them (plus 1e-11 absolute,
+/// for underflow) covers it five times over.
+constexpr double kBoundSlack = 1e-11;
 
 }  // namespace
 
@@ -119,7 +136,7 @@ std::vector<linalg::Vector> PeakTemperatureAnalyzer::boundary_temperatures(
     // On a truncated backend the dropped cluster's periodic boundary state is
     // reconstructed from the exact quasi-static targets
     // c_f = B^{-1}P_f - V_K·y_f tracked through the representative pole λ̄
-    // (the full-node analog of evaluate_periodic_max's core correction).
+    // (the full-node analog of stage_samples' core correction).
     std::vector<linalg::Vector> xstar;
     if (truncated_ && cluster_pole_ < 0.0) {
         std::vector<linalg::Vector> c;
@@ -178,7 +195,7 @@ void PeakTemperatureAnalyzer::reserve_sample_batch(
     PeakWorkspace& ws) const {
     // Grow the staging/projection buffers once for the largest ring of the
     // query instead of once per distinct ring size inside
-    // evaluate_periodic_max — rings are visited smallest-first, so growing
+    // stage_samples — rings are visited smallest-first, so growing
     // lazily would reallocate on every size step of the first query.
     std::size_t max_delta = 0;
     for (const RotationRingSpec& ring : rings)
@@ -231,9 +248,9 @@ void PeakTemperatureAnalyzer::build_modal_targets(
     }
 }
 
-void PeakTemperatureAnalyzer::evaluate_periodic_max(
-    std::size_t delta, double tau, std::size_t samples_per_epoch,
-    PeakWorkspace& ws, linalg::Vector& core_max) const {
+void PeakTemperatureAnalyzer::stage_samples(std::size_t delta, double tau,
+                                            std::size_t samples_per_epoch,
+                                            PeakWorkspace& ws) const {
     const std::size_t k_modes = modes_;
     const std::size_t cores = solver_->model().core_count();
     const linalg::Vector& lambda = solver_->eigenvalues();
@@ -286,8 +303,7 @@ void PeakTemperatureAnalyzer::evaluate_periodic_max(
     // of z_e over the representative pole λ̄ and the quasi-static targets c_f
     // built by build_modal_targets. Geometric closure for epoch 0, then the
     // one-pole forward recurrence x*_e = c_e + q·(x*_{e-1} - c_e).
-    const bool correct = truncated_ && cluster_pole_ < 0.0;
-    if (correct) {
+    if (corrected()) {
         const double q = std::exp(cluster_pole_ * tau);
         if (ws.qpow_.size() < delta + 1) ws.qpow_.resize(delta + 1);
         double qacc = 1.0;
@@ -318,19 +334,11 @@ void PeakTemperatureAnalyzer::evaluate_periodic_max(
                          static_cast<double>(samples_per_epoch));
     }
 
-    // Per-core maxima over epoch boundaries plus interior samples. Only core
-    // rows of V are projected (Eq. (11) constrains core temperatures). All
-    // δ·S modal samples are staged RHS-major and projected through one
-    // matmat, which streams each V core row once per RHS block instead of
-    // once per sample — this projection dominates the whole query on
-    // many-ring chips.
-    ensure_size(core_max, cores);
-    for (std::size_t i = 0; i < cores; ++i) core_max[i] = -1e300;
+    // Stage all δ·S modal samples RHS-major: epoch boundaries plus interior
+    // points, sample m = e·S + s - 1 for s = 1..S (s = S is the boundary).
     const std::size_t nsamp = delta * samples_per_epoch;
     if (ws.zs_batch_.size() < nsamp * k_modes)
         ws.zs_batch_.resize(nsamp * k_modes);
-    if (ws.resp_batch_.size() < nsamp * cores)
-        ws.resp_batch_.resize(nsamp * cores);
     double* zs_batch = ws.zs_batch_.data();
     for (std::size_t e = 0; e < delta; ++e) {
         const linalg::Vector& z_prev = z[(e + delta - 1) % delta];
@@ -347,12 +355,27 @@ void PeakTemperatureAnalyzer::evaluate_periodic_max(
             }
         }
     }
-    linalg::kernel_matmat(v_cores_.data(), cores, k_modes, zs_batch, nsamp,
-                          ws.resp_batch_.data());
-    if (correct) {
+}
+
+void PeakTemperatureAnalyzer::project_full(std::size_t delta,
+                                           std::size_t samples_per_epoch,
+                                           PeakWorkspace& ws,
+                                           linalg::Vector& core_max) const {
+    // Per-core maxima over epoch boundaries plus interior samples. Only core
+    // rows of V are projected (Eq. (11) constrains core temperatures). All
+    // δ·S staged samples go through one matmat, which streams each V core
+    // row once per RHS block instead of once per sample.
+    const std::size_t cores = solver_->model().core_count();
+    const std::size_t nsamp = delta * samples_per_epoch;
+    ensure_size(core_max, cores);
+    for (std::size_t i = 0; i < cores; ++i) core_max[i] = -1e300;
+    if (ws.resp_batch_.size() < nsamp * cores)
+        ws.resp_batch_.resize(nsamp * cores);
+    linalg::kernel_matmat(v_cores_.data(), cores, modes_, ws.zs_batch_.data(),
+                          nsamp, ws.resp_batch_.data());
+    if (corrected()) {
         // Fold the dropped-cluster response into every projected sample
-        // before the max: c_e + e^{λ̄ τ s/S}·(x*_{e-1} - c_e), which at
-        // s = S equals the boundary state x*_e.
+        // before the max; at s = S it equals the boundary state x*_e.
         for (std::size_t e = 0; e < delta; ++e) {
             const double* prev = ws.cstar_[(e + delta - 1) % delta].data();
             const double* ce = ws.cfield_[e].data();
@@ -361,13 +384,114 @@ void PeakTemperatureAnalyzer::evaluate_periodic_max(
                 double* resp = ws.resp_batch_.data() +
                                (e * samples_per_epoch + s - 1) * cores;
                 for (std::size_t i = 0; i < cores; ++i)
-                    resp[i] += ce[i] + qs * (prev[i] - ce[i]);
+                    resp[i] += dropped_response(ce[i], prev[i], qs);
             }
         }
     }
     for (std::size_t m = 0; m < nsamp; ++m)
         linalg::kernel_max_acc(cores, ws.resp_batch_.data() + m * cores,
                                core_max.data());
+}
+
+void PeakTemperatureAnalyzer::accumulate_bounds(
+    std::size_t delta, std::size_t samples_per_epoch, PeakWorkspace& ws,
+    double* modal, double* rows) const {
+    const std::size_t k_modes = modes_;
+    const std::size_t cores = solver_->model().core_count();
+    const std::size_t nsamp = delta * samples_per_epoch;
+    const double* zs_batch = ws.zs_batch_.data();
+
+    // Per mode k the ring's staged samples lie within c_k ± ρ_k (midrange
+    // and half-range); x is its last sample. The rung sums them over rings:
+    // modal = [Σc | Σx | Σρ | Σ(|c|+ρ)].
+    double* mx = ws.bound_out_.data();
+    double* mn = mx + k_modes;
+    for (std::size_t k = 0; k < k_modes; ++k) mx[k] = mn[k] = zs_batch[k];
+    for (std::size_t m = 1; m < nsamp; ++m) {
+        const double* zs = zs_batch + m * k_modes;
+        for (std::size_t k = 0; k < k_modes; ++k) {
+            mx[k] = std::max(mx[k], zs[k]);
+            mn[k] = std::min(mn[k], zs[k]);
+        }
+    }
+    const double* last = zs_batch + (nsamp - 1) * k_modes;
+    for (std::size_t k = 0; k < k_modes; ++k) {
+        const double c = 0.5 * (mx[k] + mn[k]);
+        const double rho = 0.5 * (mx[k] - mn[k]);
+        modal[k] += c;
+        modal[k_modes + k] += last[k];
+        modal[2 * k_modes + k] += rho;
+        modal[3 * k_modes + k] += std::abs(c) + rho;
+    }
+    if (!corrected()) return;
+
+    // The dropped-cluster term per core: its exact maximum over the samples
+    // and its value at the last sample (the expression project_full folds
+    // in), summed over rings, plus their magnitudes for the slack:
+    // rows = [Σ max_s corr | Σ corr_last | Σ(|max_s corr| + |corr_last|)].
+    double* cmax = ws.core_max_.data();
+    for (std::size_t i = 0; i < cores; ++i) cmax[i] = -1e300;
+    for (std::size_t e = 0; e < delta; ++e) {
+        const double* prev = ws.cstar_[(e + delta - 1) % delta].data();
+        const double* ce = ws.cfield_[e].data();
+        for (std::size_t s = 1; s <= samples_per_epoch; ++s) {
+            const double qs = ws.qfrac_[s - 1];
+            for (std::size_t i = 0; i < cores; ++i)
+                cmax[i] = std::max(cmax[i], dropped_response(ce[i], prev[i], qs));
+        }
+    }
+    const double* prev_last = ws.cstar_[(2 * delta - 2) % delta].data();
+    const double* ce_last = ws.cfield_[delta - 1].data();
+    const double q_last = ws.qfrac_[samples_per_epoch - 1];
+    for (std::size_t i = 0; i < cores; ++i) {
+        const double cl = dropped_response(ce_last[i], prev_last[i], q_last);
+        rows[i] += cmax[i];
+        rows[cores + i] += cl;
+        rows[2 * cores + i] += std::abs(cmax[i]) + std::abs(cl);
+    }
+}
+
+void PeakTemperatureAnalyzer::rung_bounds(const double* modal,
+                                          const double* rows,
+                                          PeakWorkspace& ws, double* ub,
+                                          double* lb) const {
+    const std::size_t cores = solver_->model().core_count();
+    double* out = ws.bound_out_.data();
+    linalg::kernel_bound_matvec(v_cores_.data(), cores, modes_, modal, out);
+    const double* vc = out;
+    const double* vx = out + cores;
+    const double* vr = out + 2 * cores;
+    const double* vm = out + 3 * cores;
+    for (std::size_t i = 0; i < cores; ++i) {
+        const double slack =
+            kBoundSlack * (vm[i] + rows[2 * cores + i]) + kBoundSlack;
+        ub[i] = vc[i] + vr[i] + rows[i] + slack;
+        lb[i] = vx[i] + rows[cores + i] - slack;
+    }
+}
+
+double PeakTemperatureAnalyzer::project_row(std::size_t row, std::size_t delta,
+                                            std::size_t samples_per_epoch,
+                                            PeakWorkspace& ws) const {
+    // kernel_matmat reduces every row independently of the others, so a
+    // one-row call yields exactly the bits project_full computes for @p row;
+    // the fold and the max then repeat project_full's per-row sequence.
+    const std::size_t nsamp = delta * samples_per_epoch;
+    double* resp = ws.resp_batch_.data();
+    linalg::kernel_matmat(v_cores_.data() + row * modes_, 1, modes_,
+                          ws.zs_batch_.data(), nsamp, resp);
+    const bool correct = corrected();
+    double peak = -1e300;
+    for (std::size_t e = 0; e < delta; ++e)
+        for (std::size_t s = 1; s <= samples_per_epoch; ++s) {
+            double v = resp[e * samples_per_epoch + s - 1];
+            if (correct)
+                v += dropped_response(
+                    ws.cfield_[e][row], ws.cstar_[(e + delta - 1) % delta][row],
+                    ws.qfrac_[s - 1]);
+            if (peak < v) peak = v;
+        }
+    return peak;
 }
 
 double PeakTemperatureAnalyzer::schedule_peak(
@@ -381,8 +505,8 @@ double PeakTemperatureAnalyzer::schedule_peak(
     for (std::size_t f = 0; f < delta; ++f)
         model.pad_power_into(core_power_per_epoch[f], workspace.deltas_[f]);
     build_modal_targets(workspace.deltas_.data(), delta, workspace);
-    evaluate_periodic_max(delta, tau, samples_per_epoch, workspace,
-                          workspace.core_max_);
+    stage_samples(delta, tau, samples_per_epoch, workspace);
+    project_full(delta, samples_per_epoch, workspace, workspace.core_max_);
     double peak = -1e300;
     for (std::size_t i = 0; i < model.core_count(); ++i)
         peak = std::max(peak, ambient_offset_[i] + workspace.core_max_[i]);
@@ -489,40 +613,61 @@ void PeakTemperatureAnalyzer::ring_peaks(
     for (std::size_t i = 0; i < count * n; ++i) extra[i] = 0.0;
     reserve_sample_batch(rings, samples_per_epoch, workspace);
 
-    for (std::size_t r = 0; r < rings.size(); ++r) {
-        const RotationRingSpec& ring = rings[r];
-        const std::size_t k = ring.cores.size();
-        if (k == 0) continue;
-        bool any_delta = false;
-        for (double p : ring.slot_power_w)
-            if (std::abs(p - idle_power_w_) > 1e-12) any_delta = true;
-        if (!any_delta) continue;
+    if (truncated_ && core_peak_c == nullptr)
+        pruned_ring_peaks(rings, taus, ring_stride, count, samples_per_epoch,
+                          workspace, peaks);
+    else
+        full_ring_peaks(rings, taus, ring_stride, count, samples_per_epoch,
+                        workspace, peaks, core_peak_c);
+}
 
-        // Per-epoch power deltas: at epoch f the occupant of initial slot j
-        // sits on cores[(j + f) mod k]. The delta buffers are zeroed because
-        // only the ring's cores are written. Deltas and their modal targets
-        // are τ-independent: build them once, then run only the
-        // geometric-series evaluation per rung.
-        ensure_list(workspace.deltas_, k, big_n, /*zero=*/true, workspace.resource());
-        for (std::size_t f = 0; f < k; ++f)
-            for (std::size_t pos = 0; pos < k; ++pos) {
-                const std::size_t slot = (pos + k - (f % k)) % k;
-                workspace.deltas_[f][ring.cores[pos]] =
-                    ring.slot_power_w[slot] - idle_power_w_;
-            }
-        build_modal_targets(workspace.deltas_.data(), k, workspace);
+bool PeakTemperatureAnalyzer::ring_targets(const RotationRingSpec& ring,
+                                           PeakWorkspace& workspace) const {
+    const std::size_t k = ring.cores.size();
+    if (k == 0) return false;
+    bool any_delta = false;
+    for (double p : ring.slot_power_w)
+        if (std::abs(p - idle_power_w_) > 1e-12) any_delta = true;
+    if (!any_delta) return false;
+
+    // Per-epoch power deltas: at epoch f the occupant of initial slot j sits
+    // on cores[(j + f) mod k]. The delta buffers are zeroed because only the
+    // ring's cores are written. Deltas and their modal targets are
+    // τ-independent: build them once, then run only the geometric-series
+    // evaluation per rung.
+    ensure_list(workspace.deltas_, k, solver_->model().node_count(),
+                /*zero=*/true, workspace.resource());
+    for (std::size_t f = 0; f < k; ++f)
+        for (std::size_t pos = 0; pos < k; ++pos) {
+            const std::size_t slot = (pos + k - (f % k)) % k;
+            workspace.deltas_[f][ring.cores[pos]] =
+                ring.slot_power_w[slot] - idle_power_w_;
+        }
+    build_modal_targets(workspace.deltas_.data(), k, workspace);
+    return true;
+}
+
+void PeakTemperatureAnalyzer::full_ring_peaks(
+    const std::vector<RotationRingSpec>& rings, const double* taus,
+    std::size_t ring_stride, std::size_t count, std::size_t samples_per_epoch,
+    PeakWorkspace& workspace, double* peaks, double* core_peak_c) const {
+    const std::size_t n = solver_->model().core_count();
+    double* extra = workspace.extra_batch_.data();
+    for (std::size_t r = 0; r < rings.size(); ++r) {
+        if (!ring_targets(rings[r], workspace)) continue;
+        const std::size_t k = rings[r].cores.size();
         for (std::size_t t = 0; t < count; ++t) {
-            evaluate_periodic_max(k, taus[r * ring_stride + t],
-                                  samples_per_epoch, workspace,
-                                  workspace.core_max_);
-            double* extra_t = extra.data() + t * n;
+            stage_samples(k, taus[r * ring_stride + t], samples_per_epoch,
+                          workspace);
+            project_full(k, samples_per_epoch, workspace, workspace.core_max_);
+            double* extra_t = extra + t * n;
             for (std::size_t i = 0; i < n; ++i)
                 extra_t[i] += workspace.core_max_[i];
         }
     }
 
     for (std::size_t t = 0; t < count; ++t) {
-        const double* extra_t = extra.data() + t * n;
+        const double* extra_t = extra + t * n;
         double* map_t = core_peak_c ? core_peak_c + t * n : nullptr;
         double peak = -1e300;
         for (std::size_t i = 0; i < n; ++i) {
@@ -532,6 +677,126 @@ void PeakTemperatureAnalyzer::ring_peaks(
         }
         peaks[t] = peak;
     }
+    workspace.exact_rows_ = count * n;
+}
+
+void PeakTemperatureAnalyzer::pruned_ring_peaks(
+    const std::vector<RotationRingSpec>& rings, const double* taus,
+    std::size_t ring_stride, std::size_t count, std::size_t samples_per_epoch,
+    PeakWorkspace& ws, double* peaks) const {
+    const std::size_t n = solver_->model().core_count();
+    const std::size_t k_modes = modes_;
+    const double* t_idle = ws.t_idle_.data();
+
+    // Sizing: bound buffers, and every row list at core_count() per rung,
+    // so survivor counts can vary freely without re-allocating. A hint from
+    // a chip of another size indexes the wrong rows: drop it.
+    if (ws.bound_modal_.size() < 4 * k_modes * count)
+        ws.bound_modal_.resize(4 * k_modes * count);
+    if (ws.bound_rows_.size() < 3 * n * count)
+        ws.bound_rows_.resize(3 * n * count);
+    if (ws.bound_out_.size() < std::max(4 * n, 2 * k_modes))
+        ws.bound_out_.resize(std::max(4 * n, 2 * k_modes));
+    if (ws.bound_sums_.size() < 2 * n) ws.bound_sums_.resize(2 * n);
+    ensure_size(ws.core_max_, n);
+    for (PeakWorkspace::RungRows* list :
+         {&ws.hint_, &ws.survivors_, &ws.missing_}) {
+        if (list->rows.size() < count * n) list->rows.resize(count * n);
+        if (list->len.size() < count) list->len.resize(count, 0);
+    }
+    if (ws.hint_cores_ != n) {
+        ws.forget_survivors();
+        ws.hint_cores_ = n;
+    }
+    double* modal = ws.bound_modal_.data();
+    double* row_stats = ws.bound_rows_.data();
+    std::fill(modal, modal + 4 * k_modes * count, 0.0);
+    std::fill(row_stats, row_stats + 3 * n * count, 0.0);
+    double* extra = ws.extra_batch_.data();
+
+    // Bound stage. Per ring and rung: the ring's sample statistics join the
+    // rung's sums, and the hinted rows (the previous query's survivors) get
+    // their exact maxima, added in ring order from 0 as project_full's are.
+    for (std::size_t r = 0; r < rings.size(); ++r) {
+        if (!ring_targets(rings[r], ws)) continue;
+        const std::size_t k = rings[r].cores.size();
+        for (std::size_t t = 0; t < count; ++t) {
+            stage_samples(k, taus[r * ring_stride + t], samples_per_epoch, ws);
+            accumulate_bounds(k, samples_per_epoch, ws,
+                              modal + t * 4 * k_modes, row_stats + t * 3 * n);
+            const std::size_t* hint = ws.hint_.rows.data() + t * n;
+            for (std::size_t h = 0; h < ws.hint_.len[t]; ++h)
+                extra[t * n + hint[h]] +=
+                    project_row(hint[h], k, samples_per_epoch, ws);
+        }
+    }
+
+    // Survivors: one bound sweep per rung. L is at most a realised core
+    // total, so L ≤ peak, and a row whose upper bound is below L cannot
+    // hold the peak. Exact ties survive.
+    double* ub = ws.bound_sums_.data();
+    double* lb = ub + n;
+    bool rebuild = false;
+    std::size_t exact_rows = 0;
+    for (std::size_t t = 0; t < count; ++t) {
+        rung_bounds(modal + t * 4 * k_modes, row_stats + t * 3 * n, ws, ub, lb);
+        const double* extra_t = extra + t * n;
+        const std::size_t* hint = ws.hint_.rows.data() + t * n;
+        const std::size_t hint_len = ws.hint_.len[t];
+        double lower = -std::numeric_limits<double>::infinity();
+        for (std::size_t i = 0; i < n; ++i)
+            lower = std::max(lower, t_idle[i] + lb[i]);
+        for (std::size_t h = 0; h < hint_len; ++h)
+            lower = std::max(lower, t_idle[hint[h]] + extra_t[hint[h]]);
+        std::size_t* surv = ws.survivors_.rows.data() + t * n;
+        std::size_t* miss = ws.missing_.rows.data() + t * n;
+        std::size_t surv_len = 0, miss_len = 0, h = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!(t_idle[i] + ub[i] >= lower)) continue;
+            surv[surv_len++] = i;
+            while (h < hint_len && hint[h] < i) ++h;
+            if (h == hint_len || hint[h] != i) miss[miss_len++] = i;
+        }
+        ws.survivors_.len[t] = surv_len;
+        ws.missing_.len[t] = miss_len;
+        exact_rows += hint_len + miss_len;
+        rebuild = rebuild || miss_len > 0;
+    }
+
+    // Exact stage for survivors outside the hint: the ring targets and
+    // samples are rebuilt, because the workspace holds one ring at a time.
+    if (rebuild) {
+        for (std::size_t r = 0; r < rings.size(); ++r) {
+            if (!ring_targets(rings[r], ws)) continue;
+            const std::size_t k = rings[r].cores.size();
+            for (std::size_t t = 0; t < count; ++t) {
+                if (ws.missing_.len[t] == 0) continue;
+                stage_samples(k, taus[r * ring_stride + t], samples_per_epoch,
+                              ws);
+                const std::size_t* miss = ws.missing_.rows.data() + t * n;
+                for (std::size_t m = 0; m < ws.missing_.len[t]; ++m)
+                    extra[t * n + miss[m]] +=
+                        project_row(miss[m], k, samples_per_epoch, ws);
+            }
+        }
+    }
+
+    // Every survivor now holds its exact sum; the peak is their maximum.
+    for (std::size_t t = 0; t < count; ++t) {
+        const double* extra_t = extra + t * n;
+        const std::size_t* surv = ws.survivors_.rows.data() + t * n;
+        double peak = -1e300;
+        for (std::size_t s = 0; s < ws.survivors_.len[t]; ++s)
+            peak = std::max(peak, t_idle[surv[s]] + extra_t[surv[s]]);
+        peaks[t] = peak;
+    }
+    // This query's survivors become the next query's hint; rungs beyond
+    // @p count get none.
+    for (std::size_t t = count; t < ws.survivors_.len.size(); ++t)
+        ws.survivors_.len[t] = 0;
+    ws.hint_.rows.swap(ws.survivors_.rows);
+    ws.hint_.len.swap(ws.survivors_.len);
+    ws.exact_rows_ = exact_rows;
 }
 
 }  // namespace hp::core

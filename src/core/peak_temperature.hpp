@@ -29,6 +29,13 @@ struct RotationRingSpec {
 /// sizes does not re-allocate. A workspace may be reused across
 /// analyzers/models (buffers re-size on demand) but must not be shared
 /// between threads; the analyzer itself stays immutable and shareable.
+///
+/// On truncated backends the workspace also carries the survivor hint of
+/// the pruned rotation maxima (DESIGN.md §14.5): the rows that could hold
+/// each rung's peak in the previous rotation query, projected exactly up
+/// front by the next one. The hint changes how much work a query does,
+/// never its result; its row lists are sized to core_count() per rung on
+/// first use, so queries with different survivor counts never re-allocate.
 class PeakWorkspace {
 public:
     PeakWorkspace() = default;
@@ -53,13 +60,39 @@ public:
           ek_pow_(mr),
           qfrac_(mr),
           qpow_(mr),
+          bound_modal_(mr),
+          bound_rows_(mr),
+          bound_out_(mr),
+          bound_sums_(mr),
+          hint_(mr),
+          survivors_(mr),
+          missing_(mr),
           thermal_(mr) {}
 
     /// Resource newly-grown buffers are carved from (default resource when
     /// the workspace was default-constructed).
     std::pmr::memory_resource* resource() const { return mr_; }
 
+    /// Core rows the last rotation query projected exactly, summed over its
+    /// rungs: count × core_count() on the full projection, the survivor
+    /// hint plus any survivors outside it on the pruned one.
+    std::size_t last_exact_rows() const { return exact_rows_; }
+
+    /// Drops the survivor hint, so the next query's cost no longer depends
+    /// on earlier queries (results never do). O(rungs), allocation-free.
+    void forget_survivors() {
+        for (std::size_t& len : hint_.len) len = 0;
+    }
+
 private:
+    /// Per-rung row lists of the pruned maxima: rung t's rows, ascending,
+    /// occupy [t·core_count(), t·core_count() + len[t]) of rows.
+    struct RungRows {
+        explicit RungRows(std::pmr::memory_resource* mr) : rows(mr), len(mr) {}
+        std::pmr::vector<std::size_t> rows;
+        std::pmr::vector<std::size_t> len;
+    };
+
     friend class PeakTemperatureAnalyzer;
     std::pmr::memory_resource* mr_ = std::pmr::get_default_resource();
     std::vector<linalg::Vector> y_;         ///< modal epoch targets β·P_f
@@ -82,6 +115,16 @@ private:
     std::vector<linalg::Vector> cstar_;   ///< dropped periodic boundary state
     std::pmr::vector<double> qfrac_;      ///< e^{λ̄ τ s/S}, s = 1..S
     std::pmr::vector<double> qpow_;       ///< e^{λ̄ τ g}, g = 0..δ
+    // Pruned rotation maxima (truncated backends, no per-core map):
+    std::pmr::vector<double> bound_modal_;  ///< rung-major [Σc | Σx | Σρ | Σ(|c|+ρ)]
+    std::pmr::vector<double> bound_rows_;   ///< rung-major dropped-cluster sums
+    std::pmr::vector<double> bound_out_;    ///< one sweep's four outputs
+    std::pmr::vector<double> bound_sums_;   ///< one rung's UB, then LB
+    RungRows hint_{std::pmr::get_default_resource()};  ///< last survivors
+    RungRows survivors_{std::pmr::get_default_resource()};
+    RungRows missing_{std::pmr::get_default_resource()};  ///< survivors ∉ hint
+    std::size_t hint_cores_ = 0;  ///< core count hint_ indexes (0: none yet)
+    std::size_t exact_rows_ = 0;
     thermal::ThermalWorkspace thermal_;
 };
 
@@ -111,6 +154,14 @@ private:
 /// scalar form. The residual error is what the backend's error_bound_c()
 /// covers. Exact backends skip the correction entirely and reproduce the
 /// historical dense results bit for bit.
+///
+/// Rotation queries without a per-core map on a truncated backend need only
+/// each rung's maximum, so they project only the core rows that can hold it
+/// (DESIGN.md §14.5): one fused sweep per rung bounds every row's summed
+/// ring response from above and below, and only rows whose upper bound
+/// reaches the best lower bound are projected exactly. The result has the
+/// bits of the full projection. Dense backends, map queries and
+/// schedule_peak keep the full projection.
 ///
 /// Thread safety: immutable after construction. The α/β eigen-tables are
 /// built in the constructor and the query entry points are const; all
@@ -203,23 +254,47 @@ public:
                          PeakWorkspace& workspace) const;
 
 private:
-    /// The one ring loop behind both rotation queries. Validates every
-    /// argument, builds the all-idle baseline and, per non-idle ring, the
-    /// per-epoch deltas and modal targets; then evaluates @p count rungs
-    /// where ring r at rung t rotates every taus[r·ring_stride + t]
-    /// (ring_stride 0: one interval per rung; 1 with count 1: one per ring).
+    /// The one entry point behind both rotation queries. Validates every
+    /// argument and builds the all-idle baseline, then evaluates @p count
+    /// rungs where ring r at rung t rotates every taus[r·ring_stride + t]
+    /// (ring_stride 0: one interval per rung; 1 with count 1: one per ring)
+    /// through full_ring_peaks or, on a truncated backend without a map,
+    /// pruned_ring_peaks. The two differ only in which rows they project.
     void ring_peaks(const std::vector<RotationRingSpec>& rings,
                     const double* taus, std::size_t ring_stride,
                     std::size_t count, std::size_t samples_per_epoch,
                     PeakWorkspace& workspace, double* peaks,
                     double* core_peak_c) const;
 
+    /// The full-projection rotation rungs (dense backends, map queries):
+    /// every core row of every staged sample, per ring and rung.
+    void full_ring_peaks(const std::vector<RotationRingSpec>& rings,
+                         const double* taus, std::size_t ring_stride,
+                         std::size_t count, std::size_t samples_per_epoch,
+                         PeakWorkspace& workspace, double* peaks,
+                         double* core_peak_c) const;
+
+    /// The bound-pruned rotation rungs (truncated backends, no map): bound
+    /// statistics plus exact hint rows per ring and rung, one bound sweep
+    /// and the survivor selection per rung, then an exact rebuild pass for
+    /// survivors outside the hint only.
+    void pruned_ring_peaks(const std::vector<RotationRingSpec>& rings,
+                           const double* taus, std::size_t ring_stride,
+                           std::size_t count, std::size_t samples_per_epoch,
+                           PeakWorkspace& workspace, double* peaks) const;
+
     /// Pre-grows the RHS-major sample staging/projection buffers to the
-    /// largest ring of a query, so evaluate_periodic_max never reallocates
+    /// largest ring of a query, so stage_samples never reallocates
     /// mid-query (one growth per workspace instead of one per ring size).
     void reserve_sample_batch(const std::vector<RotationRingSpec>& rings,
                               std::size_t samples_per_epoch,
                               PeakWorkspace& workspace) const;
+
+    /// Builds @p ring's per-epoch power deltas and their modal targets into
+    /// the workspace; false (and nothing built) for an empty or all-idle
+    /// ring, which contributes nothing to any rung.
+    bool ring_targets(const RotationRingSpec& ring,
+                      PeakWorkspace& workspace) const;
 
     /// τ-independent half of Algorithm 1's run-time phase: fills
     /// workspace.y_ with the modal epoch targets y_f = β·P_f of the @p delta
@@ -230,11 +305,42 @@ private:
                              std::size_t delta, PeakWorkspace& workspace) const;
 
     /// τ-dependent half: consumes workspace.y_ (left untouched, so it may be
-    /// re-evaluated at another τ) and writes per-core response maxima.
-    void evaluate_periodic_max(std::size_t delta, double tau,
-                               std::size_t samples_per_epoch,
-                               PeakWorkspace& workspace,
-                               linalg::Vector& core_max) const;
+    /// re-evaluated at another τ), solves the periodic boundary states and
+    /// stages all δ·S modal samples RHS-major in workspace.zs_batch_ (plus
+    /// the dropped-cluster states on truncated backends). The project_*
+    /// functions below then read the staged samples.
+    void stage_samples(std::size_t delta, double tau,
+                       std::size_t samples_per_epoch,
+                       PeakWorkspace& workspace) const;
+
+    /// Per-core response maxima over every staged sample: one matmat over
+    /// all core rows, the dropped-cluster fold, the max.
+    void project_full(std::size_t delta, std::size_t samples_per_epoch,
+                      PeakWorkspace& workspace, linalg::Vector& core_max) const;
+
+    /// Bound stage, per ring and rung: adds the staged samples' modal
+    /// statistics to @p modal = [Σc | Σx | Σρ | Σ(|c|+ρ)] (modes each; c ± ρ
+    /// spans the samples per mode, x is the last sample) and, on truncated
+    /// backends, the dropped-cluster terms to @p rows = [Σ max_s corr |
+    /// Σ corr_last | Σ(|max_s corr| + |corr_last|)] (cores each).
+    void accumulate_bounds(std::size_t delta, std::size_t samples_per_epoch,
+                           PeakWorkspace& workspace, double* modal,
+                           double* rows) const;
+
+    /// One fused sweep over V turns a rung's sums into per-core bounds on
+    /// the summed ring responses: @p ub from above, @p lb from below, each
+    /// with a slack that covers every rounding (DESIGN.md §14.5).
+    void rung_bounds(const double* modal, const double* rows,
+                     PeakWorkspace& workspace, double* ub, double* lb) const;
+
+    /// Exact stage: project_full's maximum for the single core @p row,
+    /// bit for bit.
+    double project_row(std::size_t row, std::size_t delta,
+                       std::size_t samples_per_epoch,
+                       PeakWorkspace& workspace) const;
+
+    /// True when queries fold in the dropped-cluster correction.
+    bool corrected() const { return truncated_ && cluster_pole_ < 0.0; }
 
     const thermal::TransientSolver* solver_;
     double ambient_c_;

@@ -40,6 +40,16 @@ inline void kernel_matmat(const double* a, std::size_t rows, std::size_t cols,
     simd::kernels().matmat(a, rows, cols, xs, nrhs, ys);
 }
 
+/// Bound sweep: ys = [A·c | A·x | |A|·r | |A|·m] from xs = [c | x | r | m]
+/// in one pass over the rows×cols row-major A (see simd.hpp). ys[rows,
+/// 2·rows) is bit-identical to kernel_matvec(a, rows, cols, x). @p ys (4·rows
+/// entries) must not alias @p xs (4·cols entries) or @p a.
+inline void kernel_bound_matvec(const double* a, std::size_t rows,
+                                std::size_t cols, const double* xs,
+                                double* ys) {
+    simd::kernels().bound_matvec(a, rows, cols, xs, ys);
+}
+
 /// y += alpha·x (BLAS axpy; multiply and add never fused, so every tier
 /// produces the same bits). @p x and @p y may be the same buffer.
 inline void kernel_axpy(std::size_t n, double alpha, const double* x,

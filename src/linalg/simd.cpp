@@ -1,5 +1,6 @@
 #include "linalg/simd.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <string_view>
 
@@ -108,10 +109,33 @@ void scalar_spmm(std::size_t rows, const std::size_t* row_ptr,
     }
 }
 
+void scalar_bound_matvec(const double* a, std::size_t rows, std::size_t cols,
+                         const double* xs, double* ys) {
+    const double* c = xs;
+    const double* x = xs + cols;
+    const double* r = xs + 2 * cols;
+    const double* m = xs + 3 * cols;
+    for (std::size_t i = 0; i < rows; ++i) {
+        const double* row = a + i * cols;
+        double sc = 0.0, sx = 0.0, sr = 0.0, sm = 0.0;
+        for (std::size_t j = 0; j < cols; ++j) {
+            const double mag = std::fabs(row[j]);
+            sc += row[j] * c[j];
+            sx += row[j] * x[j];  // scalar_matvec's chain
+            sr += mag * r[j];
+            sm += mag * m[j];
+        }
+        ys[i] = sc;
+        ys[rows + i] = sx;
+        ys[2 * rows + i] = sr;
+        ys[3 * rows + i] = sm;
+    }
+}
+
 constexpr KernelTable kScalarTable = {
     scalar_matvec, scalar_matmat,  scalar_axpy,      scalar_scale,
     scalar_hadamard, scalar_fma_acc, scalar_max_acc, scalar_decay_mix,
-    scalar_div_scalar, scalar_spmm,
+    scalar_div_scalar, scalar_spmm, scalar_bound_matvec,
 };
 
 // --- AVX2 + FMA tier --------------------------------------------------------
@@ -316,9 +340,50 @@ __attribute__((target("avx2"))) void avx2_spmm(std::size_t rows,
     }
 }
 
+__attribute__((target("avx2,fma"))) void avx2_bound_matvec(
+    const double* a, std::size_t rows, std::size_t cols, const double* xs,
+    double* ys) {
+    // Four independent FMA chains share each row load; the A·x chain is
+    // row_dot_avx2's exact sequence (4-lane FMA, hsum, unfused scalar tail).
+    const double* c = xs;
+    const double* x = xs + cols;
+    const double* r = xs + 2 * cols;
+    const double* m = xs + 3 * cols;
+    const __m256d sign = _mm256_set1_pd(-0.0);
+    for (std::size_t i = 0; i < rows; ++i) {
+        const double* row = a + i * cols;
+        __m256d ac = _mm256_setzero_pd();
+        __m256d ax = _mm256_setzero_pd();
+        __m256d ar = _mm256_setzero_pd();
+        __m256d am = _mm256_setzero_pd();
+        std::size_t j = 0;
+        for (; j + 4 <= cols; j += 4) {
+            const __m256d rv = _mm256_loadu_pd(row + j);
+            const __m256d mag = _mm256_andnot_pd(sign, rv);
+            ac = _mm256_fmadd_pd(rv, _mm256_loadu_pd(c + j), ac);
+            ax = _mm256_fmadd_pd(rv, _mm256_loadu_pd(x + j), ax);
+            ar = _mm256_fmadd_pd(mag, _mm256_loadu_pd(r + j), ar);
+            am = _mm256_fmadd_pd(mag, _mm256_loadu_pd(m + j), am);
+        }
+        double sc = hsum(ac), sx = hsum(ax), sr = hsum(ar), sm = hsum(am);
+        for (; j < cols; ++j) {
+            const double mag = std::fabs(row[j]);
+            sc += row[j] * c[j];
+            sx += row[j] * x[j];
+            sr += mag * r[j];
+            sm += mag * m[j];
+        }
+        ys[i] = sc;
+        ys[rows + i] = sx;
+        ys[2 * rows + i] = sr;
+        ys[3 * rows + i] = sm;
+    }
+}
+
 constexpr KernelTable kAvx2Table = {
-    avx2_matvec, avx2_matmat,  avx2_axpy,    avx2_scale,    avx2_hadamard,
-    avx2_fma_acc, avx2_max_acc, avx2_decay_mix, avx2_div_scalar, avx2_spmm,
+    avx2_matvec,  avx2_matmat,  avx2_axpy,      avx2_scale,
+    avx2_hadamard, avx2_fma_acc, avx2_max_acc,  avx2_decay_mix,
+    avx2_div_scalar, avx2_spmm,  avx2_bound_matvec,
 };
 
 #endif  // HP_SIMD_X86

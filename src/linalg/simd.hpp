@@ -29,6 +29,9 @@ namespace hp::linalg::simd {
 //  * matmat is bit-identical, per right-hand side, to the corresponding
 //    looped matvec calls *within* a tier: each RHS owns an accumulator chain
 //    with exactly matvec's operation order, whatever the batch width.
+//  * bound_matvec's A·x output is bit-identical to matvec within a tier (the
+//    same accumulator chain); like matvec, all four of its sums agree across
+//    tiers to rounding only.
 
 enum class Tier {
     kScalar = 0,  ///< portable fallback, baseline ISA
@@ -76,6 +79,14 @@ struct KernelTable {
     void (*spmm)(std::size_t rows, const std::size_t* row_ptr,
                  const std::size_t* col, const double* val, const double* xs,
                  std::size_t nrhs, double* ys);
+    /// Four dot products per row from one pass over A, for the bound stage
+    /// of Algorithm 1's pruned maxima: with xs = [c | x | r | m] (four
+    /// RHS-major vectors of cols entries) it writes ys = [A·c | A·x | |A|·r
+    /// | |A|·m] (four vectors of rows entries). Four independent
+    /// accumulators per row; the A·x chain is exactly matvec's, so
+    /// ys[rows, 2·rows) is bit-identical to matvec(a, rows, cols, x).
+    void (*bound_matvec)(const double* a, std::size_t rows, std::size_t cols,
+                         const double* xs, double* ys);
 };
 
 /// True when @p tier can run on this machine (kScalar always can).

@@ -457,6 +457,49 @@ TEST(AllocGuard, WarmedModalBatchPeakAnalysisIsAllocationFree) {
     EXPECT_EQ(alloc_count() - before, 0u);
 }
 
+TEST(AllocGuard, WarmedPrunedRotationPeaksAreAllocationFree) {
+    // The 256-core chip is modal, so map-free rotation queries take the
+    // pruned path. Alternating two occupancies changes the survivor and
+    // hint counts on every query; the row lists are sized per rung up front,
+    // so that must never re-allocate.
+    const campaign::StudySetup setup = campaign::StudySetup::paper_256core();
+    ASSERT_TRUE(setup.solver().truncated());
+    const core::PeakTemperatureAnalyzer analyzer(setup.solver(), 45.0, 0.3);
+    core::PeakWorkspace ws;
+
+    std::vector<core::RotationRingSpec> sparse, dense;
+    for (const arch::AmdRing& ring : setup.chip().rings()) {
+        core::RotationRingSpec a{ring.cores,
+                                 std::vector<double>(ring.cores.size(), 0.3)};
+        core::RotationRingSpec b = a;
+        if (sparse.empty()) a.slot_power_w[0] = 6.0;  // innermost ring only
+        for (std::size_t j = 0; j < b.slot_power_w.size(); j += 2)
+            b.slot_power_w[j] = 2.0 + 0.5 * static_cast<double>(j % 7);
+        sparse.push_back(std::move(a));
+        dense.push_back(std::move(b));
+    }
+    const std::vector<double> taus = {0.5e-3, 2e-3};
+    std::vector<double> peaks(taus.size(), 0.0);
+    const auto query = [&](const std::vector<core::RotationRingSpec>& rings,
+                           core::PeakWorkspace& w) {
+        analyzer.rotation_peaks(rings, taus.data(), taus.size(), 2, w,
+                                peaks.data());
+        return w.last_exact_rows();
+    };
+    // On a hintless workspace every exact row is a survivor.
+    core::PeakWorkspace cold_sparse, cold_dense;
+    EXPECT_NE(query(sparse, cold_sparse), query(dense, cold_dense));
+
+    (void)query(sparse, ws);  // warm
+    (void)query(dense, ws);
+    const std::uint64_t before = alloc_count();
+    for (int i = 0; i < 10; ++i) {
+        (void)query(sparse, ws);
+        (void)query(dense, ws);
+    }
+    EXPECT_EQ(alloc_count() - before, 0u);
+}
+
 TEST(AllocGuard, WarmedRotationPeakIsAllocationFree) {
     const campaign::StudySetup setup = campaign::StudySetup::paper_64core();
     const core::PeakTemperatureAnalyzer analyzer(setup.solver(), 45.0, 0.3);

@@ -10,8 +10,9 @@
 // register width.
 //
 // Coverage: the element-wise dispatch kernels against reference loops,
-// kernel_matmat vs looped kernel_matvec, LU solve_batch_into vs looped
-// solve_into, the thermal batch kernels (the dense steady_state_batch_into,
+// kernel_matmat vs looped kernel_matvec, kernel_bound_matvec's A·x output vs
+// kernel_matvec, LU solve_batch_into vs looped solve_into, the thermal batch
+// kernels (the dense steady_state_batch_into,
 // apply_exponential_batch_into including the documented outs==xs aliasing,
 // transient_batch_into), and the analyzer slates (rotation_peaks at
 // count > 1 against count 1, static_peaks at nrhs > 1 against nrhs 1, and
@@ -69,6 +70,43 @@ TEST(BatchKernels, MatmatBitIdenticalToLoopedMatvec) {
             for (std::size_t i = 0; i < batch.size(); ++i)
                 EXPECT_EQ(batch[i], looped[i])
                     << "n=" << n << " nrhs=" << nrhs << " i=" << i;
+        }
+    }
+}
+
+TEST(BatchKernels, BoundMatvecAxOutputBitIdenticalToMatvec) {
+    // cols 257 is the 256-core chip's retained-mode count: 64 groups of 4
+    // plus a one-lane scalar tail.
+    for (std::size_t cols : {std::size_t{1}, std::size_t{3}, std::size_t{8},
+                             std::size_t{129}, std::size_t{257}}) {
+        const std::size_t rows = 37;
+        std::vector<double> a(rows * cols), xs(4 * cols);
+        for (std::size_t i = 0; i < a.size(); ++i)
+            a[i] = (i % 3 == 0 ? -1.0 : 1.0) * filler(i);
+        for (std::size_t j = 0; j < cols; ++j) {
+            xs[j] = filler(j + 5) - 4.0;             // c (mixed signs)
+            xs[cols + j] = filler(j + 11) - 3.0;     // x
+            xs[2 * cols + j] = 0.1 * filler(j + 7);  // r ≥ 0
+            xs[3 * cols + j] = std::abs(xs[j]) + xs[2 * cols + j];
+        }
+        std::vector<double> ys(4 * rows, -1.0), want(rows, -2.0);
+        linalg::kernel_bound_matvec(a.data(), rows, cols, xs.data(), ys.data());
+        linalg::kernel_matvec(a.data(), rows, cols, xs.data() + cols,
+                              want.data());
+        for (std::size_t i = 0; i < rows; ++i) {
+            EXPECT_EQ(ys[rows + i], want[i]) << "cols=" << cols << " i=" << i;
+            // The other three sums against a plain reference loop.
+            double c = 0.0, r = 0.0, m = 0.0, scale = 0.0;
+            for (std::size_t j = 0; j < cols; ++j) {
+                const double v = a[i * cols + j];
+                c += v * xs[j];
+                r += std::abs(v) * xs[2 * cols + j];
+                m += std::abs(v) * xs[3 * cols + j];
+                scale += std::abs(v) * (std::abs(xs[j]) + xs[2 * cols + j]);
+            }
+            EXPECT_NEAR(ys[i], c, 1e-13 * scale) << i;
+            EXPECT_NEAR(ys[2 * rows + i], r, 1e-13 * scale) << i;
+            EXPECT_NEAR(ys[3 * rows + i], m, 1e-13 * scale) << i;
         }
     }
 }

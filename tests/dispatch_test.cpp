@@ -6,10 +6,10 @@
 //    scalar instead of crashing.
 //  * Element-wise kernels are bit-identical ACROSS tiers (no fusing, no
 //    reassociation — EXPECT_EQ).
-//  * Reduction kernels (matvec/matmat) reassociate in the AVX2 tier: scalar
-//    and AVX2 agree to rounding, each tier is self-deterministic (same bits
-//    on every run), and end-to-end analyzer results agree within the
-//    documented tolerance.
+//  * Reduction kernels (matvec/matmat/bound_matvec) reassociate in the AVX2
+//    tier: scalar and AVX2 agree to rounding, each tier is self-deterministic
+//    (same bits on every run; bound_matvec's A·x is that tier's matvec), and
+//    end-to-end analyzer results agree within the documented tolerance.
 //
 // On machines without AVX2+FMA the cross-tier cases degenerate to
 // scalar-vs-scalar and pass trivially; CI's `dispatch` job also runs this
@@ -243,6 +243,47 @@ TEST(Dispatch, ReductionKernelsSelfDeterministicAndCrossTierClose) {
     for (std::size_t i = 0; i < n; ++i) {
         const double scale = std::max(1.0, std::abs(s1[i]));
         EXPECT_NEAR(s1[i], v1[i], 1e-12 * scale) << i;
+    }
+}
+
+TEST(Dispatch, BoundMatvecMatchesEachTiersMatvecAndAgreesAcrossTiers) {
+    // 257 columns: the 256-core chip's mode count, with a scalar tail lane.
+    const std::size_t rows = 65, cols = 257;
+    std::vector<double> a(rows * cols), xs(4 * cols);
+    for (std::size_t i = 0; i < a.size(); ++i)
+        a[i] = (i % 5 < 2 ? -1.0 : 1.0) * filler(i);
+    for (std::size_t j = 0; j < cols; ++j) {
+        xs[j] = filler(j + 2) - 5.0;
+        xs[cols + j] = filler(j + 9) - 2.0;
+        xs[2 * cols + j] = 0.25 * filler(j + 4);
+        xs[3 * cols + j] = std::abs(xs[j]) + xs[2 * cols + j];
+    }
+
+    const auto bound_with = [&](Tier tier) {
+        ForcedTier forced(tier);
+        std::vector<double> ys(4 * rows, -1.0), vx(rows, -2.0);
+        linalg::simd::kernels().bound_matvec(a.data(), rows, cols, xs.data(),
+                                             ys.data());
+        linalg::simd::kernels().matvec(a.data(), rows, cols, xs.data() + cols,
+                                       vx.data());
+        // Within the tier, A·x is exactly that tier's matvec.
+        for (std::size_t i = 0; i < rows; ++i)
+            EXPECT_EQ(ys[rows + i], vx[i]) << linalg::simd::tier_name(tier)
+                                           << " row " << i;
+        return ys;
+    };
+    const std::vector<double> s = bound_with(Tier::kScalar);
+    const std::vector<double> v = bound_with(Tier::kAvx2);
+    // Across tiers every output agrees to rounding of its magnitude sum.
+    for (std::size_t i = 0; i < rows; ++i) {
+        double scale = 0.0;
+        for (std::size_t j = 0; j < cols; ++j)
+            scale += std::abs(a[i * cols + j]) *
+                     (std::abs(xs[j]) + std::abs(xs[cols + j]) +
+                      xs[2 * cols + j]);
+        for (std::size_t out = 0; out < 4; ++out)
+            EXPECT_NEAR(s[out * rows + i], v[out * rows + i], 1e-13 * scale)
+                << "output " << out << " row " << i;
     }
 }
 
