@@ -4,8 +4,8 @@
 # leg (concurrent-cache stress + loopback advice-server suite under both
 # sanitizers), the SIMD-dispatch,
 # forced-modal-solver and execution-placement (pinned + no-NUMA fallback)
-# suite reruns, the clang-format check and the
-# bench-regression gate — each leg skipped (not failed) when
+# suite reruns, the clang-format check, the bench-regression gate and the
+# bench_e2e build + smoke runs — each leg skipped (not failed) when
 # this machine lacks the tool it needs, so the script is useful on minimal
 # containers and full workstations alike.
 #
@@ -232,5 +232,14 @@ if command -v python3 >/dev/null 2>&1; then
 else
   skip "bench gate (python3 not installed)"
 fi
+
+# ---- end-to-end benchmark smoke --------------------------------------------
+# Mirrors the `bench-e2e` CI job: bench_e2e/ is its own CMake project over
+# ../src, so a src/ change that breaks it would pass every leg above. Build
+# it and smoke-run every workload (untraced and traced).
+note "bench-e2e: build + smoke runs"
+cmake -S "$ROOT/bench_e2e" -B "$ROOT/.bench_build" >/dev/null
+cmake --build "$ROOT/.bench_build" -j "$JOBS"
+ctest --test-dir "$ROOT/.bench_build" -L benchmark --output-on-failure
 
 note "ci_local: all legs that ran passed"

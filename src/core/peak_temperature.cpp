@@ -54,6 +54,41 @@ inline double dropped_response(double ce, double prev, double qs) {
 /// for underflow) covers it five times over.
 constexpr double kBoundSlack = 1e-11;
 
+/// Core rows of the all-idle steady state: every core at @p idle_power_w,
+/// the rest of the stack unpowered.
+linalg::Vector idle_baseline(const thermal::TransientSolver& solver,
+                             double ambient_c, double idle_power_w) {
+    const thermal::ThermalModel& model = solver.model();
+    const std::size_t n = model.core_count();
+    const linalg::Vector t = solver.steady_state(
+        model.pad_power(linalg::Vector(n, idle_power_w)), ambient_c);
+    linalg::Vector core(n);
+    for (std::size_t i = 0; i < n; ++i) core[i] = t[i];
+    return core;
+}
+
+/// Sorts @p ring's positions by ascending core index into @p order (grown
+/// only, so a warm workspace does not allocate). Throws
+/// std::invalid_argument for a core index ≥ @p cores or a repeated core.
+const std::size_t* sort_ring_positions(const RotationRingSpec& ring,
+                                       std::size_t cores,
+                                       std::pmr::vector<std::size_t>& order) {
+    const std::size_t k = ring.cores.size();
+    for (std::size_t c : ring.cores)
+        if (c >= cores)
+            throw std::invalid_argument("rotation_peak: ring core out of range");
+    if (order.size() < k) order.resize(k);
+    for (std::size_t pos = 0; pos < k; ++pos) order[pos] = pos;
+    const auto by_core = [&](std::size_t a, std::size_t b) {
+        return ring.cores[a] < ring.cores[b];
+    };
+    std::sort(order.begin(), order.begin() + k, by_core);
+    for (std::size_t i = 1; i < k; ++i)
+        if (ring.cores[order[i]] == ring.cores[order[i - 1]])
+            throw std::invalid_argument("rotation_peak: ring core repeated");
+    return order.data();
+}
+
 }  // namespace
 
 PeakTemperatureAnalyzer::PeakTemperatureAnalyzer(
@@ -64,7 +99,8 @@ PeakTemperatureAnalyzer::PeakTemperatureAnalyzer(
       idle_power_w_(idle_power_w),
       modes_(solver.mode_count()),
       truncated_(solver.truncated()),
-      cluster_pole_(solver.cluster_pole()) {
+      cluster_pole_(solver.cluster_pole()),
+      idle_core_c_(idle_baseline(solver, ambient_c, idle_power_w)) {
     const thermal::ThermalModel& model = solver.model();
     // Design-time phase (Algorithm 1 lines 1-7): β = V^{-1}·B^{-1} (retained
     // rows) and the ambient offset; both are floorplan constants.
@@ -208,62 +244,90 @@ void PeakTemperatureAnalyzer::reserve_sample_batch(
         ws.resp_batch_.resize(nsamp * cores);
 }
 
+template <class EpochPower>
 void PeakTemperatureAnalyzer::build_modal_targets(
-    const linalg::Vector* node_power_per_epoch, std::size_t delta,
+    std::size_t delta, std::size_t support, const EpochPower& epoch_power,
     PeakWorkspace& ws) const {
-    const std::size_t big_n = solver_->model().node_count();
+    const std::size_t cores = solver_->model().core_count();
 
     // Modal images y_f = β·P_f, exploiting that rotation power vectors are
     // sparse (non-zero only on the rotating ring's cores): accumulate the
     // corresponding β columns instead of a dense mat-vec.
-    ensure_list(ws.y_, delta, modes_, /*zero=*/true, ws.resource());
-    for (std::size_t f = 0; f < delta; ++f) {
-        const linalg::Vector& p = node_power_per_epoch[f];
-        double* yf = ws.y_[f].data();
-        for (std::size_t j = 0; j < big_n; ++j) {
-            const double pj = p[j];
-            if (pj == 0.0) continue;
-            linalg::kernel_axpy(modes_, pj, beta_t_.data() + j * modes_, yf);
-        }
-    }
-
-    // Truncated backend: the τ-independent dropped-cluster targets
+    //
+    // Truncated backend: also the τ-independent dropped-cluster targets
     // c_f(i) = (B^{-1}P_f)(i) - Σ_k V(i,k)·y_{f,k}. The whole expression is
     // linear in P_f, so it is a gather over the precomputed quasi-static map:
     // a few axpys per epoch for sparse rotation deltas, instead of a banded
     // solve plus a retained-mode projection per query.
-    if (truncated_) {
-        const std::size_t cores = solver_->model().core_count();
+    ensure_list(ws.y_, delta, modes_, /*zero=*/true, ws.resource());
+    if (truncated_)
         ensure_list(ws.cfield_, delta, cores, /*zero=*/true, ws.resource());
-        for (std::size_t f = 0; f < delta; ++f) {
-            const linalg::Vector& p = node_power_per_epoch[f];
-            double* cf = ws.cfield_[f].data();
-            for (std::size_t j = 0; j < big_n; ++j) {
-                const double pj = p[j];
-                if (pj == 0.0) continue;
-                linalg::kernel_axpy(cores, pj,
-                                    quasi_static_map_.data() + j * cores, cf);
-            }
+    for (std::size_t f = 0; f < delta; ++f) {
+        double* yf = ws.y_[f].data();
+        double* cf = truncated_ ? ws.cfield_[f].data() : nullptr;
+        for (std::size_t i = 0; i < support; ++i) {
+            const auto [node, pj] = epoch_power(f, i);
+            if (pj == 0.0) continue;
+            linalg::kernel_axpy(modes_, pj, beta_t_.data() + node * modes_, yf);
+            if (cf)
+                linalg::kernel_axpy(
+                    cores, pj, quasi_static_map_.data() + node * cores, cf);
         }
     }
 }
 
-void PeakTemperatureAnalyzer::stage_samples(std::size_t delta, double tau,
+void PeakTemperatureAnalyzer::fill_tau_tables(const double* taus,
+                                              std::size_t entries,
+                                              std::size_t samples_per_epoch,
+                                              PeakWorkspace& ws) const {
+    const std::size_t k_modes = modes_;
+    const std::size_t stride = samples_per_epoch * k_modes;
+    const linalg::Vector& lambda = solver_->eigenvalues();
+    if (ws.tau_modes_.size() < entries * stride)
+        ws.tau_modes_.resize(entries * stride);
+    if (corrected() &&
+        ws.tau_cluster_.size() < entries * (samples_per_epoch + 1))
+        ws.tau_cluster_.resize(entries * (samples_per_epoch + 1));
+    for (std::size_t e = 0; e < entries; ++e) {
+        const double tau = taus[e];
+        // e^{λ_k τ}, then the epoch-independent interior-sample decay
+        // factors e^{λ_k τ s/S}. λτ·frac rounds differently from
+        // λ·(τ·frac), so these are not ThermalWorkspace's exp tables.
+        double* table = ws.tau_modes_.data() + e * stride;
+        for (std::size_t k = 0; k < k_modes; ++k)
+            table[k] = std::exp(lambda[k] * tau);
+        for (std::size_t s = 1; s < samples_per_epoch; ++s) {
+            const double frac =
+                static_cast<double>(s) / static_cast<double>(samples_per_epoch);
+            double* eks = table + s * k_modes;
+            for (std::size_t k = 0; k < k_modes; ++k)
+                eks[k] = std::exp(lambda[k] * tau * frac);
+        }
+        if (!corrected()) continue;
+        double* q = ws.tau_cluster_.data() + e * (samples_per_epoch + 1);
+        q[0] = std::exp(cluster_pole_ * tau);
+        for (std::size_t s = 1; s <= samples_per_epoch; ++s)
+            q[s] = std::exp(cluster_pole_ * tau * static_cast<double>(s) /
+                            static_cast<double>(samples_per_epoch));
+    }
+}
+
+void PeakTemperatureAnalyzer::stage_samples(std::size_t delta,
+                                            std::size_t tau_entry,
                                             std::size_t samples_per_epoch,
                                             PeakWorkspace& ws) const {
     const std::size_t k_modes = modes_;
     const std::size_t cores = solver_->model().core_count();
-    const linalg::Vector& lambda = solver_->eigenvalues();
     const std::vector<linalg::Vector>& y = ws.y_;
+    // This τ's row of e^{λ_k τ}, followed by its interior decay factors.
+    const double* ek =
+        ws.tau_modes_.data() + tau_entry * samples_per_epoch * k_modes;
 
     // Geometric tables e^{λ_k τ g}, g = 0..δ (pow-free).
-    if (ws.ek_.size() < k_modes) ws.ek_.resize(k_modes);
     if (ws.ek_pow_.size() < (delta + 1) * k_modes)
         ws.ek_pow_.resize((delta + 1) * k_modes);
-    std::pmr::vector<double>& ek = ws.ek_;
     std::pmr::vector<double>& ek_pow = ws.ek_pow_;
     for (std::size_t k = 0; k < k_modes; ++k) {
-        ek[k] = std::exp(lambda[k] * tau);
         double acc = 1.0;
         for (std::size_t g = 0; g <= delta; ++g) {
             ek_pow[g * k_modes + k] = acc;
@@ -289,22 +353,13 @@ void PeakTemperatureAnalyzer::stage_samples(std::size_t delta, double tau,
         linalg::kernel_hadamard(k_modes, ws.coeff_.data(), ze);
     }
 
-    // Interior-sample decay factors e^{λ_k τ s/S}; epoch-independent.
-    ensure_list(ws.eks_frac_, samples_per_epoch - 1, k_modes, /*zero=*/false, ws.resource());
-    for (std::size_t s = 1; s < samples_per_epoch; ++s) {
-        const double frac =
-            static_cast<double>(s) / static_cast<double>(samples_per_epoch);
-        linalg::Vector& eks = ws.eks_frac_[s - 1];
-        for (std::size_t k = 0; k < k_modes; ++k)
-            eks[k] = std::exp(lambda[k] * tau * frac);
-    }
-
     // Dropped-cluster periodic boundary states: the scalar (per-core) analog
     // of z_e over the representative pole λ̄ and the quasi-static targets c_f
     // built by build_modal_targets. Geometric closure for epoch 0, then the
     // one-pole forward recurrence x*_e = c_e + q·(x*_{e-1} - c_e).
+    ws.staged_tau_ = tau_entry;
     if (corrected()) {
-        const double q = std::exp(cluster_pole_ * tau);
+        const double q = ws.tau_cluster_[tau_entry * (samples_per_epoch + 1)];
         if (ws.qpow_.size() < delta + 1) ws.qpow_.resize(delta + 1);
         double qacc = 1.0;
         for (std::size_t g = 0; g <= delta; ++g) {
@@ -326,12 +381,6 @@ void PeakTemperatureAnalyzer::stage_samples(std::size_t delta, double tau,
             for (std::size_t i = 0; i < cores; ++i)
                 xe[i] = ce[i] + q * (prev[i] - ce[i]);
         }
-        if (ws.qfrac_.size() < samples_per_epoch)
-            ws.qfrac_.resize(samples_per_epoch);
-        for (std::size_t s = 1; s <= samples_per_epoch; ++s)
-            ws.qfrac_[s - 1] =
-                std::exp(cluster_pole_ * tau * static_cast<double>(s) /
-                         static_cast<double>(samples_per_epoch));
     }
 
     // Stage all δ·S modal samples RHS-major: epoch boundaries plus interior
@@ -350,7 +399,7 @@ void PeakTemperatureAnalyzer::stage_samples(std::size_t delta, double tau,
             } else {
                 // Inside epoch e: decay from the previous boundary towards
                 // this epoch's steady-state target y[e].
-                linalg::kernel_decay_mix(k_modes, ws.eks_frac_[s - 1].data(),
+                linalg::kernel_decay_mix(k_modes, ek + s * k_modes,
                                          z_prev.data(), y[e].data(), zs);
             }
         }
@@ -376,11 +425,12 @@ void PeakTemperatureAnalyzer::project_full(std::size_t delta,
     if (corrected()) {
         // Fold the dropped-cluster response into every projected sample
         // before the max; at s = S it equals the boundary state x*_e.
+        const double* qfrac = ws.staged_qfrac(samples_per_epoch);
         for (std::size_t e = 0; e < delta; ++e) {
             const double* prev = ws.cstar_[(e + delta - 1) % delta].data();
             const double* ce = ws.cfield_[e].data();
             for (std::size_t s = 1; s <= samples_per_epoch; ++s) {
-                const double qs = ws.qfrac_[s - 1];
+                const double qs = qfrac[s - 1];
                 double* resp = ws.resp_batch_.data() +
                                (e * samples_per_epoch + s - 1) * cores;
                 for (std::size_t i = 0; i < cores; ++i)
@@ -429,20 +479,21 @@ void PeakTemperatureAnalyzer::accumulate_bounds(
     // and its value at the last sample (the expression project_full folds
     // in), summed over rings, plus their magnitudes for the slack:
     // rows = [Σ max_s corr | Σ corr_last | Σ(|max_s corr| + |corr_last|)].
+    const double* qfrac = ws.staged_qfrac(samples_per_epoch);
     double* cmax = ws.core_max_.data();
     for (std::size_t i = 0; i < cores; ++i) cmax[i] = -1e300;
     for (std::size_t e = 0; e < delta; ++e) {
         const double* prev = ws.cstar_[(e + delta - 1) % delta].data();
         const double* ce = ws.cfield_[e].data();
         for (std::size_t s = 1; s <= samples_per_epoch; ++s) {
-            const double qs = ws.qfrac_[s - 1];
+            const double qs = qfrac[s - 1];
             for (std::size_t i = 0; i < cores; ++i)
                 cmax[i] = std::max(cmax[i], dropped_response(ce[i], prev[i], qs));
         }
     }
     const double* prev_last = ws.cstar_[(2 * delta - 2) % delta].data();
     const double* ce_last = ws.cfield_[delta - 1].data();
-    const double q_last = ws.qfrac_[samples_per_epoch - 1];
+    const double q_last = qfrac[samples_per_epoch - 1];
     for (std::size_t i = 0; i < cores; ++i) {
         const double cl = dropped_response(ce_last[i], prev_last[i], q_last);
         rows[i] += cmax[i];
@@ -481,6 +532,8 @@ double PeakTemperatureAnalyzer::project_row(std::size_t row, std::size_t delta,
     linalg::kernel_matmat(v_cores_.data() + row * modes_, 1, modes_,
                           ws.zs_batch_.data(), nsamp, resp);
     const bool correct = corrected();
+    const double* qfrac =
+        correct ? ws.staged_qfrac(samples_per_epoch) : nullptr;
     double peak = -1e300;
     for (std::size_t e = 0; e < delta; ++e)
         for (std::size_t s = 1; s <= samples_per_epoch; ++s) {
@@ -488,7 +541,7 @@ double PeakTemperatureAnalyzer::project_row(std::size_t row, std::size_t delta,
             if (correct)
                 v += dropped_response(
                     ws.cfield_[e][row], ws.cstar_[(e + delta - 1) % delta][row],
-                    ws.qfrac_[s - 1]);
+                    qfrac[s - 1]);
             if (peak < v) peak = v;
         }
     return peak;
@@ -499,16 +552,25 @@ double PeakTemperatureAnalyzer::schedule_peak(
     std::size_t samples_per_epoch, PeakWorkspace& workspace) const {
     const thermal::ThermalModel& model = solver_->model();
     const std::size_t delta = core_power_per_epoch.size();
+    const std::size_t n = model.core_count();
     if (delta == 0 || tau <= 0.0 || samples_per_epoch == 0)
         throw std::invalid_argument("schedule_peak: bad arguments");
-    ensure_list(workspace.deltas_, delta, model.node_count(), /*zero=*/false, workspace.resource());
-    for (std::size_t f = 0; f < delta; ++f)
-        model.pad_power_into(core_power_per_epoch[f], workspace.deltas_[f]);
-    build_modal_targets(workspace.deltas_.data(), delta, workspace);
-    stage_samples(delta, tau, samples_per_epoch, workspace);
+    for (const linalg::Vector& p : core_power_per_epoch)
+        if (p.size() != n)
+            throw std::invalid_argument("schedule_peak: size mismatch");
+    // Only core nodes carry power, so the n core entries, ascending, are the
+    // padded node vector's possible non-zeros in scan order.
+    build_modal_targets(
+        delta, n,
+        [&](std::size_t f, std::size_t j) {
+            return std::pair{j, core_power_per_epoch[f][j]};
+        },
+        workspace);
+    fill_tau_tables(&tau, 1, samples_per_epoch, workspace);
+    stage_samples(delta, 0, samples_per_epoch, workspace);
     project_full(delta, samples_per_epoch, workspace, workspace.core_max_);
     double peak = -1e300;
-    for (std::size_t i = 0; i < model.core_count(); ++i)
+    for (std::size_t i = 0; i < n; ++i)
         peak = std::max(peak, ambient_offset_[i] + workspace.core_max_[i]);
     return peak;
 }
@@ -531,8 +593,8 @@ void PeakTemperatureAnalyzer::static_peaks(const double* core_powers,
         for (std::size_t i = 0; i < n; ++i) padded[i] = core_powers[i];
         for (std::size_t i = n; i < big_n; ++i) padded[i] = 0.0;
         solver_->steady_state_into(padded, ambient_c_, workspace.thermal_,
-                                   workspace.t_idle_);
-        steady = workspace.t_idle_.data();
+                                   workspace.t_static_);
+        steady = workspace.t_static_.data();
     } else {
         std::pmr::vector<double>& padded = workspace.batch_node_power_;
         if (padded.size() < big_n * nrhs) padded.resize(big_n * nrhs);
@@ -590,74 +652,76 @@ void PeakTemperatureAnalyzer::ring_peaks(
     if (samples_per_epoch == 0)
         throw std::invalid_argument(
             "rotation_peak: samples_per_epoch must be > 0");
-    for (const RotationRingSpec& ring : rings)
+    const std::size_t n = solver_->model().core_count();
+    bool active = false;
+    for (const RotationRingSpec& ring : rings) {
         if (ring.slot_power_w.size() != ring.cores.size())
             throw std::invalid_argument(
                 "rotation_peak: ring slot/core size mismatch");
+        sort_ring_positions(ring, n, workspace.ring_order_);
+        active = active || ring_active(ring);
+    }
     if (count == 0) return;
 
-    const thermal::ThermalModel& model = solver_->model();
-    const std::size_t n = model.core_count();
-    const std::size_t big_n = model.node_count();
-
-    // All-idle baseline — shared by every ring and rung.
-    ensure_size(workspace.node_power_, big_n);
-    for (std::size_t i = 0; i < n; ++i)
-        workspace.node_power_[i] = idle_power_w_;
-    for (std::size_t i = n; i < big_n; ++i) workspace.node_power_[i] = 0.0;
-    solver_->steady_state_into(workspace.node_power_, ambient_c_,
-                               workspace.thermal_, workspace.t_idle_);
-
+    // Every exponential of τ, once per interval; an all-idle query is the
+    // baseline alone and needs none.
+    if (active)
+        fill_tau_tables(taus, tau_count, samples_per_epoch, workspace);
     std::pmr::vector<double>& extra = workspace.extra_batch_;
     if (extra.size() < count * n) extra.resize(count * n);
     for (std::size_t i = 0; i < count * n; ++i) extra[i] = 0.0;
     reserve_sample_batch(rings, samples_per_epoch, workspace);
 
     if (truncated_ && core_peak_c == nullptr)
-        pruned_ring_peaks(rings, taus, ring_stride, count, samples_per_epoch,
+        pruned_ring_peaks(rings, ring_stride, count, samples_per_epoch,
                           workspace, peaks);
     else
-        full_ring_peaks(rings, taus, ring_stride, count, samples_per_epoch,
-                        workspace, peaks, core_peak_c);
+        full_ring_peaks(rings, ring_stride, count, samples_per_epoch, workspace,
+                        peaks, core_peak_c);
+}
+
+bool PeakTemperatureAnalyzer::ring_active(const RotationRingSpec& ring) const {
+    for (double p : ring.slot_power_w)
+        if (std::abs(p - idle_power_w_) > 1e-12) return true;
+    return false;
 }
 
 bool PeakTemperatureAnalyzer::ring_targets(const RotationRingSpec& ring,
                                            PeakWorkspace& workspace) const {
-    const std::size_t k = ring.cores.size();
-    if (k == 0) return false;
-    bool any_delta = false;
-    for (double p : ring.slot_power_w)
-        if (std::abs(p - idle_power_w_) > 1e-12) any_delta = true;
-    if (!any_delta) return false;
+    if (!ring_active(ring)) return false;
 
     // Per-epoch power deltas: at epoch f the occupant of initial slot j sits
-    // on cores[(j + f) mod k]. The delta buffers are zeroed because only the
-    // ring's cores are written. Deltas and their modal targets are
-    // τ-independent: build them once, then run only the geometric-series
-    // evaluation per rung.
-    ensure_list(workspace.deltas_, k, solver_->model().node_count(),
-                /*zero=*/true, workspace.resource());
-    for (std::size_t f = 0; f < k; ++f)
-        for (std::size_t pos = 0; pos < k; ++pos) {
-            const std::size_t slot = (pos + k - (f % k)) % k;
-            workspace.deltas_[f][ring.cores[pos]] =
-                ring.slot_power_w[slot] - idle_power_w_;
-        }
-    build_modal_targets(workspace.deltas_.data(), k, workspace);
+    // on cores[(j + f) mod k], so position pos carries slot (pos - f) mod k.
+    // Positions are visited by ascending core, the order a scan of the
+    // padded node vector meets them in. The targets are τ-independent:
+    // build them once, then run only the geometric-series evaluation per
+    // rung.
+    const std::size_t k = ring.cores.size();
+    const std::size_t* order = sort_ring_positions(
+        ring, solver_->model().core_count(), workspace.ring_order_);
+    build_modal_targets(
+        k, k,
+        [&](std::size_t f, std::size_t i) {
+            const std::size_t pos = order[i];
+            return std::pair{ring.cores[pos],
+                             ring.slot_power_w[(pos + k - f) % k] -
+                                 idle_power_w_};
+        },
+        workspace);
     return true;
 }
 
 void PeakTemperatureAnalyzer::full_ring_peaks(
-    const std::vector<RotationRingSpec>& rings, const double* taus,
-    std::size_t ring_stride, std::size_t count, std::size_t samples_per_epoch,
-    PeakWorkspace& workspace, double* peaks, double* core_peak_c) const {
+    const std::vector<RotationRingSpec>& rings, std::size_t ring_stride,
+    std::size_t count, std::size_t samples_per_epoch, PeakWorkspace& workspace,
+    double* peaks, double* core_peak_c) const {
     const std::size_t n = solver_->model().core_count();
     double* extra = workspace.extra_batch_.data();
     for (std::size_t r = 0; r < rings.size(); ++r) {
         if (!ring_targets(rings[r], workspace)) continue;
         const std::size_t k = rings[r].cores.size();
         for (std::size_t t = 0; t < count; ++t) {
-            stage_samples(k, taus[r * ring_stride + t], samples_per_epoch,
+            stage_samples(k, r * ring_stride + t, samples_per_epoch,
                           workspace);
             project_full(k, samples_per_epoch, workspace, workspace.core_max_);
             double* extra_t = extra + t * n;
@@ -671,7 +735,7 @@ void PeakTemperatureAnalyzer::full_ring_peaks(
         double* map_t = core_peak_c ? core_peak_c + t * n : nullptr;
         double peak = -1e300;
         for (std::size_t i = 0; i < n; ++i) {
-            const double core_peak = workspace.t_idle_[i] + extra_t[i];
+            const double core_peak = idle_core_c_[i] + extra_t[i];
             peak = std::max(peak, core_peak);
             if (map_t) map_t[i] = core_peak;
         }
@@ -681,12 +745,12 @@ void PeakTemperatureAnalyzer::full_ring_peaks(
 }
 
 void PeakTemperatureAnalyzer::pruned_ring_peaks(
-    const std::vector<RotationRingSpec>& rings, const double* taus,
-    std::size_t ring_stride, std::size_t count, std::size_t samples_per_epoch,
-    PeakWorkspace& ws, double* peaks) const {
+    const std::vector<RotationRingSpec>& rings, std::size_t ring_stride,
+    std::size_t count, std::size_t samples_per_epoch, PeakWorkspace& ws,
+    double* peaks) const {
     const std::size_t n = solver_->model().core_count();
     const std::size_t k_modes = modes_;
-    const double* t_idle = ws.t_idle_.data();
+    const double* t_idle = idle_core_c_.data();
 
     // Sizing: bound buffers, and every row list at core_count() per rung,
     // so survivor counts can vary freely without re-allocating. A hint from
@@ -721,7 +785,7 @@ void PeakTemperatureAnalyzer::pruned_ring_peaks(
         if (!ring_targets(rings[r], ws)) continue;
         const std::size_t k = rings[r].cores.size();
         for (std::size_t t = 0; t < count; ++t) {
-            stage_samples(k, taus[r * ring_stride + t], samples_per_epoch, ws);
+            stage_samples(k, r * ring_stride + t, samples_per_epoch, ws);
             accumulate_bounds(k, samples_per_epoch, ws,
                               modal + t * 4 * k_modes, row_stats + t * 3 * n);
             const std::size_t* hint = ws.hint_.rows.data() + t * n;
@@ -771,8 +835,7 @@ void PeakTemperatureAnalyzer::pruned_ring_peaks(
             const std::size_t k = rings[r].cores.size();
             for (std::size_t t = 0; t < count; ++t) {
                 if (ws.missing_.len[t] == 0) continue;
-                stage_samples(k, taus[r * ring_stride + t], samples_per_epoch,
-                              ws);
+                stage_samples(k, r * ring_stride + t, samples_per_epoch, ws);
                 const std::size_t* miss = ws.missing_.rows.data() + t * n;
                 for (std::size_t m = 0; m < ws.missing_.len[t]; ++m)
                     extra[t * n + miss[m]] +=

@@ -23,8 +23,9 @@ struct RotationRingSpec {
 /// Caller-owned scratch for PeakTemperatureAnalyzer queries.
 ///
 /// Every run-time query takes one of these; after the first (sizing) call
-/// the query runs without heap allocations — the modal y/z arrays,
-/// geometric e^{λτ} tables and per-ring delta vectors are all reused.
+/// the query runs without heap allocations — the modal y/z arrays, the
+/// per-rung e^{λτ} tables and the sorted ring-position scratch are all
+/// reused.
 /// Buffer lists only ever grow, so alternating between rings of different
 /// sizes does not re-allocate. A workspace may be reused across
 /// analyzers/models (buffers re-size on demand) but must not be shared
@@ -51,14 +52,15 @@ public:
           zs_batch_(mr),
           resp_batch_(mr),
           core_max_(mr),
-          t_idle_(mr),
+          t_static_(mr),
           node_power_(mr),
           extra_batch_(mr),
           batch_node_power_(mr),
           batch_steady_(mr),
-          ek_(mr),
+          ring_order_(mr),
+          tau_modes_(mr),
           ek_pow_(mr),
-          qfrac_(mr),
+          tau_cluster_(mr),
           qpow_(mr),
           bound_modal_(mr),
           bound_rows_(mr),
@@ -93,27 +95,37 @@ private:
         std::pmr::vector<std::size_t> len;
     };
 
+    /// e^{λ̄ τ s/S}, s = 1..S, at the τ entry of the staged samples.
+    const double* staged_qfrac(std::size_t samples_per_epoch) const {
+        return tau_cluster_.data() + staged_tau_ * (samples_per_epoch + 1) + 1;
+    }
+
     friend class PeakTemperatureAnalyzer;
     std::pmr::memory_resource* mr_ = std::pmr::get_default_resource();
     std::vector<linalg::Vector> y_;         ///< modal epoch targets β·P_f
     std::vector<linalg::Vector> z_;         ///< periodic boundary solution
-    std::vector<linalg::Vector> eks_frac_;  ///< intra-epoch decay factors
-    std::vector<linalg::Vector> deltas_;    ///< per-epoch node power deltas
     linalg::Vector coeff_;                  ///< (1-e^{λτ})/(1-e^{λδτ})
     std::pmr::vector<double> zs_batch_;     ///< RHS-major modal samples
     std::pmr::vector<double> resp_batch_;   ///< RHS-major projected responses
     linalg::Vector core_max_;
-    linalg::Vector t_idle_;      ///< idle baseline / one static candidate
+    // static_peaks' single-candidate solve:
+    linalg::Vector t_static_;    ///< its steady state
     linalg::Vector node_power_;  ///< its padded node power
     std::pmr::vector<double> extra_batch_;  ///< rung-major ring response sums
     std::pmr::vector<double> batch_node_power_;  ///< RHS-major padded cands
     std::pmr::vector<double> batch_steady_;      ///< RHS-major batched solves
-    std::pmr::vector<double> ek_;                ///< e^{λ_k τ}
-    std::pmr::vector<double> ek_pow_;            ///< e^{λ_k τ g}, g = 0..δ
+    std::pmr::vector<std::size_t> ring_order_;   ///< ring positions, by core
+    /// Per query τ entry (one per rung, or one per ring for per-ring τ),
+    /// S × K each: row 0 is e^{λ_k τ}, row s the interior factor
+    /// e^{λ_k τ s/S}, s = 1..S-1.
+    std::pmr::vector<double> tau_modes_;
+    std::pmr::vector<double> ek_pow_;  ///< e^{λ_k τ g}, g = 0..δ
     // Truncated-backend correction state (untouched on exact backends):
     std::vector<linalg::Vector> cfield_;  ///< per-epoch dropped core fields
     std::vector<linalg::Vector> cstar_;   ///< dropped periodic boundary state
-    std::pmr::vector<double> qfrac_;      ///< e^{λ̄ τ s/S}, s = 1..S
+    /// Per τ entry, S + 1 each: e^{λ̄ τ}, then e^{λ̄ τ s/S}, s = 1..S.
+    std::pmr::vector<double> tau_cluster_;
+    std::size_t staged_tau_ = 0;          ///< τ entry of the staged samples
     std::pmr::vector<double> qpow_;       ///< e^{λ̄ τ g}, g = 0..δ
     // Pruned rotation maxima (truncated backends, no per-core map):
     std::pmr::vector<double> bound_modal_;  ///< rung-major [Σc | Σx | Σρ | Σ(|c|+ρ)]
@@ -226,16 +238,19 @@ public:
     /// rings it is a safe upper bound whose slack is the (tiny) cross-ring
     /// ripple correlation.
     ///
-    /// The baseline, the per-epoch deltas and their modal targets
-    /// y_f = β·P_f are τ-independent, so they are built once per ring and
-    /// only the geometric-series evaluation runs per rung; each rung's
+    /// The all-idle baseline is a constant of the analyzer, solved once at
+    /// construction. The per-epoch modal targets y_f = β·P_f are
+    /// τ-independent, so they are built once per ring; the e^{λτ} tables
+    /// depend on τ alone, so they are built once per rung; only the
+    /// geometric-series evaluation runs per ring and rung. Each rung's
     /// result is bit-identical to a count-1 query at that interval. When
     /// @p core_peak_c is set it receives each core's sampled peak — baseline
     /// plus summed per-ring response maxima — count × core_count() entries,
     /// rung-major: exactly the values peaks[t] is the maximum of.
     ///
-    /// Throws std::invalid_argument for a τ ≤ 0, @p samples_per_epoch == 0
-    /// or a ring whose slot and core counts differ.
+    /// Throws std::invalid_argument for a τ ≤ 0, @p samples_per_epoch == 0,
+    /// a ring whose slot and core counts differ, or a ring core index that
+    /// is not below core_count() or appears twice in one ring.
     void rotation_peaks(const std::vector<RotationRingSpec>& rings,
                         const double* taus, std::size_t count,
                         std::size_t samples_per_epoch, PeakWorkspace& workspace,
@@ -255,10 +270,10 @@ public:
 
 private:
     /// The one entry point behind both rotation queries. Validates every
-    /// argument and builds the all-idle baseline, then evaluates @p count
-    /// rungs where ring r at rung t rotates every taus[r·ring_stride + t]
-    /// (ring_stride 0: one interval per rung; 1 with count 1: one per ring)
-    /// through full_ring_peaks or, on a truncated backend without a map,
+    /// argument and fills the τ tables, then evaluates @p count rungs where
+    /// ring r at rung t rotates every taus[r·ring_stride + t] (ring_stride
+    /// 0: one interval per rung; 1 with count 1: one per ring) through
+    /// full_ring_peaks or, on a truncated backend without a map,
     /// pruned_ring_peaks. The two differ only in which rows they project.
     void ring_peaks(const std::vector<RotationRingSpec>& rings,
                     const double* taus, std::size_t ring_stride,
@@ -269,8 +284,8 @@ private:
     /// The full-projection rotation rungs (dense backends, map queries):
     /// every core row of every staged sample, per ring and rung.
     void full_ring_peaks(const std::vector<RotationRingSpec>& rings,
-                         const double* taus, std::size_t ring_stride,
-                         std::size_t count, std::size_t samples_per_epoch,
+                         std::size_t ring_stride, std::size_t count,
+                         std::size_t samples_per_epoch,
                          PeakWorkspace& workspace, double* peaks,
                          double* core_peak_c) const;
 
@@ -279,8 +294,8 @@ private:
     /// and the survivor selection per rung, then an exact rebuild pass for
     /// survivors outside the hint only.
     void pruned_ring_peaks(const std::vector<RotationRingSpec>& rings,
-                           const double* taus, std::size_t ring_stride,
-                           std::size_t count, std::size_t samples_per_epoch,
+                           std::size_t ring_stride, std::size_t count,
+                           std::size_t samples_per_epoch,
                            PeakWorkspace& workspace, double* peaks) const;
 
     /// Pre-grows the RHS-major sample staging/projection buffers to the
@@ -290,26 +305,44 @@ private:
                               std::size_t samples_per_epoch,
                               PeakWorkspace& workspace) const;
 
-    /// Builds @p ring's per-epoch power deltas and their modal targets into
-    /// the workspace; false (and nothing built) for an empty or all-idle
-    /// ring, which contributes nothing to any rung.
+    /// Fills the workspace's τ tables for @p entries intervals starting at
+    /// @p taus: every exponential stage_samples needs that depends on τ
+    /// and S only, shared by every ring at that interval.
+    void fill_tau_tables(const double* taus, std::size_t entries,
+                         std::size_t samples_per_epoch,
+                         PeakWorkspace& workspace) const;
+
+    /// True when @p ring has a slot whose power differs from the idle power;
+    /// an empty or all-idle ring contributes nothing to any rung.
+    bool ring_active(const RotationRingSpec& ring) const;
+
+    /// Builds @p ring's per-epoch modal targets (the power deltas against
+    /// the idle baseline) into the workspace; false (and nothing built) for
+    /// an inactive ring. The ring must have passed ring_peaks' validation.
     bool ring_targets(const RotationRingSpec& ring,
                       PeakWorkspace& workspace) const;
 
     /// τ-independent half of Algorithm 1's run-time phase: fills
-    /// workspace.y_ with the modal epoch targets y_f = β·P_f of the @p delta
-    /// node-power vectors starting at @p node_power_per_epoch, so one ring
-    /// can be evaluated at many rotation intervals without redoing the
-    /// (dominant) β projections.
-    void build_modal_targets(const linalg::Vector* node_power_per_epoch,
-                             std::size_t delta, PeakWorkspace& workspace) const;
+    /// workspace.y_ with the modal epoch targets y_f = β·P_f (and the
+    /// dropped-cluster fields c_f on truncated backends) of @p delta sparse
+    /// power vectors, so one ring can be evaluated at many rotation
+    /// intervals without redoing the (dominant) β projections.
+    /// @p epoch_power(f, i) returns the i-th of @p support (node, watts)
+    /// entries of epoch f, nodes ascending: the order a dense scan of P_f
+    /// would visit them in, so the sums keep its bits. Exact zeros are
+    /// skipped.
+    template <class EpochPower>
+    void build_modal_targets(std::size_t delta, std::size_t support,
+                             const EpochPower& epoch_power,
+                             PeakWorkspace& workspace) const;
 
     /// τ-dependent half: consumes workspace.y_ (left untouched, so it may be
-    /// re-evaluated at another τ), solves the periodic boundary states and
-    /// stages all δ·S modal samples RHS-major in workspace.zs_batch_ (plus
-    /// the dropped-cluster states on truncated backends). The project_*
-    /// functions below then read the staged samples.
-    void stage_samples(std::size_t delta, double tau,
+    /// re-evaluated at another τ) and the τ tables at @p tau_entry, solves
+    /// the periodic boundary states and stages all δ·S modal samples
+    /// RHS-major in workspace.zs_batch_ (plus the dropped-cluster states on
+    /// truncated backends). The project_* functions below then read the
+    /// staged samples.
+    void stage_samples(std::size_t delta, std::size_t tau_entry,
                        std::size_t samples_per_epoch,
                        PeakWorkspace& workspace) const;
 
@@ -348,6 +381,7 @@ private:
     std::size_t modes_;              ///< retained mode count K (design-time)
     bool truncated_;                 ///< dropped-cluster corrections active
     double cluster_pole_;            ///< λ̄ of the dropped cluster (< 0)
+    const linalg::Vector idle_core_c_;  ///< all-idle steady state, core rows
     linalg::Matrix beta_;            ///< K x N  V^{-1} B^{-1} (design-time)
     linalg::Matrix beta_t_;          ///< β^T: row j = β column j (cache-friendly
                                      ///< accumulation over sparse power vectors)

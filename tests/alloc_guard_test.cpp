@@ -490,12 +490,29 @@ TEST(AllocGuard, WarmedPrunedRotationPeaksAreAllocationFree) {
     core::PeakWorkspace cold_sparse, cold_dense;
     EXPECT_NE(query(sparse, cold_sparse), query(dense, cold_dense));
 
+    // HotPotato's whole τ ladder in one call (the prefetch), and an
+    // explicit schedule: the per-rung τ tables, the sorted ring positions
+    // and the hint lists must all be sized by the warm-up.
+    const std::vector<double> ladder = core::HotPotatoParams{}.tau_ladder_s;
+    std::vector<double> ladder_peaks(ladder.size());
+    const std::size_t n = setup.model().core_count();
+    std::vector<linalg::Vector> schedule(3, linalg::Vector(n, 0.3));
+    for (std::size_t f = 0; f < schedule.size(); ++f)
+        schedule[f][sparse[0].cores[f % sparse[0].cores.size()]] = 6.0;
+    const auto rest = [&] {
+        analyzer.rotation_peaks(dense, ladder.data(), ladder.size(), 2, ws,
+                                ladder_peaks.data());
+        (void)analyzer.schedule_peak(schedule, 0.5e-3, 2, ws);
+    };
+
     (void)query(sparse, ws);  // warm
     (void)query(dense, ws);
+    rest();
     const std::uint64_t before = alloc_count();
     for (int i = 0; i < 10; ++i) {
         (void)query(sparse, ws);
         (void)query(dense, ws);
+        rest();
     }
     EXPECT_EQ(alloc_count() - before, 0u);
 }
@@ -512,14 +529,27 @@ TEST(AllocGuard, WarmedRotationPeakIsAllocationFree) {
     linalg::Vector static_power(setup.model().core_count(), 0.3);
     static_power[27] = 6.0;
 
-    (void)test::rotation_peak(analyzer, rings, 0.5e-3, 2, ws);  // warm
-    (void)test::static_peak(analyzer, static_power, ws);
-
-    const std::uint64_t before = alloc_count();
-    for (int i = 0; i < 20; ++i) {
+    // The full τ ladder with and without a per-core map, and an explicit
+    // schedule of the ring's first three epochs.
+    const std::vector<double> ladder = core::HotPotatoParams{}.tau_ladder_s;
+    std::vector<double> ladder_peaks(ladder.size());
+    std::vector<double> map(ladder.size() * setup.model().core_count());
+    std::vector<linalg::Vector> schedule(3, static_power);
+    for (std::size_t f = 0; f < schedule.size(); ++f)
+        schedule[f][ring.cores[f + 1]] = 5.0;
+    const auto query = [&] {
         (void)test::rotation_peak(analyzer, rings, 0.5e-3, 2, ws);
         (void)test::static_peak(analyzer, static_power, ws);
-    }
+        analyzer.rotation_peaks(rings, ladder.data(), ladder.size(), 2, ws,
+                                ladder_peaks.data());
+        analyzer.rotation_peaks(rings, ladder.data(), ladder.size(), 2, ws,
+                                ladder_peaks.data(), map.data());
+        (void)analyzer.schedule_peak(schedule, 0.5e-3, 2, ws);
+    };
+
+    query();  // warm
+    const std::uint64_t before = alloc_count();
+    for (int i = 0; i < 20; ++i) query();
     EXPECT_EQ(alloc_count() - before, 0u);
 }
 

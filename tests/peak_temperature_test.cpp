@@ -1,5 +1,7 @@
 #include <cmath>
+#include <cstring>
 #include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -144,6 +146,9 @@ TEST(Algorithm1, InvalidInputsThrow) {
     EXPECT_THROW(
         (void)f.analyzer.schedule_peak({Vector(16, 1.0)}, 1e-3, 0, f.ws),
         std::invalid_argument);
+    EXPECT_THROW((void)f.analyzer.schedule_peak(
+                     {Vector(16, 1.0), Vector(15, 1.0)}, 1e-3, 2, f.ws),
+                 std::invalid_argument);
 }
 
 // -------------------------------------------------------------- peak temp ---
@@ -302,8 +307,38 @@ TEST(RotationPeak, SlateRejectsInvalidArguments) {
         RotationRingSpec{{5, 6}, {1.0}}};
     EXPECT_THROW(f.analyzer.rotation_peaks(bad, &tau, 1, 2, f.ws, peaks),
                  std::invalid_argument);
-    // The workspace is still usable after a rejected query.
+    // Ring cores must be distinct core indices: 16 is the first non-core
+    // node of this chip, and a repeated core would be two slots on one
+    // core. An all-idle ring is checked too, and so is the map path.
+    const std::size_t n = f.model.core_count();
+    ASSERT_GT(f.model.node_count(), n);
+    const std::vector<std::vector<std::size_t>> bad_cores = {
+        {5, 6, n, 9}, {5, 6, 1000000, 9}, {5, 6, 5, 9}, {9, 9}};
+    std::vector<double> map(2 * n);
+    for (const auto& cores : bad_cores) {
+        SCOPED_TRACE(::testing::PrintToString(cores));
+        const std::vector<RotationRingSpec> busy = {
+            rings[0], RotationRingSpec{cores, std::vector<double>(
+                                                  cores.size(), 4.0)}};
+        const std::vector<RotationRingSpec> idle = {
+            rings[0], RotationRingSpec{cores, std::vector<double>(
+                                                  cores.size(), kIdle)}};
+        EXPECT_THROW(
+            f.analyzer.rotation_peaks(busy, &tau, 1, 2, f.ws, peaks),
+            std::invalid_argument);
+        EXPECT_THROW(f.analyzer.rotation_peaks(idle, &tau, 1, 2, f.ws, peaks,
+                                               map.data()),
+                     std::invalid_argument);
+        EXPECT_THROW(f.analyzer.rotation_peak(busy, {tau, tau}, 2, f.ws),
+                     std::invalid_argument);
+    }
+    // The workspace is still usable after a rejected query: same bits as a
+    // fresh one.
     EXPECT_NO_THROW(f.analyzer.rotation_peaks(rings, &tau, 1, 2, f.ws, peaks));
+    hp::core::PeakWorkspace fresh;
+    double want;
+    f.analyzer.rotation_peaks(rings, &tau, 1, 2, fresh, &want);
+    EXPECT_EQ(0, std::memcmp(&want, &peaks[0], sizeof(double)));
 }
 
 TEST(RotationPeak, MoreThreadsRaisePeak) {
