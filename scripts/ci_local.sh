@@ -150,9 +150,10 @@ if [[ -d "$MODAL_DIR" ]]; then
   note "modal solver: full suite under HOTPOTATO_SOLVER=modal"
   HOTPOTATO_SOLVER=modal \
     ctest --test-dir "$MODAL_DIR" --output-on-failure -j "$JOBS"
-  # The modal hot path rides the batched SpMM/matmat kernels, so the forced
-  # modal suite also runs under each pinned dispatch tier (scalar guards the
-  # portable fallback, avx2 the vectorised lane-major kernels).
+  # Only modal backends take Algorithm 1's bound-pruned path, whose per-tier
+  # kernels are matmat and bound_matvec, so the forced modal suite also runs
+  # under each pinned dispatch tier (scalar guards the portable fallback,
+  # avx2 the FMA reductions).
   for tier in scalar avx2; do
     note "modal solver: full suite under HOTPOTATO_SOLVER=modal HOTPOTATO_DISPATCH=$tier"
     HOTPOTATO_SOLVER=modal HOTPOTATO_DISPATCH="$tier" \
@@ -165,10 +166,11 @@ fi
 # ---- fault matrix ----------------------------------------------------------
 # Mirrors the `fault-matrix` CI job: the resilience suite (kill-and-resume,
 # journal corruption, deadline watchdog, retry against an intermittently-
-# failing scheduler factory, CLI exit codes) under ASan+UBSan, repeated to
+# failing scheduler factory, the metrics JSON reader journal resume decodes
+# through, CLI exit codes) under ASan+UBSan, repeated to
 # shake out scheduling-dependent flakiness. Reuses the asan build when the
 # full leg ran; otherwise falls back to the first build-test tree.
-FAULT_MATRIX_RE='ResumeAfterKill|Journal|Resume\.|RetryPolicy|FailureClassification|DeadlineWatchdog|AtomicExports|JsonExport|CliExitCodes|CliRun\.Campaign'
+FAULT_MATRIX_RE='ResumeAfterKill|Journal|Resume\.|RetryPolicy|FailureClassification|DeadlineWatchdog|AtomicExports|JsonExport|MetricsJson|CliExitCodes|CliRun\.Campaign'
 FAULT_DIR="$BUILD_ROOT/asan"
 [[ -d "$FAULT_DIR" ]] || FAULT_DIR="$BUILD_ROOT/${COMPILERS[0]%%:*}-${BUILD_TYPES[0]}"
 if [[ -d "$FAULT_DIR" ]]; then

@@ -75,40 +75,6 @@ void scalar_div_scalar(std::size_t n, double s, double* x) {
     for (std::size_t i = 0; i < n; ++i) x[i] /= s;
 }
 
-void scalar_spmm(std::size_t rows, const std::size_t* row_ptr,
-                 const std::size_t* col, const double* val, const double* xs,
-                 std::size_t nrhs, double* ys) {
-    // Blocks of 4 lanes stream the row's nonzeros once per block; every lane
-    // owns one accumulator over ascending p — the CSR matvec order.
-    for (std::size_t i = 0; i < rows; ++i) {
-        const std::size_t begin = row_ptr[i];
-        const std::size_t end = row_ptr[i + 1];
-        double* out = ys + i * nrhs;
-        std::size_t r = 0;
-        for (; r + 4 <= nrhs; r += 4) {
-            double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-            for (std::size_t p = begin; p < end; ++p) {
-                const double v = val[p];
-                const double* x = xs + col[p] * nrhs + r;
-                a0 += v * x[0];
-                a1 += v * x[1];
-                a2 += v * x[2];
-                a3 += v * x[3];
-            }
-            out[r + 0] = a0;
-            out[r + 1] = a1;
-            out[r + 2] = a2;
-            out[r + 3] = a3;
-        }
-        for (; r < nrhs; ++r) {
-            double acc = 0.0;
-            for (std::size_t p = begin; p < end; ++p)
-                acc += val[p] * xs[col[p] * nrhs + r];
-            out[r] = acc;
-        }
-    }
-}
-
 void scalar_bound_matvec(const double* a, std::size_t rows, std::size_t cols,
                          const double* xs, double* ys) {
     const double* c = xs;
@@ -135,7 +101,7 @@ void scalar_bound_matvec(const double* a, std::size_t rows, std::size_t cols,
 constexpr KernelTable kScalarTable = {
     scalar_matvec, scalar_matmat,  scalar_axpy,      scalar_scale,
     scalar_hadamard, scalar_fma_acc, scalar_max_acc, scalar_decay_mix,
-    scalar_div_scalar, scalar_spmm, scalar_bound_matvec,
+    scalar_div_scalar, scalar_bound_matvec,
 };
 
 // --- AVX2 + FMA tier --------------------------------------------------------
@@ -306,40 +272,6 @@ __attribute__((target("avx2"))) void avx2_div_scalar(std::size_t n, double s,
     for (; i < n; ++i) x[i] /= s;
 }
 
-__attribute__((target("avx2"))) void avx2_spmm(std::size_t rows,
-                                               const std::size_t* row_ptr,
-                                               const std::size_t* col,
-                                               const double* val,
-                                               const double* xs,
-                                               std::size_t nrhs, double* ys) {
-    // Vectorised across the 4 contiguous lanes of the lane-major block, NOT
-    // across the reduction: each lane's accumulator advances through the
-    // nonzeros in ascending order with separate multiply and add (no FMA),
-    // replicating scalar_spmm — and hence the CSR matvec — bit for bit.
-    for (std::size_t i = 0; i < rows; ++i) {
-        const std::size_t begin = row_ptr[i];
-        const std::size_t end = row_ptr[i + 1];
-        double* out = ys + i * nrhs;
-        std::size_t r = 0;
-        for (; r + 4 <= nrhs; r += 4) {
-            __m256d acc = _mm256_setzero_pd();
-            for (std::size_t p = begin; p < end; ++p) {
-                const __m256d prod =
-                    _mm256_mul_pd(_mm256_set1_pd(val[p]),
-                                  _mm256_loadu_pd(xs + col[p] * nrhs + r));
-                acc = _mm256_add_pd(acc, prod);
-            }
-            _mm256_storeu_pd(out + r, acc);
-        }
-        for (; r < nrhs; ++r) {
-            double acc = 0.0;
-            for (std::size_t p = begin; p < end; ++p)
-                acc += val[p] * xs[col[p] * nrhs + r];
-            out[r] = acc;
-        }
-    }
-}
-
 __attribute__((target("avx2,fma"))) void avx2_bound_matvec(
     const double* a, std::size_t rows, std::size_t cols, const double* xs,
     double* ys) {
@@ -383,7 +315,7 @@ __attribute__((target("avx2,fma"))) void avx2_bound_matvec(
 constexpr KernelTable kAvx2Table = {
     avx2_matvec,  avx2_matmat,  avx2_axpy,      avx2_scale,
     avx2_hadamard, avx2_fma_acc, avx2_max_acc,  avx2_decay_mix,
-    avx2_div_scalar, avx2_spmm,  avx2_bound_matvec,
+    avx2_div_scalar, avx2_bound_matvec,
 };
 
 #endif  // HP_SIMD_X86

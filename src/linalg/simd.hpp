@@ -18,10 +18,6 @@ namespace hp::linalg::simd {
 //    in every tier — no fused multiply-add, no reassociation — so they are
 //    bit-identical across tiers (simd.cpp is compiled with -ffp-contract=off
 //    to keep the compiler from fusing them behind our back).
-//  * spmm keeps one accumulator per RHS lane in the sequential CSR matvec
-//    order (ascending nonzeros, multiply and add never fused): the AVX2 tier
-//    vectorises *across lanes*, not across the reduction, so spmm is
-//    bit-identical across tiers and, per lane, to the CSR matvec.
 //  * Reduction kernels (matvec, matmat) reassociate the per-row dot product
 //    in the AVX2 tier (4-lane FMA accumulator); scalar and AVX2 results
 //    agree to rounding (~1e-14 relative for this code base's N≈129 systems)
@@ -68,17 +64,6 @@ struct KernelTable {
                       const double* y, double* out);
     /// x[i] /= s (IEEE division: bit-identical in every tier).
     void (*div_scalar)(std::size_t n, double s, double* x);
-    /// CSR sparse matrix times a *lane-major* RHS block:
-    /// ys[i·nrhs + r] = Σ_p val[p]·xs[col[p]·nrhs + r] over row i's nonzeros
-    /// (element (node c, RHS r) lives at c·nrhs + r, so the r-lanes of one
-    /// node are contiguous — the layout that makes the AVX2 tier's loads
-    /// unit-stride). Every lane keeps one accumulator over ascending p with
-    /// separate multiply and add (never fused), which is exactly the
-    /// sequential CSR matvec order — so lane r is bit-identical to a
-    /// per-column matvec AND the whole kernel is bit-identical across tiers.
-    void (*spmm)(std::size_t rows, const std::size_t* row_ptr,
-                 const std::size_t* col, const double* val, const double* xs,
-                 std::size_t nrhs, double* ys);
     /// Four dot products per row from one pass over A, for the bound stage
     /// of Algorithm 1's pruned maxima: with xs = [c | x | r | m] (four
     /// RHS-major vectors of cols entries) it writes ys = [A·c | A·x | |A|·r

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "linalg/matrix.hpp"
-#include "linalg/simd.hpp"
 
 namespace hp::linalg {
 
@@ -52,16 +51,6 @@ public:
                 acc += val_[p] * x[col_[p]];
             y[i] = acc;
         }
-    }
-
-    /// ys = A·xs for @p nrhs lane-major right-hand sides: element
-    /// (node c, RHS r) of @p xs lives at c·nrhs + r, outputs likewise at
-    /// row·nrhs + r. Dispatches to the active SIMD tier's spmm, whose
-    /// cross-tier contract makes lane r bit-identical to matvec_into on
-    /// column r in every tier. @p ys must not alias @p xs. No allocations.
-    void spmm_into(const double* xs, std::size_t nrhs, double* ys) const {
-        simd::kernels().spmm(rows_, row_ptr_.data(), col_.data(), val_.data(),
-                             xs, nrhs, ys);
     }
 
     /// Scales row i by s[i] in place (builds C = -A^{-1}B from CSR(B)).

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "textio/textio.hpp"
 
 namespace hp::obs {
 
@@ -175,23 +177,17 @@ public:
         expect('"');
         return out;
     }
+    // Numbers are whole tokens in the shared textio grammar; a bad one
+    // fails at the offset of its first character.
     double parse_number() {
-        skip_ws();
-        const char* start = s_.c_str() + i_;
-        char* end = nullptr;
-        const double v = std::strtod(start, &end);
-        if (end == start) fail("expected a number");
-        i_ += static_cast<std::size_t>(end - start);
-        return v;
+        const std::string_view token = number_token();
+        if (const auto v = textio::parse_f64(token)) return *v;
+        fail_at(token, "expected a number");
     }
     std::uint64_t parse_uint() {
-        skip_ws();
-        const char* start = s_.c_str() + i_;
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(start, &end, 10);
-        if (end == start) fail("expected an unsigned integer");
-        i_ += static_cast<std::size_t>(end - start);
-        return v;
+        const std::string_view token = number_token();
+        if (const auto v = textio::parse_u64(token)) return *v;
+        fail_at(token, "expected an unsigned integer");
     }
     void end() {
         skip_ws();
@@ -203,6 +199,21 @@ public:
     }
 
 private:
+    /// The token at the cursor: everything up to the next blank, ',', ']'
+    /// or '}'.
+    std::string_view number_token() {
+        skip_ws();
+        const std::size_t start = i_;
+        while (i_ < s_.size() &&
+               std::string_view(" \n\t\r,]}").find(s_[i_]) ==
+                   std::string_view::npos)
+            ++i_;
+        return std::string_view(s_).substr(start, i_ - start);
+    }
+    [[noreturn]] void fail_at(std::string_view token, const std::string& why) {
+        i_ = static_cast<std::size_t>(token.data() - s_.data());
+        fail(why);
+    }
     void skip_ws() {
         while (i_ < s_.size() &&
                (s_[i_] == ' ' || s_[i_] == '\n' || s_[i_] == '\t' ||

@@ -134,34 +134,6 @@ void MatExSolver::apply_exponential_into(const linalg::Vector& x, double dt,
     linalg::matvec_into(v_, workspace.modal, out);
 }
 
-void MatExSolver::apply_exponential_batch_into(const double* xs,
-                                               std::size_t nrhs, double dt,
-                                               ThermalWorkspace& workspace,
-                                               double* outs) const {
-    const std::size_t n = lambda_.size();
-    if (nrhs == 0) return;
-    workspace.resize(n);
-    // Project, decay, project back — one multi-RHS pass each; per RHS the
-    // operation sequence matches apply_exponential_into exactly. xs is fully
-    // consumed before outs is written, so outs may alias xs.
-    std::pmr::vector<double>& modal = workspace.batch_modal(n * nrhs);
-    linalg::kernel_matmat(v_inv_.data(), n, n, xs, nrhs, modal.data());
-    const double* decay = workspace.exp_table(lambda_, dt);
-    for (std::size_t r = 0; r < nrhs; ++r)
-        linalg::kernel_hadamard(n, decay, modal.data() + r * n);
-    linalg::kernel_matmat(v_.data(), n, n, modal.data(), nrhs, outs);
-}
-
-linalg::Matrix MatExSolver::exponential(double dt) const {
-    const std::size_t n = lambda_.size();
-    linalg::Matrix scaled = v_;
-    for (std::size_t k = 0; k < n; ++k) {
-        const double e = std::exp(lambda_[k] * dt);
-        for (std::size_t i = 0; i < n; ++i) scaled(i, k) *= e;
-    }
-    return scaled * v_inv_;
-}
-
 linalg::Vector MatExSolver::transient(const linalg::Vector& t_init,
                                       const linalg::Vector& node_power,
                                       double ambient_celsius, double dt) const {
@@ -186,35 +158,6 @@ void MatExSolver::transient_into(const linalg::Vector& t_init,
     apply_exponential_into(workspace.offset, dt, workspace, out);
     for (std::size_t i = 0; i < n; ++i)
         out[i] = workspace.steady[i] + out[i];
-}
-
-void MatExSolver::transient_batch_into(const linalg::Vector& t_init,
-                                       const double* node_powers,
-                                       std::size_t nrhs,
-                                       double ambient_celsius, double dt,
-                                       ThermalWorkspace& workspace,
-                                       double* outs) const {
-    const std::size_t n = lambda_.size();
-    if (t_init.size() != n)
-        throw std::invalid_argument("transient: t_init size mismatch");
-    if (nrhs == 0) return;
-    workspace.resize(n);
-    std::pmr::vector<double>& steady = workspace.batch_steady(n * nrhs);
-    steady_state_batch_into(node_powers, nrhs, ambient_celsius, workspace,
-                            steady.data());
-    // Offsets are built directly in outs (the batched exponential may run
-    // in place), with transient_into's subtraction and final-add order.
-    for (std::size_t r = 0; r < nrhs; ++r) {
-        const double* st = steady.data() + r * n;
-        double* o = outs + r * n;
-        for (std::size_t i = 0; i < n; ++i) o[i] = t_init[i] - st[i];
-    }
-    apply_exponential_batch_into(outs, nrhs, dt, workspace, outs);
-    for (std::size_t r = 0; r < nrhs; ++r) {
-        const double* st = steady.data() + r * n;
-        double* o = outs + r * n;
-        for (std::size_t i = 0; i < n; ++i) o[i] = st[i] + o[i];
-    }
 }
 
 Peak MatExSolver::peak_core_temperature_exact(
@@ -322,24 +265,6 @@ Peak MatExSolver::peak_core_temperature_exact(
         }
     }
     return best;
-}
-
-double MatExSolver::peak_core_temperature(const linalg::Vector& t_init,
-                                          const linalg::Vector& node_power,
-                                          double ambient_celsius, double dt,
-                                          std::size_t samples) const {
-    if (samples == 0)
-        throw std::invalid_argument("peak_core_temperature: samples must be > 0");
-    const linalg::Vector steady = steady_state(node_power, ambient_celsius);
-    const linalg::Vector offset = t_init - steady;
-    double peak = -1e300;
-    for (std::size_t s = 1; s <= samples; ++s) {
-        const double t = dt * static_cast<double>(s) / static_cast<double>(samples);
-        const linalg::Vector temp = steady + apply_exponential(offset, t);
-        for (std::size_t i = 0; i < model_->core_count(); ++i)
-            peak = std::max(peak, temp[i]);
-    }
-    return peak;
 }
 
 std::unique_ptr<const TransientSolver> MatExSolver::clone_rebound(

@@ -95,19 +95,6 @@ public:
                                 ThermalWorkspace& workspace,
                                 linalg::Vector& out) const override;
 
-    /// Batched apply_exponential_into: applies e^{C·dt} to @p nrhs RHS-major
-    /// vectors (RHS r occupies [r·N, (r+1)·N) of @p xs and @p outs) through
-    /// one pair of multi-RHS projections. Each RHS keeps the single-vector
-    /// accumulation order, so output r is bit-identical to
-    /// apply_exponential_into on input r. @p outs may alias @p xs.
-    void apply_exponential_batch_into(const double* xs, std::size_t nrhs,
-                                      double dt, ThermalWorkspace& workspace,
-                                      double* outs) const override;
-
-    /// Materialises the full matrix e^{C·dt} (O(N^3); used by caches and
-    /// tests, not in per-epoch simulation).
-    linalg::Matrix exponential(double dt) const override;
-
     /// Exact temperature after holding @p node_power constant for @p dt
     /// seconds starting from @p t_init (paper Eq. (4)).
     linalg::Vector transient(const linalg::Vector& t_init,
@@ -123,26 +110,6 @@ public:
                         double ambient_celsius, double dt,
                         ThermalWorkspace& workspace,
                         linalg::Vector& out) const override;
-
-    /// Batched transient_into from one shared @p t_init across @p nrhs
-    /// RHS-major node-power vectors: batched steady solve, offsets built in
-    /// place, one batched exponential, steady added back. Output r is
-    /// bit-identical to transient_into with power vector r. @p outs must not
-    /// alias @p node_powers.
-    void transient_batch_into(const linalg::Vector& t_init,
-                              const double* node_powers, std::size_t nrhs,
-                              double ambient_celsius, double dt,
-                              ThermalWorkspace& workspace,
-                              double* outs) const override;
-
-    /// Largest core temperature reached anywhere in (0, dt] while holding
-    /// @p node_power, conservatively estimated by sampling @p samples points
-    /// of the exact solution (the per-node transient is not monotonic, so the
-    /// endpoint alone can miss an interior hump).
-    double peak_core_temperature(const linalg::Vector& t_init,
-                                 const linalg::Vector& node_power,
-                                 double ambient_celsius, double dt,
-                                 std::size_t samples = 8) const override;
 
     /// Exact peak core temperature over [0, dt] via the MatEx method
     /// (Pagani et al.): per core the transient is a sum of decaying

@@ -328,60 +328,6 @@ void TruncatedModalSolver::propagate_modal(const double* x, double dt,
     linalg::kernel_matvec(v_k_.data(), total_, kept_, w, out);
 }
 
-void TruncatedModalSolver::propagate_taylor_batch(const double* xs,
-                                                  std::size_t nrhs, double dt,
-                                                  ThermalWorkspace& ws,
-                                                  double* outs) const {
-    const std::size_t n = total_;
-    const std::size_t m = substeps_for(dt);
-    const double h = dt / static_cast<double>(m);
-    // Node-major lane blocks: element (node i, RHS r) at i·nrhs + r, the
-    // layout spmm streams with unit-stride lane loads. The axpy updates are
-    // element-wise (no cross-element accumulation), so running them over the
-    // whole block performs exactly the per-RHS operations of
-    // propagate_taylor; spmm's per-lane contract covers the matvecs — every
-    // column therefore matches the single-RHS propagator bit for bit.
-    double* r = ws.batch_taylor_r(n * nrhs).data();
-    double* t1 = ws.batch_taylor_t1(n * nrhs).data();
-    double* t2 = ws.batch_taylor_t2(n * nrhs).data();
-    for (std::size_t c = 0; c < nrhs; ++c) {
-        const double* x = xs + c * n;
-        for (std::size_t i = 0; i < n; ++i) r[i * nrhs + c] = x[i];
-    }
-    const std::size_t elems = n * nrhs;
-    for (std::size_t step = 0; step < m; ++step) {
-        // r ← r + h·Cr + h²/2·C²r + h³/6·C³r; three O(nnz) sparse passes,
-        // each advancing every right-hand side.
-        c_sparse_.spmm_into(r, nrhs, t1);
-        c_sparse_.spmm_into(t1, nrhs, t2);
-        linalg::kernel_axpy(elems, h, t1, r);
-        linalg::kernel_axpy(elems, 0.5 * h * h, t2, r);
-        c_sparse_.spmm_into(t2, nrhs, t1);
-        linalg::kernel_axpy(elems, h * h * h / 6.0, t1, r);
-    }
-    for (std::size_t c = 0; c < nrhs; ++c) {
-        double* o = outs + c * n;
-        for (std::size_t i = 0; i < n; ++i) o[i] = r[i * nrhs + c];
-    }
-}
-
-void TruncatedModalSolver::propagate_modal_batch(const double* xs,
-                                                 std::size_t nrhs, double dt,
-                                                 ThermalWorkspace& ws,
-                                                 double* outs) const {
-    // One matmat each way replaces the per-RHS matvec pair; matmat keeps
-    // matvec's accumulation order per RHS and the decay is the same memoised
-    // table the single path reads, so every output column is bit-identical
-    // to propagate_modal. The first matmat fully consumes xs before outs is
-    // written, so outs may alias xs.
-    double* w = ws.batch_modal(kept_ * nrhs).data();
-    linalg::kernel_matmat(w_k_.data(), kept_, total_, xs, nrhs, w);
-    const double* e = ws.exp_table(lambda_k_, dt);
-    for (std::size_t r = 0; r < nrhs; ++r)
-        linalg::kernel_hadamard(kept_, e, w + r * kept_);
-    linalg::kernel_matmat(v_k_.data(), total_, kept_, w, nrhs, outs);
-}
-
 void TruncatedModalSolver::apply_exponential_raw(const double* x, double dt,
                                                  ThermalWorkspace& ws,
                                                  double* out) const {
@@ -413,34 +359,6 @@ void TruncatedModalSolver::apply_exponential_into(const linalg::Vector& x,
     workspace.resize(total_);
     if (out.size() != total_) out = linalg::Vector(total_);
     apply_exponential_raw(x.data(), dt, workspace, out.data());
-}
-
-void TruncatedModalSolver::apply_exponential_batch_into(
-    const double* xs, std::size_t nrhs, double dt, ThermalWorkspace& workspace,
-    double* outs) const {
-    if (nrhs == 0) return;
-    workspace.resize(total_);
-    // Same horizon split as apply_exponential_raw, but the whole batch moves
-    // through the chosen propagator together: the modal side collapses 2·nrhs
-    // matvecs into two matmats, the Taylor side streams each CSR nonzero once
-    // per substep for all columns. Both batch propagators allow outs == xs.
-    if (!truncated() || dt >= tau_switch_s_)
-        propagate_modal_batch(xs, nrhs, dt, workspace, outs);
-    else
-        propagate_taylor_batch(xs, nrhs, dt, workspace, outs);
-}
-
-linalg::Matrix TruncatedModalSolver::exponential(double dt) const {
-    ThermalWorkspace ws(total_);
-    linalg::Matrix out(total_, total_);
-    linalg::Vector e(total_, 0.0), col(total_);
-    for (std::size_t j = 0; j < total_; ++j) {
-        e[j] = 1.0;
-        apply_exponential_raw(e.data(), dt, ws, col.data());
-        e[j] = 0.0;
-        for (std::size_t i = 0; i < total_; ++i) out(i, j) = col[i];
-    }
-    return out;
 }
 
 linalg::Vector TruncatedModalSolver::transient(const linalg::Vector& t_init,
@@ -475,56 +393,6 @@ void TruncatedModalSolver::transient_into(const linalg::Vector& t_init,
     apply_exponential_raw(workspace.offset.data(), dt, workspace, out.data());
     for (std::size_t i = 0; i < n; ++i)
         out[i] = workspace.steady[i] + out[i];
-}
-
-void TruncatedModalSolver::transient_batch_into(
-    const linalg::Vector& t_init, const double* node_powers, std::size_t nrhs,
-    double ambient_celsius, double dt, ThermalWorkspace& workspace,
-    double* outs) const {
-    const std::size_t n = total_;
-    if (t_init.size() != n)
-        throw std::invalid_argument("transient: t_init size mismatch");
-    if (nrhs == 0) return;
-    workspace.resize(n);
-    std::pmr::vector<double>& steady = workspace.batch_steady(n * nrhs);
-    steady_state_batch_into(node_powers, nrhs, ambient_celsius, workspace,
-                            steady.data());
-    // Offsets for every RHS first, then a single batched decay (outs aliases
-    // its own input), then the steady states added back — element-wise ops in
-    // the same per-column order as the single-RHS path, so each column stays
-    // bit-identical to transient_into.
-    for (std::size_t r = 0; r < nrhs; ++r) {
-        const double* st = steady.data() + r * n;
-        double* o = outs + r * n;
-        for (std::size_t i = 0; i < n; ++i) o[i] = t_init[i] - st[i];
-    }
-    apply_exponential_batch_into(outs, nrhs, dt, workspace, outs);
-    for (std::size_t r = 0; r < nrhs; ++r) {
-        const double* st = steady.data() + r * n;
-        double* o = outs + r * n;
-        for (std::size_t i = 0; i < n; ++i) o[i] = st[i] + o[i];
-    }
-}
-
-double TruncatedModalSolver::peak_core_temperature(
-    const linalg::Vector& t_init, const linalg::Vector& node_power,
-    double ambient_celsius, double dt, std::size_t samples) const {
-    if (samples == 0)
-        throw std::invalid_argument(
-            "peak_core_temperature: need at least one sample");
-    ThermalWorkspace ws(total_);
-    linalg::Vector steady(total_), offset(total_), resp(total_);
-    steady_state_into(node_power, ambient_celsius, ws, steady);
-    for (std::size_t i = 0; i < total_; ++i) offset[i] = t_init[i] - steady[i];
-    double peak = -1e300;
-    for (std::size_t s = 1; s <= samples; ++s) {
-        const double t =
-            dt * static_cast<double>(s) / static_cast<double>(samples);
-        apply_exponential_raw(offset.data(), t, ws, resp.data());
-        for (std::size_t i = 0; i < model_->core_count(); ++i)
-            peak = std::max(peak, steady[i] + resp[i]);
-    }
-    return peak;
 }
 
 Peak TruncatedModalSolver::peak_core_temperature_exact(

@@ -98,10 +98,6 @@ public:
     void apply_exponential_into(const linalg::Vector& x, double dt,
                                 ThermalWorkspace& workspace,
                                 linalg::Vector& out) const override;
-    void apply_exponential_batch_into(const double* xs, std::size_t nrhs,
-                                      double dt, ThermalWorkspace& workspace,
-                                      double* outs) const override;
-    linalg::Matrix exponential(double dt) const override;
 
     linalg::Vector transient(const linalg::Vector& t_init,
                              const linalg::Vector& node_power,
@@ -111,16 +107,7 @@ public:
                         double ambient_celsius, double dt,
                         ThermalWorkspace& workspace,
                         linalg::Vector& out) const override;
-    void transient_batch_into(const linalg::Vector& t_init,
-                              const double* node_powers, std::size_t nrhs,
-                              double ambient_celsius, double dt,
-                              ThermalWorkspace& workspace,
-                              double* outs) const override;
 
-    double peak_core_temperature(const linalg::Vector& t_init,
-                                 const linalg::Vector& node_power,
-                                 double ambient_celsius, double dt,
-                                 std::size_t samples = 8) const override;
     Peak peak_core_temperature_exact(const linalg::Vector& t_init,
                                      const linalg::Vector& node_power,
                                      double ambient_celsius,
@@ -138,26 +125,12 @@ public:
 
 private:
     /// e^{C·dt}·x via m-substep 3rd-order Taylor over the sparse C
-    /// (dt < tau_switch_s_). Raw-pointer core shared by single and batch
-    /// entry points; x and out may alias.
+    /// (dt < tau_switch_s_); x and out may alias.
     void propagate_taylor(const double* x, double dt, ThermalWorkspace& ws,
                           double* out) const;
     /// e^{C·dt}·x via the retained modes (dt >= tau_switch_s_).
     void propagate_modal(const double* x, double dt, ThermalWorkspace& ws,
                          double* out) const;
-    /// Batched propagate_taylor: gathers the RHS-major @p xs into node-major
-    /// lane blocks and advances every column per sparse pass (spmm), so each
-    /// CSR nonzero is streamed once per substep instead of once per RHS.
-    /// Output r is bit-identical to propagate_taylor on input r. @p outs may
-    /// alias @p xs.
-    void propagate_taylor_batch(const double* xs, std::size_t nrhs, double dt,
-                                ThermalWorkspace& ws, double* outs) const;
-    /// Batched propagate_modal: one W·X matmat down, the memoised exp ladder
-    /// across, one V·w matmat back — bit-identical per RHS to
-    /// propagate_modal (matmat keeps matvec's accumulation order per RHS).
-    /// @p outs may alias @p xs.
-    void propagate_modal_batch(const double* xs, std::size_t nrhs, double dt,
-                               ThermalWorkspace& ws, double* outs) const;
     void apply_exponential_raw(const double* x, double dt,
                                ThermalWorkspace& ws, double* out) const;
     void steady_state_raw(const double* node_power, double ambient_celsius,

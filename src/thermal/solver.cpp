@@ -1,5 +1,6 @@
 #include "thermal/solver.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -8,6 +9,111 @@
 #include "thermal/modal_solver.hpp"
 
 namespace hp::thermal {
+
+// Base implementations over the single-vector calls. Every copy below is a
+// plain load/store, so a batch output r keeps the bits of the single call on
+// input r.
+
+void TransientSolver::conductance_solve_batch_into(const double* rhs,
+                                                   std::size_t nrhs,
+                                                   ThermalWorkspace& workspace,
+                                                   double* out) const {
+    const std::size_t n = node_count();
+    workspace.resize(n);
+    for (std::size_t r = 0; r < nrhs; ++r) {
+        std::copy_n(rhs + r * n, n, workspace.rhs.data());
+        conductance_solve_into(workspace.rhs, workspace, workspace.steady);
+        std::copy_n(workspace.steady.data(), n, out + r * n);
+    }
+}
+
+void TransientSolver::apply_exponential_batch_into(const double* xs,
+                                                   std::size_t nrhs,
+                                                   double dt,
+                                                   ThermalWorkspace& workspace,
+                                                   double* outs) const {
+    const std::size_t n = node_count();
+    workspace.resize(n);
+    // RHS r is read in full before output r is written, so outs may alias
+    // xs; the _into contract lets x and out both be workspace.offset.
+    linalg::Vector& stage = workspace.offset;
+    for (std::size_t r = 0; r < nrhs; ++r) {
+        std::copy_n(xs + r * n, n, stage.data());
+        apply_exponential_into(stage, dt, workspace, stage);
+        std::copy_n(stage.data(), n, outs + r * n);
+    }
+}
+
+linalg::Matrix TransientSolver::exponential(double dt) const {
+    const std::size_t n = node_count();
+    ThermalWorkspace ws(n);
+    linalg::Matrix out(n, n);
+    linalg::Vector unit(n, 0.0), col(n);
+    for (std::size_t j = 0; j < n; ++j) {
+        unit[j] = 1.0;
+        apply_exponential_into(unit, dt, ws, col);
+        unit[j] = 0.0;
+        for (std::size_t i = 0; i < n; ++i) out(i, j) = col[i];
+    }
+    return out;
+}
+
+void TransientSolver::transient_batch_into(const linalg::Vector& t_init,
+                                           const double* node_powers,
+                                           std::size_t nrhs,
+                                           double ambient_celsius, double dt,
+                                           ThermalWorkspace& workspace,
+                                           double* outs) const {
+    const std::size_t n = node_count();
+    if (t_init.size() != n)
+        throw std::invalid_argument("transient: t_init size mismatch");
+    if (nrhs == 0) return;
+    workspace.resize(n);
+    std::pmr::vector<double>& steady = workspace.batch_steady(n * nrhs);
+    steady_state_batch_into(node_powers, nrhs, ambient_celsius, workspace,
+                            steady.data());
+    // Offsets are built in outs and decayed in place, then the steady states
+    // are added back: transient_into's subtraction and final-add order.
+    for (std::size_t r = 0; r < nrhs; ++r) {
+        const double* st = steady.data() + r * n;
+        double* o = outs + r * n;
+        for (std::size_t i = 0; i < n; ++i) o[i] = t_init[i] - st[i];
+    }
+    apply_exponential_batch_into(outs, nrhs, dt, workspace, outs);
+    for (std::size_t r = 0; r < nrhs; ++r) {
+        const double* st = steady.data() + r * n;
+        double* o = outs + r * n;
+        for (std::size_t i = 0; i < n; ++i) o[i] = st[i] + o[i];
+    }
+}
+
+double TransientSolver::peak_core_temperature(const linalg::Vector& t_init,
+                                              const linalg::Vector& node_power,
+                                              double ambient_celsius,
+                                              double dt,
+                                              std::size_t samples) const {
+    if (samples == 0)
+        throw std::invalid_argument(
+            "peak_core_temperature: samples must be > 0");
+    const std::size_t n = node_count();
+    if (t_init.size() != n)
+        throw std::invalid_argument(
+            "peak_core_temperature: t_init size mismatch");
+    ThermalWorkspace ws(n);
+    linalg::Vector steady(n), offset(n), resp(n);
+    steady_state_into(node_power, ambient_celsius, ws, steady);
+    for (std::size_t i = 0; i < n; ++i) offset[i] = t_init[i] - steady[i];
+    const std::size_t cores = model().core_count();
+    double peak = -1e300;
+    for (std::size_t s = 1; s <= samples; ++s) {
+        const double t =
+            dt * static_cast<double>(s) / static_cast<double>(samples);
+        apply_exponential_into(offset, t, ws, resp);
+        for (std::size_t i = 0; i < cores; ++i)
+            peak = std::max(peak, steady[i] + resp[i]);
+    }
+    return peak;
+}
 
 std::string to_string(SolverBackend backend) {
     switch (backend) {

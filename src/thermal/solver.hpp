@@ -42,6 +42,11 @@ struct Peak {
 ///    factors B itself (dense: LU, modal: banded Cholesky), and that
 ///    factorisation is the only steady-state path — TSP budgets and the
 ///    simulator's initial temperatures included.
+///  - *Base implementations*: conductance_solve_batch_into,
+///    apply_exponential_batch_into, transient_batch_into, exponential and
+///    the sampled peak_core_temperature are written once, in solver.cpp,
+///    over the single-vector calls every backend implements; only the
+///    modal backend overrides the batched conductance solve.
 class TransientSolver {
 public:
     virtual ~TransientSolver() = default;
@@ -116,19 +121,7 @@ public:
     virtual void conductance_solve_batch_into(const double* rhs,
                                               std::size_t nrhs,
                                               ThermalWorkspace& workspace,
-                                              double* out) const {
-        const std::size_t n = node_count();
-        workspace.resize(n);
-        for (std::size_t r = 0; r < nrhs; ++r) {
-            const double* src = rhs + r * n;
-            double* stage = workspace.rhs.data();
-            for (std::size_t i = 0; i < n; ++i) stage[i] = src[i];
-            conductance_solve_into(workspace.rhs, workspace, workspace.steady);
-            const double* sol = workspace.steady.data();
-            double* o = out + r * n;
-            for (std::size_t i = 0; i < n; ++i) o[i] = sol[i];
-        }
-    }
+                                              double* out) const;
 
     // ---- Transients ----------------------------------------------------
     /// Applies e^{C·dt} to @p x.
@@ -139,13 +132,16 @@ public:
     virtual void apply_exponential_into(const linalg::Vector& x, double dt,
                                         ThermalWorkspace& workspace,
                                         linalg::Vector& out) const = 0;
-    /// RHS-major batch; @p outs may alias @p xs.
+    /// RHS-major batch; @p outs may alias @p xs. The base runs
+    /// apply_exponential_into once per RHS, in place through
+    /// workspace.offset (bit-preserving copies in and out).
     virtual void apply_exponential_batch_into(const double* xs,
                                               std::size_t nrhs, double dt,
                                               ThermalWorkspace& workspace,
-                                              double* outs) const = 0;
-    /// Materialises the full matrix e^{C·dt} (O(N^3); caches/tests only).
-    virtual linalg::Matrix exponential(double dt) const = 0;
+                                              double* outs) const;
+    /// Materialises the full matrix e^{C·dt}, one apply_exponential_into
+    /// per unit column (O(N) applications; tests only).
+    virtual linalg::Matrix exponential(double dt) const;
 
     /// Temperature after holding @p node_power for @p dt from @p t_init.
     virtual linalg::Vector transient(const linalg::Vector& t_init,
@@ -160,20 +156,26 @@ public:
                                 ThermalWorkspace& workspace,
                                 linalg::Vector& out) const = 0;
     /// Batched transient from one shared @p t_init; @p outs must not alias
-    /// @p node_powers.
+    /// @p node_powers. The base composes steady_state_batch_into, the
+    /// offsets, apply_exponential_batch_into in place and the steady states
+    /// added back — transient_into's operations per RHS.
     virtual void transient_batch_into(const linalg::Vector& t_init,
                                       const double* node_powers,
                                       std::size_t nrhs,
                                       double ambient_celsius, double dt,
                                       ThermalWorkspace& workspace,
-                                      double* outs) const = 0;
+                                      double* outs) const;
 
     // ---- Peaks ---------------------------------------------------------
-    /// Largest core temperature reached in (0, dt], sampled conservatively.
+    /// Largest core temperature reached in (0, dt], sampled at @p samples
+    /// evenly spaced times (the per-node transient is not monotonic, so the
+    /// endpoint alone can miss an interior hump): one steady_state_into,
+    /// then one apply_exponential_into per sample. Throws
+    /// std::invalid_argument when @p samples is 0.
     virtual double peak_core_temperature(const linalg::Vector& t_init,
                                          const linalg::Vector& node_power,
                                          double ambient_celsius, double dt,
-                                         std::size_t samples = 8) const = 0;
+                                         std::size_t samples = 8) const;
     /// Exact (within error_bound_c()) peak over [0, dt] via the analytic
     /// derivative of the per-core exponential sum.
     virtual Peak peak_core_temperature_exact(const linalg::Vector& t_init,

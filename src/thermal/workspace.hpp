@@ -14,6 +14,13 @@ namespace hp::thermal {
 /// (steady_state_into, apply_exponential_into, transient_into and their
 /// batch forms) of both backends.
 ///
+/// The batched steady and conductance solves stage their right-hand sides
+/// in the grow-only batch_*() blocks. The batched exponential and transient
+/// are the TransientSolver base's loops over the single-vector kernel: each
+/// right-hand side passes through `offset` in place, and batch_steady()
+/// holds the transient's steady states, so no batch needs a modal or Taylor
+/// block of its own.
+///
 /// A workspace is sized once (to the thermal model's node count) and then
 /// reused for any number of queries with zero further heap traffic — the
 /// simulator owns one per run, each campaign worker owns one across its runs,
@@ -63,11 +70,7 @@ public:
           batch_rhs_(mr),
           batch_sol_(mr),
           batch_steady_(mr),
-          batch_modal_(mr),
           batch_scratch_(mr),
-          batch_taylor_r_(mr),
-          batch_taylor_t1_(mr),
-          batch_taylor_t2_(mr),
           ambient_(mr),
           exp_values_(mr) {}
 
@@ -129,22 +132,9 @@ public:
     std::pmr::vector<double>& batch_steady(std::size_t n) {
         return grown(batch_steady_, n);
     }
-    std::pmr::vector<double>& batch_modal(std::size_t n) {
-        return grown(batch_modal_, n);
-    }
     /// Lane-major scratch for the batched banded solve (size()·nrhs lanes).
     std::pmr::vector<double>& batch_scratch(std::size_t n) {
         return grown(batch_scratch_, n);
-    }
-    // Node-major ping-pong blocks of the batched sparse Taylor propagator.
-    std::pmr::vector<double>& batch_taylor_r(std::size_t n) {
-        return grown(batch_taylor_r_, n);
-    }
-    std::pmr::vector<double>& batch_taylor_t1(std::size_t n) {
-        return grown(batch_taylor_t1_, n);
-    }
-    std::pmr::vector<double>& batch_taylor_t2(std::size_t n) {
-        return grown(batch_taylor_t2_, n);
     }
 
     /// Distinct-dt slots the exp ladder keeps live before recycling. Sized
@@ -214,11 +204,7 @@ private:
     std::pmr::vector<double> batch_rhs_;
     std::pmr::vector<double> batch_sol_;
     std::pmr::vector<double> batch_steady_;
-    std::pmr::vector<double> batch_modal_;
     std::pmr::vector<double> batch_scratch_;
-    std::pmr::vector<double> batch_taylor_r_;
-    std::pmr::vector<double> batch_taylor_t1_;
-    std::pmr::vector<double> batch_taylor_t2_;
     linalg::Vector ambient_;
     const void* ambient_key_ = nullptr;
     double ambient_c_ = 0.0;

@@ -386,12 +386,16 @@ TEST(AllocGuard, WarmedModalThermalKernelsAreAllocationFree) {
     EXPECT_EQ(alloc_count() - before, 0u);
 }
 
-TEST(AllocGuard, WarmedModalBatchKernelsAreAllocationFree) {
-    const campaign::StudySetup setup = campaign::StudySetup::paper_64core(
-        thermal::SolverConfig::modal());
+/// Warms every batch staging buffer and both exp-ladder rungs (the
+/// micro-step horizon and 1 s, which is the retained-mode closed form on the
+/// modal backend), then asserts that 50 rounds of every batched solver call
+/// allocate nothing. The batched exponential and transient are the
+/// TransientSolver base's loops, so this pins them on each backend.
+void expect_warmed_batch_kernels_allocation_free(
+    const campaign::StudySetup& setup, const char* backend) {
     const thermal::ThermalModel& model = setup.model();
-    const thermal::TransientSolver& modal = setup.solver();
-    ASSERT_STREQ(modal.backend_name(), "modal");
+    const thermal::TransientSolver& solver = setup.solver();
+    ASSERT_STREQ(solver.backend_name(), backend);
 
     const std::size_t n = model.node_count();
     const std::size_t nrhs = 8;
@@ -401,31 +405,35 @@ TEST(AllocGuard, WarmedModalBatchKernelsAreAllocationFree) {
         powers[i] = 0.25 + 0.125 * static_cast<double>(i % 17);
     thermal::ThermalWorkspace ws;
 
-    // Warm every batch staging buffer and both exp-ladder rungs (the
-    // micro-step Taylor horizon and the retained-mode closed form).
-    modal.steady_state_batch_into(powers.data(), nrhs, 45.0, ws, batch.data());
-    modal.conductance_solve_batch_into(powers.data(), nrhs, ws, batch.data());
-    modal.apply_exponential_batch_into(powers.data(), nrhs, 1e-4, ws,
+    const auto round = [&] {
+        solver.steady_state_batch_into(powers.data(), nrhs, 45.0, ws,
                                        batch.data());
-    modal.apply_exponential_batch_into(powers.data(), nrhs, 1.0, ws,
-                                       batch.data());
-    modal.transient_batch_into(temps, powers.data(), nrhs, 45.0, 1e-4, ws,
-                               batch.data());
+        solver.conductance_solve_batch_into(powers.data(), nrhs, ws,
+                                            batch.data());
+        solver.apply_exponential_batch_into(powers.data(), nrhs, 1e-4, ws,
+                                            batch.data());
+        solver.apply_exponential_batch_into(powers.data(), nrhs, 1.0, ws,
+                                            batch.data());
+        solver.transient_batch_into(temps, powers.data(), nrhs, 45.0, 1e-4,
+                                    ws, batch.data());
+    };
+    round();
 
     const std::uint64_t before = alloc_count();
-    for (int step = 0; step < 50; ++step) {
-        modal.steady_state_batch_into(powers.data(), nrhs, 45.0, ws,
-                                      batch.data());
-        modal.conductance_solve_batch_into(powers.data(), nrhs, ws,
-                                           batch.data());
-        modal.apply_exponential_batch_into(powers.data(), nrhs, 1e-4, ws,
-                                           batch.data());
-        modal.apply_exponential_batch_into(powers.data(), nrhs, 1.0, ws,
-                                           batch.data());
-        modal.transient_batch_into(temps, powers.data(), nrhs, 45.0, 1e-4, ws,
-                                   batch.data());
-    }
+    for (int step = 0; step < 50; ++step) round();
     EXPECT_EQ(alloc_count() - before, 0u);
+}
+
+TEST(AllocGuard, WarmedModalBatchKernelsAreAllocationFree) {
+    expect_warmed_batch_kernels_allocation_free(
+        campaign::StudySetup::paper_64core(thermal::SolverConfig::modal()),
+        "modal");
+}
+
+TEST(AllocGuard, WarmedDenseBatchKernelsAreAllocationFree) {
+    expect_warmed_batch_kernels_allocation_free(
+        campaign::StudySetup::paper_64core(thermal::SolverConfig::dense()),
+        "dense");
 }
 
 TEST(AllocGuard, WarmedModalBatchPeakAnalysisIsAllocationFree) {

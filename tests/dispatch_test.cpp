@@ -26,7 +26,6 @@
 #include "core/peak_temperature.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/simd.hpp"
-#include "linalg/sparse.hpp"
 #include "linalg/vector.hpp"
 #include "thermal/modal_solver.hpp"
 #include "thermal/solver.hpp"
@@ -125,57 +124,12 @@ TEST(Dispatch, ElementwiseKernelsBitIdenticalAcrossTiers) {
                 << "kernel=" << kernel << " i=" << i;
 }
 
-// The multi-RHS sparse kernel vectorises ACROSS lanes, never across the
-// per-row reduction, so unlike matvec/matmat it promises full bit-identity:
-// across tiers, and per lane against the sequential CSR matvec.
-TEST(Dispatch, SpmmBitIdenticalAcrossTiersAndPerLaneToMatvec) {
-    const std::size_t n = 129;
-    linalg::Matrix dense(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            // Irregular banded-ish sparsity (~7 nonzeros/row, asymmetric).
-            dense(i, j) = ((i + 2 * j) % 37 < 2 || i == j)
-                              ? filler(i * n + j) - 4.0
-                              : 0.0;
-    const linalg::SparseCsr csr(dense);
-    ASSERT_GT(csr.nonzeros(), n);      // off-diagonal structure present
-    ASSERT_LT(csr.nonzeros(), n * n);  // actually sparse
-
-    for (std::size_t nrhs : {std::size_t{1}, std::size_t{3}, std::size_t{4},
-                             std::size_t{8}}) {
-        std::vector<double> xs(n * nrhs);  // lane-major: (node c, lane r)
-        for (std::size_t i = 0; i < xs.size(); ++i) xs[i] = filler(i + 7);
-
-        const auto spmm_with = [&](Tier tier) {
-            ForcedTier forced(tier);
-            std::vector<double> ys(n * nrhs, -1.0);
-            csr.spmm_into(xs.data(), nrhs, ys.data());
-            return ys;
-        };
-        const std::vector<double> scalar = spmm_with(Tier::kScalar);
-        const std::vector<double> avx2 = spmm_with(Tier::kAvx2);
-        for (std::size_t i = 0; i < scalar.size(); ++i)
-            EXPECT_EQ(scalar[i], avx2[i]) << "nrhs=" << nrhs << " i=" << i;
-
-        // Per lane: gather lane r into a contiguous vector, run the
-        // sequential CSR matvec, compare bit-for-bit.
-        std::vector<double> x(n), y(n);
-        for (std::size_t r = 0; r < nrhs; ++r) {
-            for (std::size_t c = 0; c < n; ++c) x[c] = xs[c * nrhs + r];
-            csr.matvec_into(x.data(), y.data());
-            for (std::size_t i = 0; i < n; ++i)
-                EXPECT_EQ(scalar[i * nrhs + r], y[i])
-                    << "nrhs=" << nrhs << " r=" << r << " i=" << i;
-        }
-    }
-}
-
 // The batched modal projections must replay the single-RHS operation
-// sequence under EVERY tier. The Taylor horizon (spmm + element-wise axpy)
-// is additionally bit-identical across tiers; the retained-mode horizon
-// uses matmat, which reassociates in AVX2, so there batch-vs-single holds
-// within each tier only (the cross-tier analyzer agreement is covered by
-// AnalyzerResultsAgreeAcrossTiersWithinTolerance).
+// sequence under EVERY tier. The Taylor horizon (sequential CSR matvec +
+// element-wise axpy) is additionally bit-identical across tiers; the
+// retained-mode horizon uses matvec, which reassociates in AVX2, so there
+// batch-vs-single holds within each tier only (the cross-tier analyzer
+// agreement is covered by AnalyzerResultsAgreeAcrossTiersWithinTolerance).
 TEST(Dispatch, BatchedModalProjectionsMatchSinglesUnderEachTier) {
     const campaign::StudySetup setup = campaign::StudySetup::paper_64core(
         thermal::SolverConfig::modal());

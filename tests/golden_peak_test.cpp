@@ -13,6 +13,12 @@
 // all-idle rings, many rings at once, a 3-rung τ ladder, per-ring τ, a
 // count-1 query and schedule_peak. Every query runs on one warm workspace.
 //
+// A second table pins the solver calls every backend inherits from the
+// TransientSolver base: the sampled peak_core_temperature at three horizons
+// and digests of apply_exponential_batch_into (separate and in-place
+// outputs) and transient_batch_into, each at a Taylor and a closed-form
+// horizon, on the dense 64-core and the modal 256-core chip.
+//
 // A change that alters any bit fails here and prints the new answers in the
 // table's format. Replace the table only for a change that is meant to move
 // the answers, and say why in its description.
@@ -31,6 +37,7 @@
 #include "campaign/study_setup.hpp"
 #include "core/peak_temperature.hpp"
 #include "linalg/simd.hpp"
+#include "thermal/modal_solver.hpp"
 #include "thermal/solver.hpp"
 
 namespace {
@@ -272,6 +279,152 @@ TEST_P(GoldenPeak, AnswersKeepTheirRecordedBits) {
     }
 }
 
+// Horizons of the solver table: below the modal 256-core chip's τ_switch
+// (sparse Taylor propagation) and past it (retained-mode closed form).
+constexpr double kTaylorDt = 1e-4;
+constexpr double kClosedFormDt = 0.25;
+constexpr std::size_t kBatch = 5;
+constexpr std::size_t kDigests = 6;
+
+struct SolverAnswers {
+    double peaks[3];
+    std::uint64_t digests[kDigests];
+};
+
+/// The fixed solver query sequence, on one workspace:
+///   peaks      sampled peak_core_temperature at (5e-3 s, 3 samples),
+///              (2e-2 s, 7) and (0.2 s, 11);
+///   digests[0..1]  apply_exponential_batch_into into a separate buffer at
+///                  the Taylor and the closed-form horizon;
+///   digests[2..3]  the same calls in place (outs == xs);
+///   digests[4..5]  transient_batch_into at both horizons.
+SolverAnswers compute_solver(const Chip& chip) {
+    const thermal::TransientSolver& solver = chip.setup.solver();
+    const std::size_t n = solver.node_count();
+    const std::size_t cores = chip.setup.model().core_count();
+    linalg::Vector t_init(n);
+    for (std::size_t i = 0; i < n; ++i)
+        t_init[i] = 45.0 + 0.375 * static_cast<double>((7 * i) % 23);
+    std::vector<double> powers(kBatch * n, 0.0), xs(kBatch * n);
+    for (std::size_t r = 0; r < kBatch; ++r) {
+        for (std::size_t i = 0; i < cores; ++i)
+            powers[r * n + i] =
+                0.25 + 0.5 * static_cast<double>((3 * i + 7 * r) % 13);
+        for (std::size_t i = 0; i < n; ++i)
+            xs[r * n + i] =
+                0.5 * (static_cast<double>((11 * i + 5 * r) % 19) - 9.0);
+    }
+
+    // Peaks start from a hot spreader between idle cores and an ambient
+    // sink (the last node), so the hottest core warms up and then cools:
+    // the peak falls on an interior sample.
+    linalg::Vector hot_package(n, 100.0), idle(n, 0.0);
+    for (std::size_t i = 0; i < cores; ++i) {
+        hot_package[i] = t_init[i];
+        idle[i] = kIdleW;
+    }
+    hot_package[n - 1] = 45.0;
+    SolverAnswers out{};
+    out.peaks[0] =
+        solver.peak_core_temperature(hot_package, idle, 45.0, 5e-3, 3);
+    out.peaks[1] =
+        solver.peak_core_temperature(hot_package, idle, 45.0, 2e-2, 7);
+    out.peaks[2] =
+        solver.peak_core_temperature(hot_package, idle, 45.0, 0.2, 11);
+
+    thermal::ThermalWorkspace ws;
+    const double horizons[2] = {kTaylorDt, kClosedFormDt};
+    std::vector<double> outs(kBatch * n);
+    for (std::size_t h = 0; h < 2; ++h) {
+        solver.apply_exponential_batch_into(xs.data(), kBatch, horizons[h], ws,
+                                            outs.data());
+        out.digests[h] = fnv1a(outs);
+        std::vector<double> inplace = xs;
+        solver.apply_exponential_batch_into(inplace.data(), kBatch,
+                                            horizons[h], ws, inplace.data());
+        out.digests[2 + h] = fnv1a(inplace);
+        solver.transient_batch_into(t_init, powers.data(), kBatch, 45.0,
+                                    horizons[h], ws, outs.data());
+        out.digests[4 + h] = fnv1a(outs);
+    }
+    return out;
+}
+
+struct SolverGolden {
+    const char* chip;
+    Tier tier;
+    SolverAnswers want;
+};
+
+// Recorded from the implementation in which each backend carried its own
+// batched exponential, batched transient and sampled peak (the modal one
+// over a lane-major sparse multi-RHS kernel); the shared base
+// implementations keep every bit.
+const SolverGolden kSolverGolden[] = {
+    {"paper_64core",
+     Tier::kScalar,
+     {{0x1.0d30abdb3c87p+6, 0x1.608a471428e62p+6, 0x1.7a0b6f20ffc2fp+6},
+      {0xd687d1dec6639715ull, 0xcc9801a879cb1835ull, 0xd687d1dec6639715ull,
+       0xcc9801a879cb1835ull, 0x54cbc2ccc07dc96eull, 0x8b6055f28a66b2f9ull}}},
+    {"paper_64core",
+     Tier::kAvx2,
+     {{0x1.0d30abdb3c86fp+6, 0x1.608a471428e62p+6, 0x1.7a0b6f20ffc32p+6},
+      {0xc113143654a092d9ull, 0xb5bdad5252ff3f27ull, 0xc113143654a092d9ull,
+       0xb5bdad5252ff3f27ull, 0x31d00a2478665478ull, 0x26e9c8c9c7de940cull}}},
+    {"paper_256core",
+     Tier::kScalar,
+     {{0x1.0d7e69ec97de5p+6, 0x1.608738600193ap+6, 0x1.79edb1abeb644p+6},
+      {0xecad4456957e458dull, 0x5a322e5d0bb74856ull, 0xecad4456957e458dull,
+       0x5a322e5d0bb74856ull, 0x3b6ca825a248ed73ull, 0x8c339cbe539c1711ull}}},
+    {"paper_256core",
+     Tier::kAvx2,
+     {{0x1.0d7e69ec97de5p+6, 0x1.608738600193ap+6, 0x1.79edb1abeb644p+6},
+      {0xecad4456957e458dull, 0xb739ac35a15c3422ull, 0xecad4456957e458dull,
+       0xb739ac35a15c3422ull, 0x3b6ca825a248ed73ull, 0x4fbc5c56da23554cull}}},
+};
+
+std::string solver_table_row(const Chip& chip, Tier tier,
+                             const SolverAnswers& got) {
+    std::string row = std::string("{\"") + chip.name + "\", Tier::" +
+                      (tier == Tier::kAvx2 ? "kAvx2" : "kScalar") + ", {{";
+    char buf[64];
+    for (std::size_t i = 0; i < 3; ++i) {
+        std::snprintf(buf, sizeof buf, "%s%a", i ? ", " : "", got.peaks[i]);
+        row += buf;
+    }
+    row += "}, {";
+    for (std::size_t i = 0; i < kDigests; ++i) {
+        std::snprintf(buf, sizeof buf, "%s0x%016llxull", i ? ", " : "",
+                      static_cast<unsigned long long>(got.digests[i]));
+        row += buf;
+    }
+    return row + "}}},";
+}
+
+TEST_P(GoldenPeak, SolverBatchesAndSampledPeaksKeepTheirRecordedBits) {
+#if !defined(__x86_64__)
+    GTEST_SKIP() << "answers recorded on x86-64";
+#endif
+    const Tier tier = linalg::simd::active_tier();
+    for (ChipKind kind : {kDense64, kPaper256}) {
+        const Chip& c = chip(kind);
+        SCOPED_TRACE(c.name);
+        const auto* golden =
+            std::find_if(std::begin(kSolverGolden), std::end(kSolverGolden),
+                         [&](const SolverGolden& g) {
+                             return g.tier == tier &&
+                                    std::string(g.chip) == c.name;
+                         });
+        const SolverAnswers got = compute_solver(c);
+        const bool same =
+            golden != std::end(kSolverGolden) &&
+            std::memcmp(got.peaks, golden->want.peaks, sizeof got.peaks) == 0 &&
+            std::memcmp(got.digests, golden->want.digests,
+                        sizeof got.digests) == 0;
+        EXPECT_TRUE(same) << "got\n    " << solver_table_row(c, tier, got);
+    }
+}
+
 TEST(GoldenPeakFixtures, CoverWhatTheTableClaims) {
     // The ring fixtures exercise unsorted cores, zero-delta slots and
     // all-idle rings; the chips cover both projections.
@@ -288,6 +441,12 @@ TEST(GoldenPeakFixtures, CoverWhatTheTableClaims) {
     EXPECT_FALSE(chip(kDense64).setup.solver().truncated());
     EXPECT_TRUE(chip(kPaper256).setup.solver().truncated());
     EXPECT_TRUE(chip(kStacked256).setup.solver().truncated());
+    // The solver table's two horizons straddle the modal chip's switch.
+    const auto* modal = dynamic_cast<const thermal::TruncatedModalSolver*>(
+        &chip(kPaper256).setup.solver());
+    ASSERT_NE(modal, nullptr);
+    EXPECT_LT(kTaylorDt, modal->tau_switch_s());
+    EXPECT_GE(kClosedFormDt, modal->tau_switch_s());
 }
 
 INSTANTIATE_TEST_SUITE_P(Tiers, GoldenPeak,

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -274,6 +275,29 @@ TEST(MetricsJsonTest, ParseRejectsMalformedInputWithOffset) {
     } catch (const std::runtime_error& e) {
         EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos)
             << e.what();
+    }
+    // Numbers read through the shared textio grammar: a sign on a count, a
+    // count past 2^64 and a hex-float gauge are rejected at the token's
+    // offset instead of wrapping, saturating or reading as 8.
+    const std::pair<std::string, std::string> bad_numbers[] = {
+        {"{\"counters\": {\"a\": -1}}", "-1"},
+        {"{\"counters\": {\"a\": 12345678901234567890123}}",
+         "12345678901234567890123"},
+        {"{\"gauges\": {\"g\": 0x1p3}}", "0x1p3"},
+        {"{\"histograms\": {\"h\": {\"counts\": [1, +2]}}}", "+2"},
+        {"{\"phases\": {\"p\": {\"calls\": 3, \"total_s\": 1.5s}}}",
+         "1.5s"},
+    };
+    for (const auto& [text, token] : bad_numbers) {
+        const std::string want = "parse_metrics_json at offset " +
+                                 std::to_string(text.find(token)) + ": ";
+        try {
+            hp::obs::parse_metrics_json(text);
+            ADD_FAILURE() << "accepted " << text;
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()).rfind(want, 0), 0u)
+                << text << " -> " << e.what();
+        }
     }
 }
 

@@ -1,15 +1,18 @@
-// Seeded mutation suite over the five text decoders (hostile input).
+// Seeded mutation suite over the five text decoders and the metrics JSON
+// reader that journal resume restores run metrics through (hostile input).
 //
 // Each decoder reads its own writer's output after a fixed-seed edit: a byte
 // flip, a truncation, a dropped or duplicated separator, an inserted '-', a
 // number replaced by 1e400 or by a 20-digit count. Every decode must either
-// succeed or throw std::runtime_error naming "<source>:<line>:"; any other
-// exception fails the test. The suite is compiled into the ASan+UBSan
+// succeed or throw std::runtime_error naming "<source>:<line>:" (for the
+// metrics JSON, "parse_metrics_json at offset <n>:"); any other exception
+// fails the test. The suite is compiled into the ASan+UBSan
 // executable (tests/CMakeLists.txt), so memory errors and undefined
 // behaviour, out-of-range float casts included, fail it as well.
 
 #include <cctype>
 #include <functional>
+#include <iterator>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -18,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "fault/fault_io.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/trace_io.hpp"
 #include "workload/workload_io.hpp"
@@ -27,9 +31,8 @@ namespace {
 constexpr const char* kSource = "mutant.txt";
 constexpr int kSeedsPerEdit = 64;
 
-/// True when @p what contains "mutant.txt:<line>:".
-bool names_source_line(const std::string& what) {
-    const std::string key = std::string(kSource) + ":";
+/// True when @p what contains @p key directly followed by digits and ':'.
+bool names_number_after(const std::string& what, const std::string& key) {
     const std::size_t at = what.find(key);
     if (at == std::string::npos) return false;
     std::size_t i = at + key.size();
@@ -37,6 +40,16 @@ bool names_source_line(const std::string& what) {
     while (i < what.size() && std::isdigit(static_cast<unsigned char>(what[i])))
         ++i;
     return i > digits && i < what.size() && what[i] == ':';
+}
+
+/// True when @p what contains "mutant.txt:<line>:".
+bool names_source_line(const std::string& what) {
+    return names_number_after(what, std::string(kSource) + ":");
+}
+
+/// True when @p what contains "parse_metrics_json at offset <n>:".
+bool names_json_offset(const std::string& what) {
+    return names_number_after(what, "parse_metrics_json at offset ");
 }
 
 /// Replaces the number at or after @p pos (wrapping to the start) with
@@ -73,9 +86,12 @@ std::string mutate(std::string text, char sep, int edit,
     return text;
 }
 
-/// Decodes @p written unmodified, then every seeded mutant of it.
+/// Decodes @p written unmodified, then every seeded mutant of it; a
+/// rejection must satisfy @p names_location.
 void run_mutants(const std::string& written, char sep,
-                 const std::function<void(std::istream&)>& decode) {
+                 const std::function<void(std::istream&)>& decode,
+                 bool (*names_location)(const std::string&) =
+                     names_source_line) {
     {
         std::istringstream in(written);
         ASSERT_NO_THROW(decode(in)) << "writer output must decode";
@@ -90,7 +106,7 @@ void run_mutants(const std::string& written, char sep,
                 decode(in);
             } catch (const std::runtime_error& e) {
                 ++rejected;
-                EXPECT_TRUE(names_source_line(e.what()))
+                EXPECT_TRUE(names_location(e.what()))
                     << e.what() << "\n--- input ---\n" << text;
             } catch (...) {
                 ADD_FAILURE() << "non-runtime_error exception for:\n" << text;
@@ -164,6 +180,25 @@ TEST(TextioMutation, Tasks) {
     run_mutants(out.str(), ' ', [](std::istream& in) {
         (void)hp::workload::read_tasks(in, {}, kSource);
     });
+}
+
+TEST(TextioMutation, MetricsJson) {
+    hp::obs::MetricsSnapshot snap;
+    snap.counters = {{"migrations", 42}, {"rotations", 18446744073709551615u}};
+    snap.gauges = {{"headroom_c", -1.0 / 3.0}, {"peak_c", 71.0625}};
+    snap.histograms = {{"step_peak", {50.0, 60.0, 70.0}, {0, 3, 1, 2}}};
+    snap.phases = {{"matex_solve", 7, 0.75}, {"scheduler_epoch", 2, 0.125}};
+    snap.events_recorded = 12;
+    snap.events_dropped = 1;
+    std::ostringstream out;
+    hp::obs::write_metrics_json(out, snap);
+    run_mutants(
+        out.str(), ',',
+        [](std::istream& in) {
+            (void)hp::obs::parse_metrics_json(
+                std::string(std::istreambuf_iterator<char>(in), {}));
+        },
+        names_json_offset);
 }
 
 }  // namespace
