@@ -147,6 +147,11 @@ fi
 # runtime from the environment.
 MODAL_DIR="$BUILD_ROOT/${COMPILERS[0]%%:*}-Release"
 if [[ -d "$MODAL_DIR" ]]; then
+  # The 1024-core setup fingerprint skips itself in Debug builds; run it by
+  # name in this Release tree, as the CI job does.
+  note "modal solver: 1024-core setup fingerprint"
+  ctest --test-dir "$MODAL_DIR" --output-on-failure \
+    -R 'SetupFingerprint\.Paper1024Core'
   note "modal solver: full suite under HOTPOTATO_SOLVER=modal"
   HOTPOTATO_SOLVER=modal \
     ctest --test-dir "$MODAL_DIR" --output-on-failure -j "$JOBS"

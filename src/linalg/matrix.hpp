@@ -56,6 +56,7 @@ public:
     /// Raw row-major storage (rows()*cols() doubles); row i starts at
     /// data() + i*cols(). For performance-critical inner loops.
     const double* data() const { return data_.data(); }
+    double* data() { return data_.data(); }
 
     /// The n x n identity.
     static Matrix identity(std::size_t n) {

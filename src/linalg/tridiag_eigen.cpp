@@ -8,12 +8,113 @@
 
 namespace hp::linalg {
 
+// The textbook tred2/tql2 pair walks columns of a row-major matrix in both
+// of its O(n^3) loops. This version walks rows instead (DESIGN.md §14.4):
+// the accumulated transform is stored transposed, so the Q accumulation's
+// dot products and every QL rotation run along contiguous rows, and the
+// reduction's column sums are scattered from the rows that hold them. Every
+// element still sees the same operations in the same order — no sum is
+// reassociated — so the eigenpairs are bit-identical to the textbook
+// routine's (tests/tridiag_eigen_test.cpp pins this against a frozen copy).
+
 namespace {
 
-/// Householder reduction of symmetric @p a (overwritten) to tridiagonal
-/// form: on exit @p d holds the diagonal, @p e the subdiagonal (e[0] unused)
-/// and @p a the accumulated orthogonal transform Q with A = Q·T·Q^T.
-void householder_tridiagonalize(Matrix& a, double* d, double* e) {
+/// g = A·u over the leading (l+1)×(l+1) block of @p a's lower triangle,
+/// written to @p g. Each g_j is summed in ascending k exactly as tred2 does:
+/// the row part a(j,0..j)·u first, then the column part a(j+1..l, j)·u,
+/// whose term k is scattered from row k. One pass over the triangle, four
+/// rows at a time, serves both parts.
+void lower_symmetric_matvec(const Matrix& a, std::size_t l, const double* u,
+                            double* g) {
+    const std::size_t n = a.cols();
+    std::size_t k = 0;
+    for (; k + 4 <= l + 1; k += 4) {
+        const double* r0 = a.data() + k * n;
+        const double* r1 = r0 + n;
+        const double* r2 = r1 + n;
+        const double* r3 = r2 + n;
+        const double u0 = u[k], u1 = u[k + 1], u2 = u[k + 2], u3 = u[k + 3];
+        double g0 = 0.0, g1 = 0.0, g2 = 0.0, g3 = 0.0;
+        for (std::size_t m = 0; m < k; ++m) {
+            const double um = u[m];
+            g0 += r0[m] * um;
+            g1 += r1[m] * um;
+            g2 += r2[m] * um;
+            g3 += r3[m] * um;
+            g[m] = g[m] + r0[m] * u0 + r1[m] * u1 + r2[m] * u2 + r3[m] * u3;
+        }
+        // The 4×4 diagonal block: each row part completes, then the rows
+        // below it add their column terms in order.
+        g0 += r0[k] * u0;
+        g1 += r1[k] * u0;
+        g1 += r1[k + 1] * u1;
+        g2 += r2[k] * u0;
+        g2 += r2[k + 1] * u1;
+        g2 += r2[k + 2] * u2;
+        g3 += r3[k] * u0;
+        g3 += r3[k + 1] * u1;
+        g3 += r3[k + 2] * u2;
+        g3 += r3[k + 3] * u3;
+        g[k] = g0 + r1[k] * u1 + r2[k] * u2 + r3[k] * u3;
+        g[k + 1] = g1 + r2[k + 1] * u2 + r3[k + 1] * u3;
+        g[k + 2] = g2 + r3[k + 2] * u3;
+        g[k + 3] = g3;
+    }
+    for (; k <= l; ++k) {
+        const double* r = a.data() + k * n;
+        const double uk = u[k];
+        double acc = 0.0;
+        for (std::size_t m = 0; m < k; ++m) {
+            acc += r[m] * u[m];
+            g[m] += r[m] * uk;
+        }
+        acc += r[k] * uk;
+        g[k] = acc;
+    }
+}
+
+/// Q ← Q·(I - u·uᵀ/H) on the leading i×i block of @p qt, which holds Qᵀ:
+/// row j of Qᵀ becomes row j - (row j · u)·(u/H), four rows at a time.
+/// @p w holds u/H.
+void apply_reflector(Matrix& qt, std::size_t i, const double* u,
+                     const double* w) {
+    const std::size_t n = qt.cols();
+    std::size_t j = 0;
+    for (; j + 4 <= i; j += 4) {
+        double* p0 = qt.data() + j * n;
+        double* p1 = p0 + n;
+        double* p2 = p1 + n;
+        double* p3 = p2 + n;
+        double g0 = 0.0, g1 = 0.0, g2 = 0.0, g3 = 0.0;
+        for (std::size_t k = 0; k < i; ++k) {
+            const double uk = u[k];
+            g0 += uk * p0[k];
+            g1 += uk * p1[k];
+            g2 += uk * p2[k];
+            g3 += uk * p3[k];
+        }
+        for (std::size_t k = 0; k < i; ++k) {
+            const double wk = w[k];
+            p0[k] -= g0 * wk;
+            p1[k] -= g1 * wk;
+            p2[k] -= g2 * wk;
+            p3[k] -= g3 * wk;
+        }
+    }
+    for (; j < i; ++j) {
+        double* p = qt.data() + j * n;
+        double g = 0.0;
+        for (std::size_t k = 0; k < i; ++k) g += u[k] * p[k];
+        for (std::size_t k = 0; k < i; ++k) p[k] -= g * w[k];
+    }
+}
+
+/// Householder reduction of symmetric @p a (overwritten; only its lower
+/// triangle is read) to tridiagonal form: on exit @p d holds the diagonal,
+/// @p e the subdiagonal (e[0] unused) and @p a the transpose Qᵀ of the
+/// accumulated orthogonal transform with A = Q·T·Qᵀ. @p w is n doubles of
+/// scratch.
+void householder_tridiagonalize(Matrix& a, double* d, double* e, double* w) {
     const std::size_t n = a.rows();
     for (std::size_t i = n; i-- > 1;) {
         const std::size_t l = i - 1;
@@ -33,15 +134,10 @@ void householder_tridiagonalize(Matrix& a, double* d, double* e) {
                 e[i] = scale * g;
                 h -= f * g;
                 a(i, l) = f - g;
+                lower_symmetric_matvec(a, l, a.data() + i * n, e);
                 f = 0.0;
                 for (std::size_t j = 0; j <= l; ++j) {
-                    // Store u/H in the lower column for the Q accumulation.
-                    a(j, i) = a(i, j) / h;
-                    g = 0.0;
-                    for (std::size_t k = 0; k <= j; ++k) g += a(j, k) * a(i, k);
-                    for (std::size_t k = j + 1; k <= l; ++k)
-                        g += a(k, j) * a(i, k);
-                    e[j] = g / h;
+                    e[j] /= h;
                     f += e[j] * a(i, j);
                 }
                 const double hh = f / (h + h);
@@ -59,14 +155,12 @@ void householder_tridiagonalize(Matrix& a, double* d, double* e) {
     }
     d[0] = 0.0;
     e[0] = 0.0;
-    // Accumulate the transformation matrix in place.
+    // Accumulate Qᵀ in place: before step i the leading i×i block holds only
+    // transform data, row i holds the reflector u and d[i] its H.
     for (std::size_t i = 0; i < n; ++i) {
         if (d[i] != 0.0) {
-            for (std::size_t j = 0; j < i; ++j) {
-                double g = 0.0;
-                for (std::size_t k = 0; k < i; ++k) g += a(i, k) * a(k, j);
-                for (std::size_t k = 0; k < i; ++k) a(k, j) -= g * a(k, i);
-            }
+            for (std::size_t k = 0; k < i; ++k) w[k] = a(i, k) / d[i];
+            apply_reflector(a, i, a.data() + i * n, w);
         }
         d[i] = a(i, i);
         a(i, i) = 1.0;
@@ -78,10 +172,9 @@ void householder_tridiagonalize(Matrix& a, double* d, double* e) {
 }
 
 /// Implicit-shift QL iteration on the tridiagonal (d, e), accumulating the
-/// rotations into @p z (entered as the Householder Q). On exit d holds the
-/// (unsorted) eigenvalues and column j of z the eigenvector of d[j].
-void ql_implicit_shift(std::size_t n, double* d, double* e, Matrix& z) {
-    if (n == 0) return;
+/// rotations into @p zt (entered as the Householder Qᵀ). On exit d holds the
+/// (unsorted) eigenvalues and row j of zt the eigenvector of d[j].
+void ql_implicit_shift(std::size_t n, double* d, double* e, Matrix& zt) {
     for (std::size_t i = 1; i < n; ++i) e[i - 1] = e[i];
     e[n - 1] = 0.0;
     for (std::size_t l = 0; l < n; ++l) {
@@ -122,10 +215,12 @@ void ql_implicit_shift(std::size_t n, double* d, double* e, Matrix& z) {
                     p = s * r;
                     d[i + 1] = g + p;
                     g = c * r - b;
+                    double* z0 = zt.data() + i * n;
+                    double* z1 = z0 + n;
                     for (std::size_t k = 0; k < n; ++k) {
-                        f = z(k, i + 1);
-                        z(k, i + 1) = s * z(k, i) + c * f;
-                        z(k, i) = c * z(k, i) - s * f;
+                        f = z1[k];
+                        z1[k] = s * z0[k] + c * f;
+                        z0[k] = c * z0[k] - s * f;
                     }
                 }
                 if (r == 0.0 && m - l > 1) continue;
@@ -148,19 +243,17 @@ SymmetricEigen tridiagonal_eigen(const Matrix& m, double symmetry_tol) {
             "tridiagonal_eigen: matrix must be symmetric");
 
     const std::size_t n = m.rows();
-    Matrix q = m;
-    // One consolidated scratch block for the diagonal/subdiagonal work
-    // arrays (the setup bench gates allocs/op; per-stage vectors were churn).
-    std::vector<double> de(2 * n, 0.0);
+    SymmetricEigen out;
+    if (n == 0) return out;
+    Matrix qt = m;
+    // One consolidated scratch block for the diagonal, the subdiagonal and
+    // the reflector work vector (the setup bench gates allocs/op; per-stage
+    // vectors were churn).
+    std::vector<double> de(3 * n, 0.0);
     double* d = de.data();
     double* e = de.data() + n;
-    if (n == 1) {
-        d[0] = m(0, 0);
-        q(0, 0) = 1.0;
-    } else {
-        householder_tridiagonalize(q, d, e);
-        ql_implicit_shift(n, d, e, q);
-    }
+    householder_tridiagonalize(qt, d, e, e + n);
+    ql_implicit_shift(n, d, e, qt);
 
     // Sort ascending, permuting eigenvector columns along (jacobi_eigen's
     // output contract).
@@ -168,13 +261,12 @@ SymmetricEigen tridiagonal_eigen(const Matrix& m, double symmetry_tol) {
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::sort(order.begin(), order.end(),
               [&](std::size_t a, std::size_t b) { return d[a] < d[b]; });
-    SymmetricEigen out;
     out.values = Vector(n);
     out.vectors = Matrix(n, n);
     for (std::size_t j = 0; j < n; ++j) {
         out.values[j] = d[order[j]];
         for (std::size_t i = 0; i < n; ++i)
-            out.vectors(i, j) = q(i, order[j]);
+            out.vectors(i, j) = qt(order[j], i);
     }
     return out;
 }

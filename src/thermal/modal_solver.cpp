@@ -170,7 +170,27 @@ TruncatedModalSolver::TruncatedModalSolver(const ThermalModel& model,
             e[j] = 0.0;
             for (std::size_t k = 0; k < kept_; ++k)
                 y[k] = beta_scale_[k] * w_k_(k, j) / cap[j];
-            for (std::size_t i = 0; i < cores; ++i) {
+            // kept_field_i = V_K row i · y, four core rows per pass over y;
+            // each row's sum keeps its ascending-k order.
+            std::size_t i = 0;
+            for (; i + 4 <= cores; i += 4) {
+                const double* v0 = v_k_.data() + i * kept_;
+                const double* v1 = v0 + kept_;
+                const double* v2 = v1 + kept_;
+                const double* v3 = v2 + kept_;
+                double f0 = 0.0, f1 = 0.0, f2 = 0.0, f3 = 0.0;
+                for (std::size_t k = 0; k < kept_; ++k) {
+                    f0 += v0[k] * y[k];
+                    f1 += v1[k] * y[k];
+                    f2 += v2[k] * y[k];
+                    f3 += v3[k] * y[k];
+                }
+                maxd = std::max(maxd, std::abs(x[i] - f0));
+                maxd = std::max(maxd, std::abs(x[i + 1] - f1));
+                maxd = std::max(maxd, std::abs(x[i + 2] - f2));
+                maxd = std::max(maxd, std::abs(x[i + 3] - f3));
+            }
+            for (; i < cores; ++i) {
                 double kept_field = 0.0;
                 for (std::size_t k = 0; k < kept_; ++k)
                     kept_field += v_k_(i, k) * y[k];
