@@ -630,8 +630,8 @@ int run(const CliOptions& options, std::ostream& out) {
     out << ")\n";
     out << "scheduler          : " << scheduler->name() << "\n";
     out << "tasks finished     : " << result.tasks.size() << "/"
-        << (result.all_finished ? result.tasks.size() : std::size_t(-1))
-        << (result.all_finished ? "" : " (INCOMPLETE)") << "\n";
+        << tasks.size() << (result.all_finished ? "" : " (INCOMPLETE)")
+        << "\n";
     out << "makespan           : " << result.makespan_s * 1e3 << " ms\n";
     out << "avg response time  : " << result.average_response_time_s() * 1e3
         << " ms\n";

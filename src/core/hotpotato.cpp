@@ -94,6 +94,8 @@ void HotPotatoScheduler::initialize(sim::SimContext& ctx) {
             "hotpotato.batch_size", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
         obs_rows_exact_ = &obs_->counter("hotpotato.alg1_rows_exact");
         obs_rows_total_ = &obs_->counter("hotpotato.alg1_rows_total");
+        obs_rings_reused_ = &obs_->counter("hotpotato.alg1_rings_reused");
+        obs_rings_total_ = &obs_->counter("hotpotato.alg1_rings_total");
     }
     if (params_.use_peak_cache) {
         const std::size_t max_words = peak_key_words(
@@ -197,6 +199,8 @@ void HotPotatoScheduler::note_exact_rows(sim::SimContext& ctx,
     if (!obs_rows_exact_) return;
     obs_rows_exact_->add(peak_ws_->last_exact_rows());
     obs_rows_total_->add(count * ctx.chip().core_count());
+    obs_rings_reused_->add(peak_ws_->last_reused_rings());
+    obs_rings_total_->add(peak_ws_->last_ring_evals());
 }
 
 double HotPotatoScheduler::predict_peak_with(sim::SimContext& ctx,

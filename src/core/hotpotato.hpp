@@ -154,7 +154,8 @@ private:
     bool cache_lookup(double* out) const;
     void cache_insert(double peak) const;
     /// Adds the last rotation query's exact and covered row counts (a slate
-    /// of @p count rungs) to the alg1_rows_* counters.
+    /// of @p count rungs) to the alg1_rows_* counters, and its memo-reused
+    /// and evaluated ring × rung counts to the alg1_rings_* counters.
     void note_exact_rows(sim::SimContext& ctx, std::size_t count) const;
     /// Algorithm 2 lines 1-14 for a single thread. Returns false only when
     /// no ring has a free slot at all.
@@ -196,8 +197,9 @@ private:
     // WorkerScratch bag (arena-backed, reused across the worker's runs);
     // elsewhere the scheduler owns it. Safe to borrow because every buffer
     // is fully overwritten before use — only its capacity persists, plus
-    // the pruned maxima's survivor hint, which initialize() drops so the
-    // alg1_rows_* counters depend on this run alone.
+    // the pruned maxima's survivor hint and ring memos, which initialize()
+    // drops so the alg1_rows_* and alg1_rings_* counters depend on this run
+    // alone.
     mutable PeakWorkspace own_peak_ws_;
     mutable PeakWorkspace* peak_ws_ = &own_peak_ws_;
     mutable std::vector<RotationRingSpec> spec_scratch_;
@@ -214,6 +216,10 @@ private:
     // covered (DESIGN.md §14.5): their ratio is the unpruned share.
     mutable obs::Counter* obs_rows_exact_ = nullptr;
     mutable obs::Counter* obs_rows_total_ = nullptr;
+    // Active ring × rung evaluations the workspace's ring memo answered vs.
+    // all of them (DESIGN.md §14.7).
+    mutable obs::Counter* obs_rings_reused_ = nullptr;
+    mutable obs::Counter* obs_rings_total_ = nullptr;
     mutable std::vector<double> peaks_batch_scratch_;
     std::vector<std::size_t> slate_slots_;   ///< free-slot candidates
     std::vector<double> slate_powers_;       ///< RHS-major candidate powers

@@ -1,12 +1,16 @@
 #include "core/peak_temperature.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "linalg/kernels.hpp"
+#include "linalg/simd.hpp"
 
 namespace hp::core {
 
@@ -54,6 +58,10 @@ inline double dropped_response(double ce, double prev, double qs) {
 /// for underflow) covers it five times over.
 constexpr double kBoundSlack = 1e-11;
 
+/// Source of PeakTemperatureAnalyzer serials; 0 is never handed out, so it
+/// can mark an empty ring memo.
+std::atomic<std::uint64_t> g_next_analyzer_serial{1};
+
 /// Core rows of the all-idle steady state: every core at @p idle_power_w,
 /// the rest of the stack unpowered.
 linalg::Vector idle_baseline(const thermal::TransientSolver& solver,
@@ -94,7 +102,8 @@ const std::size_t* sort_ring_positions(const RotationRingSpec& ring,
 PeakTemperatureAnalyzer::PeakTemperatureAnalyzer(
     const thermal::TransientSolver& solver, double ambient_c,
     double idle_power_w)
-    : solver_(&solver),
+    : serial_(g_next_analyzer_serial.fetch_add(1, std::memory_order_relaxed)),
+      solver_(&solver),
       ambient_c_(ambient_c),
       idle_power_w_(idle_power_w),
       modes_(solver.mode_count()),
@@ -443,44 +452,75 @@ void PeakTemperatureAnalyzer::project_full(std::size_t delta,
                                core_max.data());
 }
 
-void PeakTemperatureAnalyzer::accumulate_bounds(
-    std::size_t delta, std::size_t samples_per_epoch, PeakWorkspace& ws,
-    double* modal, double* rows) const {
+bool PeakTemperatureAnalyzer::memo_matches(
+    const PeakWorkspace::RingMemo& memo, const RotationRingSpec& ring,
+    double tau, std::size_t samples_per_epoch) const {
+    const std::size_t k = ring.cores.size();
+    return memo.analyzer == serial_ &&
+           memo.tier == static_cast<int>(linalg::simd::active_tier()) &&
+           memo.samples == samples_per_epoch &&
+           std::bit_cast<std::uint64_t>(memo.tau) ==
+               std::bit_cast<std::uint64_t>(tau) &&
+           memo.cores.size() == k &&
+           std::equal(ring.cores.begin(), ring.cores.end(),
+                      memo.cores.begin()) &&
+           std::memcmp(ring.slot_power_w.data(), memo.power.data(),
+                       k * sizeof(double)) == 0;
+}
+
+void PeakTemperatureAnalyzer::stage_memo(const RotationRingSpec& ring,
+                                         double tau,
+                                         std::size_t samples_per_epoch,
+                                         PeakWorkspace& ws,
+                                         PeakWorkspace::RingMemo& memo) const {
     const std::size_t k_modes = modes_;
     const std::size_t cores = solver_->model().core_count();
+    const std::size_t delta = ring.cores.size();
     const std::size_t nsamp = delta * samples_per_epoch;
     const double* zs_batch = ws.zs_batch_.data();
+    memo.analyzer = serial_;
+    memo.tier = static_cast<int>(linalg::simd::active_tier());
+    memo.samples = samples_per_epoch;
+    memo.tau = tau;
+    memo.cores.assign(ring.cores.begin(), ring.cores.end());
+    memo.power.assign(ring.slot_power_w.begin(), ring.slot_power_w.end());
+    if (memo.values.size() < 3 * k_modes + 3 * cores)
+        memo.values.resize(3 * k_modes + 3 * cores);
+    // No row has been projected exactly yet.
+    std::fill(memo.values.begin() + 3 * k_modes + 2 * cores,
+              memo.values.begin() + 3 * k_modes + 3 * cores,
+              std::numeric_limits<double>::quiet_NaN());
 
     // Per mode k the ring's staged samples lie within c_k ± ρ_k (midrange
-    // and half-range); x is its last sample. The rung sums them over rings:
-    // modal = [Σc | Σx | Σρ | Σ(|c|+ρ)].
-    double* mx = ws.bound_out_.data();
-    double* mn = mx + k_modes;
-    for (std::size_t k = 0; k < k_modes; ++k) mx[k] = mn[k] = zs_batch[k];
+    // and half-range); x is its last sample. The max and min run in the c
+    // and ρ slots, then become c and ρ.
+    double* c = memo.values.data();
+    double* x = c + k_modes;
+    double* rho = x + k_modes;
+    for (std::size_t k = 0; k < k_modes; ++k) c[k] = rho[k] = zs_batch[k];
     for (std::size_t m = 1; m < nsamp; ++m) {
         const double* zs = zs_batch + m * k_modes;
         for (std::size_t k = 0; k < k_modes; ++k) {
-            mx[k] = std::max(mx[k], zs[k]);
-            mn[k] = std::min(mn[k], zs[k]);
+            c[k] = std::max(c[k], zs[k]);
+            rho[k] = std::min(rho[k], zs[k]);
         }
     }
     const double* last = zs_batch + (nsamp - 1) * k_modes;
     for (std::size_t k = 0; k < k_modes; ++k) {
-        const double c = 0.5 * (mx[k] + mn[k]);
-        const double rho = 0.5 * (mx[k] - mn[k]);
-        modal[k] += c;
-        modal[k_modes + k] += last[k];
-        modal[2 * k_modes + k] += rho;
-        modal[3 * k_modes + k] += std::abs(c) + rho;
+        const double mx = c[k];
+        const double mn = rho[k];
+        c[k] = 0.5 * (mx + mn);
+        x[k] = last[k];
+        rho[k] = 0.5 * (mx - mn);
     }
     if (!corrected()) return;
 
     // The dropped-cluster term per core: its exact maximum over the samples
     // and its value at the last sample (the expression project_full folds
-    // in), summed over rings, plus their magnitudes for the slack:
-    // rows = [Σ max_s corr | Σ corr_last | Σ(|max_s corr| + |corr_last|)].
+    // in).
     const double* qfrac = ws.staged_qfrac(samples_per_epoch);
-    double* cmax = ws.core_max_.data();
+    double* cmax = rho + k_modes;
+    double* clast = cmax + cores;
     for (std::size_t i = 0; i < cores; ++i) cmax[i] = -1e300;
     for (std::size_t e = 0; e < delta; ++e) {
         const double* prev = ws.cstar_[(e + delta - 1) % delta].data();
@@ -494,11 +534,34 @@ void PeakTemperatureAnalyzer::accumulate_bounds(
     const double* prev_last = ws.cstar_[(2 * delta - 2) % delta].data();
     const double* ce_last = ws.cfield_[delta - 1].data();
     const double q_last = qfrac[samples_per_epoch - 1];
+    for (std::size_t i = 0; i < cores; ++i)
+        clast[i] = dropped_response(ce_last[i], prev_last[i], q_last);
+}
+
+void PeakTemperatureAnalyzer::add_ring_addends(const double* addends,
+                                               double* modal,
+                                               double* rows) const {
+    const std::size_t k_modes = modes_;
+    const std::size_t cores = solver_->model().core_count();
+    // The rung sums over rings: modal = [Σc | Σx | Σρ | Σ(|c|+ρ)] and
+    // rows = [Σ max_s corr | Σ corr_last | Σ(|max_s corr| + |corr_last|)],
+    // the magnitudes for the slack.
+    const double* c = addends;
+    const double* x = c + k_modes;
+    const double* rho = x + k_modes;
+    for (std::size_t k = 0; k < k_modes; ++k) {
+        modal[k] += c[k];
+        modal[k_modes + k] += x[k];
+        modal[2 * k_modes + k] += rho[k];
+        modal[3 * k_modes + k] += std::abs(c[k]) + rho[k];
+    }
+    if (!corrected()) return;
+    const double* cmax = rho + k_modes;
+    const double* clast = cmax + cores;
     for (std::size_t i = 0; i < cores; ++i) {
-        const double cl = dropped_response(ce_last[i], prev_last[i], q_last);
         rows[i] += cmax[i];
-        rows[cores + i] += cl;
-        rows[2 * cores + i] += std::abs(cmax[i]) + std::abs(cl);
+        rows[cores + i] += clast[i];
+        rows[2 * cores + i] += std::abs(cmax[i]) + std::abs(clast[i]);
     }
 }
 
@@ -661,6 +724,7 @@ void PeakTemperatureAnalyzer::ring_peaks(
         sort_ring_positions(ring, n, workspace.ring_order_);
         active = active || ring_active(ring);
     }
+    workspace.reused_rings_ = workspace.ring_evals_ = 0;
     if (count == 0) return;
 
     // Every exponential of τ, once per interval; an all-idle query is the
@@ -673,7 +737,7 @@ void PeakTemperatureAnalyzer::ring_peaks(
     reserve_sample_batch(rings, samples_per_epoch, workspace);
 
     if (truncated_ && core_peak_c == nullptr)
-        pruned_ring_peaks(rings, ring_stride, count, samples_per_epoch,
+        pruned_ring_peaks(rings, taus, ring_stride, count, samples_per_epoch,
                           workspace, peaks);
     else
         full_ring_peaks(rings, ring_stride, count, samples_per_epoch, workspace,
@@ -745,29 +809,29 @@ void PeakTemperatureAnalyzer::full_ring_peaks(
 }
 
 void PeakTemperatureAnalyzer::pruned_ring_peaks(
-    const std::vector<RotationRingSpec>& rings, std::size_t ring_stride,
-    std::size_t count, std::size_t samples_per_epoch, PeakWorkspace& ws,
-    double* peaks) const {
+    const std::vector<RotationRingSpec>& rings, const double* taus,
+    std::size_t ring_stride, std::size_t count, std::size_t samples_per_epoch,
+    PeakWorkspace& ws, double* peaks) const {
     const std::size_t n = solver_->model().core_count();
     const std::size_t k_modes = modes_;
     const double* t_idle = idle_core_c_.data();
 
-    // Sizing: bound buffers, and every row list at core_count() per rung,
-    // so survivor counts can vary freely without re-allocating. A hint from
-    // a chip of another size indexes the wrong rows: drop it.
+    // Sizing: bound buffers, every row list at core_count() per rung, so
+    // survivor counts can vary freely without re-allocating, and one memo
+    // per ring. A hint from a chip of another size indexes the wrong rows:
+    // drop it.
     if (ws.bound_modal_.size() < 4 * k_modes * count)
         ws.bound_modal_.resize(4 * k_modes * count);
     if (ws.bound_rows_.size() < 3 * n * count)
         ws.bound_rows_.resize(3 * n * count);
-    if (ws.bound_out_.size() < std::max(4 * n, 2 * k_modes))
-        ws.bound_out_.resize(std::max(4 * n, 2 * k_modes));
+    if (ws.bound_out_.size() < 4 * n) ws.bound_out_.resize(4 * n);
     if (ws.bound_sums_.size() < 2 * n) ws.bound_sums_.resize(2 * n);
-    ensure_size(ws.core_max_, n);
     for (PeakWorkspace::RungRows* list :
          {&ws.hint_, &ws.survivors_, &ws.missing_}) {
         if (list->rows.size() < count * n) list->rows.resize(count * n);
         if (list->len.size() < count) list->len.resize(count, 0);
     }
+    while (ws.memo_.size() < rings.size()) ws.memo_.emplace_back(ws.resource());
     if (ws.hint_cores_ != n) {
         ws.forget_survivors();
         ws.hint_cores_ = n;
@@ -778,20 +842,59 @@ void PeakTemperatureAnalyzer::pruned_ring_peaks(
     std::fill(row_stats, row_stats + 3 * n * count, 0.0);
     double* extra = ws.extra_batch_.data();
 
-    // Bound stage. Per ring and rung: the ring's sample statistics join the
-    // rung's sums, and the hinted rows (the previous query's survivors) get
-    // their exact maxima, added in ring order from 0 as project_full's are.
+    // Ring r at rung t is staged only when its memo cannot answer: on a key
+    // miss, or for a row the memo has not projected yet. Its targets are
+    // built only when the workspace does not hold them already.
+    std::size_t built = rings.size();
+    const auto stage = [&](std::size_t r, std::size_t t) {
+        if (built != r) {
+            ring_targets(rings[r], ws);
+            built = r;
+        }
+        stage_samples(rings[r].cores.size(), r * ring_stride + t,
+                      samples_per_epoch, ws);
+    };
+    // Ring r's exact maximum at @p row, from @p stored (the memo's rows, or
+    // null for an evicted memo) or projected from the staged samples.
+    const auto exact_row = [&](std::size_t r, std::size_t t, bool& staged,
+                               double* stored, std::size_t row) {
+        if (stored && !std::isnan(stored[row])) return stored[row];
+        if (!staged) {
+            stage(r, t);
+            staged = true;
+        }
+        const double v = project_row(row, rings[r].cores.size(),
+                                     samples_per_epoch, ws);
+        if (stored) stored[row] = v;
+        return v;
+    };
+    const std::size_t rows_at = 3 * k_modes + 2 * n;
+
+    // Bound stage. Per ring and rung: the ring's addends join the rung's
+    // sums, and the hinted rows (the previous query's survivors) get their
+    // exact maxima, added in ring order from 0 as project_full's are.
+    std::size_t reused = 0, evals = 0;
     for (std::size_t r = 0; r < rings.size(); ++r) {
-        if (!ring_targets(rings[r], ws)) continue;
-        const std::size_t k = rings[r].cores.size();
+        if (!ring_active(rings[r])) continue;
+        PeakWorkspace::RingMemo& memo = ws.memo_[r];
         for (std::size_t t = 0; t < count; ++t) {
-            stage_samples(k, r * ring_stride + t, samples_per_epoch, ws);
-            accumulate_bounds(k, samples_per_epoch, ws,
-                              modal + t * 4 * k_modes, row_stats + t * 3 * n);
+            const double tau = taus[r * ring_stride + t];
+            bool staged = false;
+            ++evals;
+            if (memo_matches(memo, rings[r], tau, samples_per_epoch)) {
+                ++reused;
+            } else {
+                stage(r, t);
+                staged = true;
+                stage_memo(rings[r], tau, samples_per_epoch, ws, memo);
+            }
+            add_ring_addends(memo.values.data(), modal + t * 4 * k_modes,
+                             row_stats + t * 3 * n);
+            double* stored = memo.values.data() + rows_at;
             const std::size_t* hint = ws.hint_.rows.data() + t * n;
             for (std::size_t h = 0; h < ws.hint_.len[t]; ++h)
                 extra[t * n + hint[h]] +=
-                    project_row(hint[h], k, samples_per_epoch, ws);
+                    exact_row(r, t, staged, stored, hint[h]);
         }
     }
 
@@ -827,19 +930,26 @@ void PeakTemperatureAnalyzer::pruned_ring_peaks(
         rebuild = rebuild || miss_len > 0;
     }
 
-    // Exact stage for survivors outside the hint: the ring targets and
-    // samples are rebuilt, because the workspace holds one ring at a time.
+    // Exact stage for survivors outside the hint, from each ring's memo
+    // where it still holds this rung (a ladder query keeps only its last
+    // rung per ring); otherwise the ring is staged again, because the
+    // workspace holds one ring's samples at a time.
     if (rebuild) {
         for (std::size_t r = 0; r < rings.size(); ++r) {
-            if (!ring_targets(rings[r], ws)) continue;
-            const std::size_t k = rings[r].cores.size();
+            if (!ring_active(rings[r])) continue;
+            PeakWorkspace::RingMemo& memo = ws.memo_[r];
             for (std::size_t t = 0; t < count; ++t) {
                 if (ws.missing_.len[t] == 0) continue;
-                stage_samples(k, r * ring_stride + t, samples_per_epoch, ws);
+                bool staged = false;
+                double* stored =
+                    memo_matches(memo, rings[r], taus[r * ring_stride + t],
+                                 samples_per_epoch)
+                        ? memo.values.data() + rows_at
+                        : nullptr;
                 const std::size_t* miss = ws.missing_.rows.data() + t * n;
                 for (std::size_t m = 0; m < ws.missing_.len[t]; ++m)
                     extra[t * n + miss[m]] +=
-                        project_row(miss[m], k, samples_per_epoch, ws);
+                        exact_row(r, t, staged, stored, miss[m]);
             }
         }
     }
@@ -860,6 +970,8 @@ void PeakTemperatureAnalyzer::pruned_ring_peaks(
     ws.hint_.rows.swap(ws.survivors_.rows);
     ws.hint_.len.swap(ws.survivors_.len);
     ws.exact_rows_ = exact_rows;
+    ws.reused_rings_ = reused;
+    ws.ring_evals_ = evals;
 }
 
 }  // namespace hp::core

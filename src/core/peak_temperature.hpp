@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory_resource>
 #include <vector>
 
@@ -37,6 +38,13 @@ struct RotationRingSpec {
 /// front by the next one. The hint changes how much work a query does,
 /// never its result; its row lists are sized to core_count() per rung on
 /// first use, so queries with different survivor counts never re-allocate.
+///
+/// The pruned path also keeps one ring memo per ring index (DESIGN.md
+/// §14.7): the key of that ring's last evaluation (analyzer, dispatch tier,
+/// cores, slot-power bits, τ bits, S) and its contribution — the addends it
+/// gave its rung's bound sums and the exact row maxima projected so far. A
+/// ring whose key matches is not re-staged; it adds the same doubles a fresh
+/// evaluation would, so the memo too changes cost, never results.
 class PeakWorkspace {
 public:
     PeakWorkspace() = default;
@@ -80,13 +88,39 @@ public:
     /// hint plus any survivors outside it on the pruned one.
     std::size_t last_exact_rows() const { return exact_rows_; }
 
-    /// Drops the survivor hint, so the next query's cost no longer depends
-    /// on earlier queries (results never do). O(rungs), allocation-free.
+    /// Active ring × rung evaluations of the last pruned rotation query that
+    /// the ring memo answered without re-staging the ring (0 on the full
+    /// projection), out of last_ring_evals().
+    std::size_t last_reused_rings() const { return reused_rings_; }
+    std::size_t last_ring_evals() const { return ring_evals_; }
+
+    /// Drops the survivor hint and empties every ring memo, so the next
+    /// query's cost no longer depends on earlier queries (results never
+    /// do). O(rungs + rings), allocation-free.
     void forget_survivors() {
         for (std::size_t& len : hint_.len) len = 0;
+        for (RingMemo& memo : memo_) memo.analyzer = 0;
     }
 
 private:
+    /// One ring index's last pruned evaluation (DESIGN.md §14.7). The key is
+    /// (analyzer, tier, samples, tau bits, cores, power bits); values holds
+    /// the addends [c | x | ρ] (3K) and [max_s corr | corr_last] (2·cores,
+    /// used on corrected backends only), then the exact row maxima
+    /// projected so far (cores, NaN where not yet projected). analyzer 0
+    /// marks an empty memo.
+    struct RingMemo {
+        explicit RingMemo(std::pmr::memory_resource* mr)
+            : cores(mr), power(mr), values(mr) {}
+        std::uint64_t analyzer = 0;
+        int tier = 0;
+        std::size_t samples = 0;
+        double tau = 0.0;
+        std::pmr::vector<std::size_t> cores;
+        std::pmr::vector<double> power;
+        std::pmr::vector<double> values;
+    };
+
     /// Per-rung row lists of the pruned maxima: rung t's rows, ascending,
     /// occupy [t·core_count(), t·core_count() + len[t]) of rows.
     struct RungRows {
@@ -136,7 +170,10 @@ private:
     RungRows survivors_{std::pmr::get_default_resource()};
     RungRows missing_{std::pmr::get_default_resource()};  ///< survivors ∉ hint
     std::size_t hint_cores_ = 0;  ///< core count hint_ indexes (0: none yet)
+    std::vector<RingMemo> memo_;  ///< one per ring index, grown on demand
     std::size_t exact_rows_ = 0;
+    std::size_t reused_rings_ = 0;
+    std::size_t ring_evals_ = 0;
     thermal::ThermalWorkspace thermal_;
 };
 
@@ -172,8 +209,10 @@ private:
 /// (DESIGN.md §14.5): one fused sweep per rung bounds every row's summed
 /// ring response from above and below, and only rows whose upper bound
 /// reaches the best lower bound are projected exactly. The result has the
-/// bits of the full projection. Dense backends, map queries and
-/// schedule_peak keep the full projection.
+/// bits of the full projection. That path re-stages only rings whose
+/// workspace memo (cores, powers, τ, S) no longer matches (DESIGN.md §14.7),
+/// again with unchanged bits. Dense backends, map queries and schedule_peak
+/// keep the full projection.
 ///
 /// Thread safety: immutable after construction. The α/β eigen-tables are
 /// built in the constructor and the query entry points are const; all
@@ -292,10 +331,12 @@ private:
     /// The bound-pruned rotation rungs (truncated backends, no map): bound
     /// statistics plus exact hint rows per ring and rung, one bound sweep
     /// and the survivor selection per rung, then an exact rebuild pass for
-    /// survivors outside the hint only.
+    /// survivors outside the hint only. A ring whose memo key matches
+    /// (DESIGN.md §14.7) reuses its stored addends and rows instead of
+    /// being re-staged.
     void pruned_ring_peaks(const std::vector<RotationRingSpec>& rings,
-                           std::size_t ring_stride, std::size_t count,
-                           std::size_t samples_per_epoch,
+                           const double* taus, std::size_t ring_stride,
+                           std::size_t count, std::size_t samples_per_epoch,
                            PeakWorkspace& workspace, double* peaks) const;
 
     /// Pre-grows the RHS-major sample staging/projection buffers to the
@@ -351,14 +392,26 @@ private:
     void project_full(std::size_t delta, std::size_t samples_per_epoch,
                       PeakWorkspace& workspace, linalg::Vector& core_max) const;
 
-    /// Bound stage, per ring and rung: adds the staged samples' modal
-    /// statistics to @p modal = [Σc | Σx | Σρ | Σ(|c|+ρ)] (modes each; c ± ρ
-    /// spans the samples per mode, x is the last sample) and, on truncated
-    /// backends, the dropped-cluster terms to @p rows = [Σ max_s corr |
-    /// Σ corr_last | Σ(|max_s corr| + |corr_last|)] (cores each).
-    void accumulate_bounds(std::size_t delta, std::size_t samples_per_epoch,
-                           PeakWorkspace& workspace, double* modal,
-                           double* rows) const;
+    /// True when @p memo holds @p ring's evaluation at @p tau and
+    /// @p samples_per_epoch by this analyzer under the active tier.
+    bool memo_matches(const PeakWorkspace::RingMemo& memo,
+                      const RotationRingSpec& ring, double tau,
+                      std::size_t samples_per_epoch) const;
+
+    /// Re-keys @p memo to @p ring at @p tau and fills its values from the
+    /// ring's staged samples: the addends [c | x | ρ] (modes each; c ± ρ
+    /// spans the samples per mode, x is the last sample), on corrected
+    /// backends the dropped-cluster addends [max_s corr | corr_last] (cores
+    /// each), and no projected row yet.
+    void stage_memo(const RotationRingSpec& ring, double tau,
+                    std::size_t samples_per_epoch, PeakWorkspace& workspace,
+                    PeakWorkspace::RingMemo& memo) const;
+
+    /// Bound stage, per ring and rung: adds a memo's addends to @p modal =
+    /// [Σc | Σx | Σρ | Σ(|c|+ρ)] and, on corrected backends, to @p rows =
+    /// [Σ max_s corr | Σ corr_last | Σ(|max_s corr| + |corr_last|)].
+    void add_ring_addends(const double* addends, double* modal,
+                          double* rows) const;
 
     /// One fused sweep over V turns a rung's sums into per-core bounds on
     /// the summed ring responses: @p ub from above, @p lb from below, each
@@ -375,6 +428,9 @@ private:
     /// True when queries fold in the dropped-cluster correction.
     bool corrected() const { return truncated_ && cluster_pole_ < 0.0; }
 
+    /// Process-wide serial: ring memos key on it, not on the address, so
+    /// an analyzer rebuilt where a dead one lived never matches its memos.
+    std::uint64_t serial_;
     const thermal::TransientSolver* solver_;
     double ambient_c_;
     double idle_power_w_;

@@ -468,8 +468,9 @@ TEST(AllocGuard, WarmedModalBatchPeakAnalysisIsAllocationFree) {
 TEST(AllocGuard, WarmedPrunedRotationPeaksAreAllocationFree) {
     // The 256-core chip is modal, so map-free rotation queries take the
     // pruned path. Alternating two occupancies changes the survivor and
-    // hint counts on every query; the row lists are sized per rung up front,
-    // so that must never re-allocate.
+    // hint counts on every query; the row lists are sized per rung up front
+    // and the ring memos on their first fill, so that must never
+    // re-allocate.
     const campaign::StudySetup setup = campaign::StudySetup::paper_256core();
     ASSERT_TRUE(setup.solver().truncated());
     const core::PeakTemperatureAnalyzer analyzer(setup.solver(), 45.0, 0.3);
@@ -513,16 +514,39 @@ TEST(AllocGuard, WarmedPrunedRotationPeaksAreAllocationFree) {
         (void)analyzer.schedule_peak(schedule, 0.5e-3, 2, ws);
     };
 
+    // Algorithm 2's placement walk at one τ: a one-thread candidate per
+    // ring against the dense state. Each query re-stages the one or two
+    // rings that changed and takes the rest from their memos (the sparse
+    // and ladder queries in between evict them), projecting hinted rows a
+    // memo has not stored yet lazily.
+    std::vector<std::vector<core::RotationRingSpec>> candidates;
+    for (std::size_t r = 0; r < dense.size(); ++r) {
+        candidates.push_back(dense);
+        candidates.back()[r].slot_power_w[1] = 7.5;
+    }
+    std::size_t reused = 0, evals = 0;
+    const auto walk = [&] {
+        for (const auto& rings : candidates) {
+            analyzer.rotation_peaks(rings, taus.data(), 1, 2, ws, peaks.data());
+            reused += ws.last_reused_rings();
+            evals += ws.last_ring_evals();
+        }
+    };
+
     (void)query(sparse, ws);  // warm
     (void)query(dense, ws);
     rest();
+    walk();
     const std::uint64_t before = alloc_count();
     for (int i = 0; i < 10; ++i) {
         (void)query(sparse, ws);
         (void)query(dense, ws);
         rest();
+        walk();
     }
     EXPECT_EQ(alloc_count() - before, 0u);
+    EXPECT_GT(reused, 0u);
+    EXPECT_LT(reused, evals);
 }
 
 TEST(AllocGuard, WarmedRotationPeakIsAllocationFree) {

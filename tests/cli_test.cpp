@@ -127,6 +127,7 @@ TEST(CliRun, SmallEndToEnd) {
     const int rc = hp::cli::run(o, out);
     EXPECT_EQ(rc, 0);
     const std::string report = out.str();
+    EXPECT_NE(report.find("tasks finished     : 3/3\n"), std::string::npos);
     EXPECT_NE(report.find("makespan"), std::string::npos);
     EXPECT_NE(report.find("HotPotato"), std::string::npos);
     EXPECT_NE(report.find("peak temperature"), std::string::npos);
@@ -262,6 +263,20 @@ TEST(CliExitCodes, UnfinishedRunReturnsOne) {
                                 "--max-threads", "4"},
                                out, err),
               hp::cli::kExitRunFailure);
+}
+
+TEST(CliRun, IncompleteRunReportsSubmittedTaskCount) {
+    // Too little simulated time for three tasks: the summary counts the
+    // finished ones against the three submitted.
+    CliOptions o = parse({"--rows", "4", "--cols", "4", "--tasks", "3",
+                          "--rate", "100", "--max-time", "0.002",
+                          "--max-threads", "4"});
+    std::ostringstream out;
+    EXPECT_EQ(hp::cli::run(o, out), hp::cli::kExitRunFailure);
+    const std::string report = out.str();
+    EXPECT_NE(report.find("tasks finished     : 0/3 (INCOMPLETE)\n"),
+              std::string::npos)
+        << report;
 }
 
 TEST(CliExitCodes, CorruptResumeJournalReturnsThree) {

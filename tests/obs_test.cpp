@@ -553,6 +553,53 @@ TEST(ObsCampaignTest, ObservedCampaignIsDeterministicAcrossWorkerCounts) {
     }
 }
 
+TEST(ObsCampaignTest, Modal256RunMetricsIgnoreAWarmedWorkerScratch) {
+    // A campaign worker lends one PeakWorkspace to every HotPotato run it
+    // executes. On the modal 256-core chip Algorithm 1 takes the pruned
+    // path, whose survivor hint and ring memos persist in that workspace;
+    // initialize() drops both, so a run's metrics do not depend on what the
+    // worker ran before it.
+    const hp::campaign::StudySetup setup =
+        hp::campaign::StudySetup::paper_256core();
+    ASSERT_TRUE(setup.solver().truncated());
+    const auto tasks = [](const char* profile, std::size_t count,
+                          std::size_t threads) {
+        std::vector<hp::workload::TaskSpec> specs;
+        for (std::size_t i = 0; i < count; ++i)
+            specs.push_back({&hp::workload::profile_by_name(profile), threads,
+                             1e-3 * static_cast<double>(i)});
+        return specs;
+    };
+    const auto spec = [&](bool warm_up) {
+        hp::campaign::CampaignSpec s(setup, tiny_config());
+        s.add_scheduler("HotPotato", [] {
+            return std::make_unique<hp::core::HotPotatoScheduler>();
+        });
+        if (warm_up) s.add_workload("a-warm-up", tasks("bodytrack", 4, 8));
+        s.add_workload("b-probe", tasks("blackscholes", 6, 6));
+        return s;
+    };
+    hp::campaign::CampaignOptions options;
+    options.jobs = 1;  // one worker, one scratch bag: the probe runs second
+    options.observe = true;
+    const hp::campaign::CampaignResult warmed = run_campaign(spec(true), options);
+    const hp::campaign::CampaignResult fresh = run_campaign(spec(false), options);
+    ASSERT_EQ(warmed.records.size(), 2u);
+    ASSERT_EQ(fresh.records.size(), 1u);
+    const hp::campaign::RunRecord& probe = warmed.records[1];
+    ASSERT_EQ(probe.key.workload, "b-probe");
+    expect_deterministic_fields_equal(probe.metrics, fresh.records[0].metrics);
+
+    // The run exercised the memo: it reused some ring evaluations.
+    std::uint64_t reused = 0, total = 0;
+    for (const auto& c : probe.metrics.counters) {
+        if (c.name == "hotpotato.alg1_rings_reused") reused = c.value;
+        if (c.name == "hotpotato.alg1_rings_total") total = c.value;
+    }
+    EXPECT_GT(reused, 0u);
+    EXPECT_LT(reused, total);
+}
+
 TEST(ObsCampaignTest, CampaignRunReplaysSameEventsAsDirectSerialRun) {
     const hp::campaign::CampaignSpec spec = obs_spec();
     hp::campaign::CampaignOptions options;

@@ -14,12 +14,22 @@
 // mirror-symmetric placement whose hottest rows tie exactly; and a
 // workspace warmed on one chip and reused on another, so its hint names the
 // wrong rows.
+//
+// The ring memo (DESIGN.md §14.7) is held to the same standard: one
+// workspace replays a HotPotato-shaped query stream (committed state,
+// one-thread candidates, a promotion, τ steps, a full-ladder batch, per-ring
+// τ), and every answer must have the bits of a fresh workspace's. So must
+// answers from a workspace shared by two analyzers of one chip, one whose
+// analyzer was destroyed and rebuilt in place, one whose ring was re-formed
+// without a core, and one filled under the other dispatch tier. A
+// Release-only case replays one-thread candidates on the 1024-core chip.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -116,6 +126,42 @@ void expect_pruned_matches(const Chip& chip,
     ASSERT_EQ(0, std::memcmp(want.data(), got.data(), count * sizeof(double)))
         << "rung 0: want " << want[0] << " got " << got[0];
     EXPECT_LE(ws.last_exact_rows(), count * chip.cores());
+}
+
+/// The pruned query's answers on a fresh workspace: no hint, no memo.
+std::vector<double> fresh_peaks(const core::PeakTemperatureAnalyzer& analyzer,
+                                const std::vector<core::RotationRingSpec>& rings,
+                                const double* taus, std::size_t count) {
+    core::PeakWorkspace fresh;
+    std::vector<double> peaks(count, 0.0);
+    analyzer.rotation_peaks(rings, taus, count, kSamples, fresh, peaks.data());
+    return peaks;
+}
+
+/// The same query on the warm @p ws must have the fresh workspace's bits.
+void expect_fresh_bits(const core::PeakTemperatureAnalyzer& analyzer,
+                       const std::vector<core::RotationRingSpec>& rings,
+                       const double* taus, std::size_t count,
+                       core::PeakWorkspace& ws) {
+    const std::vector<double> want = fresh_peaks(analyzer, rings, taus, count);
+    std::vector<double> got(count, 0.0);
+    analyzer.rotation_peaks(rings, taus, count, kSamples, ws, got.data());
+    ASSERT_EQ(0, std::memcmp(want.data(), got.data(), count * sizeof(double)))
+        << "rung 0: want " << want[0] << " got " << got[0];
+    EXPECT_LE(ws.last_reused_rings(), ws.last_ring_evals());
+}
+
+/// @p rings with one more thread in ring @p r: its first idle slot busy, or,
+/// when the ring is full, its first slot a little hotter.
+std::vector<core::RotationRingSpec> with_candidate(
+    std::vector<core::RotationRingSpec> rings, std::size_t r, double power_w) {
+    std::vector<double>& slots = rings[r].slot_power_w;
+    const auto idle = std::find(slots.begin(), slots.end(), kIdleW);
+    if (idle != slots.end())
+        *idle = power_w;
+    else
+        slots.front() += 0.25;
+    return rings;
 }
 
 class PrunedPeak : public ::testing::TestWithParam<Tier> {
@@ -250,11 +296,186 @@ TEST_P(PrunedPeak, ExactTiesSurvive) {
     expect_pruned_matches(chip, rings, &kLadder[1], 1, ws);  // hinted
 }
 
+TEST_P(PrunedPeak, MemoizedQueryStreamMatchesFreshWorkspaces) {
+    for (const Chip* chip : {&paper256(), &stacked256()}) {
+        SCOPED_TRACE(chip == &paper256() ? "paper_256core" : "stacked_256core");
+        const core::PeakTemperatureAnalyzer& analyzer = chip->analyzer;
+        std::mt19937_64 rng(23);
+        const auto committed = random_rings(*chip, rng, 0.4);
+        const std::size_t ring_count = committed.size();
+        const double* tau = &kLadder[2];
+        core::PeakWorkspace ws;
+
+        // The committed state, cold and then repeated: the repeat stages no
+        // ring at all.
+        expect_fresh_bits(analyzer, committed, tau, 1, ws);
+        expect_fresh_bits(analyzer, committed, tau, 1, ws);
+        EXPECT_GT(ws.last_ring_evals(), 0u);
+        EXPECT_EQ(ws.last_reused_rings(), ws.last_ring_evals());
+
+        // Algorithm 2's placement walk: a one-thread candidate per ring. Each
+        // differs from the previous query in at most two rings.
+        for (std::size_t r = 0; r < ring_count; ++r) {
+            SCOPED_TRACE(r);
+            expect_fresh_bits(analyzer, with_candidate(committed, r, 5.0), tau,
+                              1, ws);
+            EXPECT_GE(ws.last_reused_rings() + 2, ws.last_ring_evals());
+        }
+
+        // A promotion: one thread moves from ring 1 inwards to ring 0.
+        std::vector<core::RotationRingSpec> promoted = committed;
+        std::vector<double>& outer = promoted[1].slot_power_w;
+        const auto busy = std::find_if(outer.begin(), outer.end(),
+                                       [](double p) { return p != kIdleW; });
+        ASSERT_NE(busy, outer.end());
+        const double moved = *busy;
+        *busy = kIdleW;
+        promoted = with_candidate(promoted, 0, moved);
+        expect_fresh_bits(analyzer, promoted, tau, 1, ws);
+
+        // τ one rung up and one rung down, the committed state again, then
+        // the full ladder in one batch (each rung evicts the previous one's
+        // memo) and single queries on either side of it.
+        expect_fresh_bits(analyzer, committed, tau + 1, 1, ws);
+        expect_fresh_bits(analyzer, committed, tau - 1, 1, ws);
+        expect_fresh_bits(analyzer, committed, tau, 1, ws);
+        expect_fresh_bits(analyzer, committed, kLadder.data(), kLadder.size(),
+                          ws);
+        expect_fresh_bits(analyzer, committed, &kLadder.back(), 1, ws);
+        EXPECT_EQ(ws.last_reused_rings(), ws.last_ring_evals());
+        expect_fresh_bits(analyzer, with_candidate(committed, 0, 5.0), tau, 1,
+                          ws);
+
+        // Per-ring τ, then a uniform query again.
+        std::vector<double> mixed(ring_count);
+        for (std::size_t r = 0; r < ring_count; ++r)
+            mixed[r] = kLadder[r % kLadder.size()];
+        for (int repeat = 0; repeat < 2; ++repeat) {
+            core::PeakWorkspace fresh;
+            const double want =
+                analyzer.rotation_peak(committed, mixed, kSamples, fresh);
+            const double got =
+                analyzer.rotation_peak(committed, mixed, kSamples, ws);
+            EXPECT_EQ(0, std::memcmp(&want, &got, sizeof(double)));
+        }
+        EXPECT_EQ(ws.last_reused_rings(), ws.last_ring_evals());
+        expect_fresh_bits(analyzer, committed, tau, 1, ws);
+    }
+}
+
+TEST_P(PrunedPeak, MemoMissesOtherAnalyzersAndReformedRings) {
+    const Chip& chip = paper256();
+    std::mt19937_64 rng(29);
+    const auto rings = random_rings(chip, rng, 0.5);
+    const double* tau = &kLadder[1];
+
+    // One workspace, two analyzers of the same chip: another idle power
+    // changes every ring's power deltas, another ambient only the baseline.
+    const core::PeakTemperatureAnalyzer idle_hot(chip.setup.solver(), 45.0,
+                                                 0.5);
+    const core::PeakTemperatureAnalyzer warm_ambient(chip.setup.solver(), 50.0,
+                                                     kIdleW);
+    // Rings idle at kIdleW are active only for idle_hot, so only they keep
+    // its memos from one round to the next.
+    const std::size_t idle_rings = static_cast<std::size_t>(
+        std::count_if(rings.begin(), rings.end(), [](const auto& ring) {
+            return std::all_of(ring.slot_power_w.begin(),
+                               ring.slot_power_w.end(),
+                               [](double p) { return p == kIdleW; });
+        }));
+    core::PeakWorkspace ws;
+    for (std::size_t repeat = 0; repeat < 2; ++repeat) {
+        expect_fresh_bits(chip.analyzer, rings, tau, 1, ws);
+        expect_fresh_bits(idle_hot, rings, tau, 1, ws);
+        EXPECT_EQ(ws.last_reused_rings(), repeat * idle_rings);
+        expect_fresh_bits(warm_ambient, rings, tau, 1, ws);
+        EXPECT_EQ(ws.last_reused_rings(), 0u);
+    }
+
+    // An analyzer destroyed and rebuilt in the same storage, with another
+    // idle power: the memo must not take it for the old one.
+    std::optional<core::PeakTemperatureAnalyzer> rebuilt;
+    rebuilt.emplace(chip.setup.solver(), 45.0, kIdleW);
+    expect_fresh_bits(*rebuilt, rings, tau, 1, ws);
+    rebuilt.reset();
+    rebuilt.emplace(chip.setup.solver(), 45.0, 0.5);
+    expect_fresh_bits(*rebuilt, rings, tau, 1, ws);
+    EXPECT_EQ(ws.last_reused_rings(), 0u);
+
+    // A re-formed ring: same index and leading powers, one core dropped.
+    expect_fresh_bits(chip.analyzer, rings, tau, 1, ws);
+    std::vector<core::RotationRingSpec> reformed = rings;
+    std::size_t r = 0;
+    while (reformed[r].slot_power_w.back() != kIdleW) ++r;
+    reformed[r].cores.pop_back();
+    reformed[r].slot_power_w.pop_back();
+    expect_fresh_bits(chip.analyzer, reformed, tau, 1, ws);
+    EXPECT_LT(ws.last_reused_rings(), ws.last_ring_evals());
+
+    // forget_survivors() empties every memo.
+    expect_fresh_bits(chip.analyzer, rings, tau, 1, ws);
+    ws.forget_survivors();
+    expect_fresh_bits(chip.analyzer, rings, tau, 1, ws);
+    EXPECT_EQ(ws.last_reused_rings(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Tiers, PrunedPeak,
                          ::testing::Values(Tier::kScalar, Tier::kAvx2),
                          [](const ::testing::TestParamInfo<Tier>& info) {
                              return std::string(
                                  linalg::simd::tier_name(info.param));
                          });
+
+TEST(PrunedPeakMemo, DispatchTierIsPartOfTheKey) {
+    // The reductions round per tier, so a memo filled under one tier must
+    // not answer under the other.
+    // Most answers agree across tiers; about one in five differs in its last
+    // bits on the 256-core chip, so the test walks several occupancies.
+    const Chip& chip = paper256();
+    std::mt19937_64 rng(37);
+    core::PeakWorkspace ws;
+    for (int q = 0; q < 8; ++q) {
+        const auto rings = random_rings(chip, rng, 0.1 + 0.1 * q);
+        for (std::size_t t = 0; t < kLadder.size(); ++t) {
+            SCOPED_TRACE(q * 10 + t);
+            for (Tier tier : {Tier::kScalar, Tier::kAvx2}) {
+                const ForcedTier forced(tier);
+                expect_fresh_bits(chip.analyzer, rings, &kLadder[t], 1, ws);
+                if (linalg::simd::tier_available(Tier::kAvx2)) {
+                    EXPECT_EQ(ws.last_reused_rings(), 0u);
+                }
+            }
+        }
+    }
+}
+
+TEST(PrunedPeakScale, Paper1024CoreMemoMatchesFreshWorkspaces) {
+#ifndef NDEBUG
+    GTEST_SKIP() << "2049-node setup runs in optimised builds only";
+#else
+    // Algorithm 2's placement walk on the 1024-core chip: about 50
+    // one-thread candidates against one committed state, each answered by
+    // one warm workspace and by a fresh one.
+    const Chip chip(campaign::StudySetup::paper_1024core());
+    ASSERT_TRUE(chip.setup.solver().truncated());
+    std::mt19937_64 rng(31);
+    const auto committed = random_rings(chip, rng, 0.3);
+    const std::size_t ring_count = committed.size();
+    core::PeakWorkspace ws;
+    std::size_t queries = 0, reused = 0, evals = 0;
+    for (std::size_t round = 0; queries < 50; ++round) {
+        const double* tau = &kLadder[round % 3 + 1];
+        for (std::size_t r = 0; r < ring_count && queries < 50; ++r, ++queries) {
+            SCOPED_TRACE(queries);
+            expect_fresh_bits(chip.analyzer,
+                              with_candidate(committed, r, 4.0 + 0.5 * round),
+                              tau, 1, ws);
+            reused += ws.last_reused_rings();
+            evals += ws.last_ring_evals();
+        }
+    }
+    EXPECT_GT(2 * reused, evals);
+#endif
+}
 
 }  // namespace
