@@ -147,14 +147,18 @@ fi
 # runtime from the environment.
 MODAL_DIR="$BUILD_ROOT/${COMPILERS[0]%%:*}-Release"
 if [[ -d "$MODAL_DIR" ]]; then
-  # The 1024-core setup fingerprint and ring-memo check skip themselves in
-  # Debug builds; run them by name in this Release tree, as the CI job does.
+  # The 1024-core setup fingerprint, ring-memo check and warmed-step
+  # allocation guard skip themselves in Debug builds; run them by name in
+  # this Release tree, as the CI job does.
   note "modal solver: 1024-core setup fingerprint"
   ctest --test-dir "$MODAL_DIR" --output-on-failure \
     -R 'SetupFingerprint\.Paper1024Core'
   note "modal solver: 1024-core ring memo"
   ctest --test-dir "$MODAL_DIR" --output-on-failure \
     -R 'PrunedPeakScale\.Paper1024CoreMemoMatchesFreshWorkspaces'
+  note "modal solver: 1024-core warmed step allocation guard"
+  ctest --test-dir "$MODAL_DIR" --output-on-failure \
+    -R 'AllocGuard\.WarmedSimulatorMicroStepIsAllocationFreeOn1024Core'
   note "modal solver: full suite under HOTPOTATO_SOLVER=modal"
   HOTPOTATO_SOLVER=modal \
     ctest --test-dir "$MODAL_DIR" --output-on-failure -j "$JOBS"

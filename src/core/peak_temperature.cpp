@@ -301,7 +301,7 @@ void PeakTemperatureAnalyzer::fill_tau_tables(const double* taus,
         const double tau = taus[e];
         // e^{λ_k τ}, then the epoch-independent interior-sample decay
         // factors e^{λ_k τ s/S}. λτ·frac rounds differently from
-        // λ·(τ·frac), so these are not ThermalWorkspace's exp tables.
+        // λ·(τ·frac), so these are not ThermalWorkspace's exp memo.
         double* table = ws.tau_modes_.data() + e * stride;
         for (std::size_t k = 0; k < k_modes; ++k)
             table[k] = std::exp(lambda[k] * tau);

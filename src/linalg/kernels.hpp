@@ -1,11 +1,8 @@
 #pragma once
 
-#include <cmath>
 #include <cstddef>
-#include <stdexcept>
 
 #include "linalg/simd.hpp"
-#include "linalg/vector.hpp"
 
 namespace hp::linalg {
 
@@ -57,11 +54,6 @@ inline void kernel_axpy(std::size_t n, double alpha, const double* x,
     simd::kernels().axpy(n, alpha, x, y);
 }
 
-/// x *= s in place.
-inline void kernel_scale(std::size_t n, double s, double* x) {
-    simd::kernels().scale(n, s, x);
-}
-
 /// x[i] *= m[i] in place (element-wise product against a precomputed table,
 /// e.g. the workspace's memoised e^{λ·dt}).
 inline void kernel_hadamard(std::size_t n, const double* m, double* x) {
@@ -89,33 +81,6 @@ inline void kernel_decay_mix(std::size_t n, const double* e, const double* zp,
 /// x[i] /= s in place (IEEE division; bit-identical in every tier).
 inline void kernel_div_scalar(std::size_t n, double s, double* x) {
     simd::kernels().div_scalar(n, s, x);
-}
-
-/// x[i] *= e^{rate[i]·t} — the modal decay step of the MatEx exponential.
-/// Kept scalar: std::exp dominates and must stay the libm call the memoised
-/// workspace tables were built from.
-inline void kernel_hadamard_exp(std::size_t n, const double* rate, double t,
-                                double* x) {
-    for (std::size_t i = 0; i < n; ++i) x[i] *= std::exp(rate[i] * t);
-}
-
-// --- Vector-level conveniences ---------------------------------------------
-
-/// y += alpha·x with size checking.
-inline void axpy(double alpha, const Vector& x, Vector& y) {
-    if (x.size() != y.size())
-        throw std::invalid_argument("axpy: size mismatch");
-    kernel_axpy(y.size(), alpha, x.data(), y.data());
-}
-
-/// x *= s.
-inline void scale(Vector& x, double s) { kernel_scale(x.size(), s, x.data()); }
-
-/// x[i] *= e^{rate[i]·t} with size checking.
-inline void hadamard_exp(Vector& x, const Vector& rate, double t) {
-    if (x.size() != rate.size())
-        throw std::invalid_argument("hadamard_exp: size mismatch");
-    kernel_hadamard_exp(x.size(), rate.data(), t, x.data());
 }
 
 }  // namespace hp::linalg

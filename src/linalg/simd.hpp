@@ -13,9 +13,9 @@ namespace hp::linalg::simd {
 // the same bits for the same inputs.
 //
 // Cross-tier contract (documented in DESIGN.md §9):
-//  * Element-wise kernels (axpy, scale, hadamard, fma_acc, max_acc,
-//    decay_mix, div_scalar) perform the same per-element operation sequence
-//    in every tier — no fused multiply-add, no reassociation — so they are
+//  * Element-wise kernels (axpy, hadamard, fma_acc, max_acc, decay_mix,
+//    div_scalar) perform the same per-element operation sequence in every
+//    tier — no fused multiply-add, no reassociation — so they are
 //    bit-identical across tiers (simd.cpp is compiled with -ffp-contract=off
 //    to keep the compiler from fusing them behind our back).
 //  * Reduction kernels (matvec, matmat) reassociate the per-row dot product
@@ -49,8 +49,6 @@ struct KernelTable {
                    const double* xs, std::size_t nrhs, double* ys);
     /// y[i] += alpha·x[i] (separate multiply and add, never fused).
     void (*axpy)(std::size_t n, double alpha, const double* x, double* y);
-    /// x[i] *= s.
-    void (*scale)(std::size_t n, double s, double* x);
     /// x[i] *= m[i].
     void (*hadamard)(std::size_t n, const double* m, double* x);
     /// y[i] += a[i]·b[i] (separate multiply and add, never fused).

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 #include "linalg/eigen_sym.hpp"
 #include "linalg/kernels.hpp"
@@ -111,6 +110,7 @@ void MatExSolver::conductance_solve_into(const linalg::Vector& rhs,
                                          ThermalWorkspace& workspace,
                                          linalg::Vector& out) const {
     (void)workspace;  // the LU substitution needs no scratch
+    if (out.size() != lu_.size()) out = linalg::Vector(lu_.size());
     lu_.solve_into(rhs, out);
 }
 
@@ -163,108 +163,8 @@ void MatExSolver::transient_into(const linalg::Vector& t_init,
 Peak MatExSolver::peak_core_temperature_exact(
     const linalg::Vector& t_init, const linalg::Vector& node_power,
     double ambient_celsius, double dt) const {
-    if (dt <= 0.0)
-        throw std::invalid_argument(
-            "peak_core_temperature_exact: dt must be positive");
-    const linalg::Vector steady = steady_state(node_power, ambient_celsius);
-    const linalg::Vector modal = v_inv_ * (t_init - steady);
-    const std::size_t n = lambda_.size();
-
-    // The endpoint/scan sample times are shared by every core, so their
-    // e^{λ_k t} factors are computed once here instead of once per core
-    // (the dominant cost of this routine). Bisection refinement happens at
-    // core-specific times and keeps evaluating std::exp directly.
-    constexpr int kScan = 16;
-    std::vector<double> scan_t(kScan + 1);
-    std::vector<double> scan_exp(static_cast<std::size_t>(kScan + 1) * n);
-    for (int s = 0; s <= kScan; ++s) {
-        const double t = dt * static_cast<double>(s) / kScan;
-        scan_t[s] = t;
-        double* row = &scan_exp[static_cast<std::size_t>(s) * n];
-        for (std::size_t k = 0; k < n; ++k) row[k] = std::exp(lambda_[k] * t);
-    }
-
-    Peak best;
-    best.temperature_c = -1e300;
-    for (std::size_t i = 0; i < model_->core_count(); ++i) {
-        // T_i(t) = steady_i + f(t), f(t) = sum_k c_k e^{lambda_k t}.
-        const auto f = [&](double t) {
-            double acc = 0.0;
-            for (std::size_t k = 0; k < n; ++k)
-                acc += v_(i, k) * modal[k] * std::exp(lambda_[k] * t);
-            return acc;
-        };
-        const auto df = [&](double t) {
-            double acc = 0.0;
-            for (std::size_t k = 0; k < n; ++k)
-                acc += v_(i, k) * modal[k] * lambda_[k] *
-                       std::exp(lambda_[k] * t);
-            return acc;
-        };
-        // Table-driven f/f' at scan sample s — bit-identical to f/df at
-        // scan_t[s] (same factors, same accumulation order).
-        const auto f_at = [&](int s) {
-            const double* e = &scan_exp[static_cast<std::size_t>(s) * n];
-            double acc = 0.0;
-            for (std::size_t k = 0; k < n; ++k)
-                acc += v_(i, k) * modal[k] * e[k];
-            return acc;
-        };
-        const auto df_at = [&](int s) {
-            const double* e = &scan_exp[static_cast<std::size_t>(s) * n];
-            double acc = 0.0;
-            for (std::size_t k = 0; k < n; ++k)
-                acc += v_(i, k) * modal[k] * lambda_[k] * e[k];
-            return acc;
-        };
-
-        // Candidates: both endpoints plus the first stationary point, found
-        // by bisection on a sign change of f' (bracketed by a coarse scan)
-        // refined with Newton steps.
-        const double f_start = f_at(0);
-        const double f_end = f_at(kScan);
-        double cand_t = dt;
-        double cand_v = std::max(f_start, f_end);
-        double cand_at = f_start >= f_end ? 0.0 : dt;
-
-        double prev_t = 0.0, prev_g = df_at(0);
-        for (int s = 1; s <= kScan; ++s) {
-            const double t = scan_t[s];
-            const double g = df_at(s);
-            if (prev_g == 0.0 || (prev_g > 0.0) != (g > 0.0)) {
-                // Bracketed stationary point in [prev_t, t].
-                double lo = prev_t, hi = t;
-                double glo = prev_g;
-                for (int it = 0; it < 60; ++it) {
-                    const double mid = 0.5 * (lo + hi);
-                    const double gm = df(mid);
-                    if ((gm > 0.0) == (glo > 0.0)) {
-                        lo = mid;
-                        glo = gm;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                cand_t = 0.5 * (lo + hi);
-                const double v = f(cand_t);
-                if (v > cand_v) {
-                    cand_v = v;
-                    cand_at = cand_t;
-                }
-                break;  // first interior extremum is the relevant hump
-            }
-            prev_t = t;
-            prev_g = g;
-        }
-
-        const double temp = steady[i] + cand_v;
-        if (temp > best.temperature_c) {
-            best.temperature_c = temp;
-            best.time_s = cand_at;
-            best.core = i;
-        }
-    }
-    return best;
+    return exact_peak_search(t_init, steady_state(node_power, ambient_celsius),
+                             v_inv_, dt);
 }
 
 std::unique_ptr<const TransientSolver> MatExSolver::clone_rebound(

@@ -111,12 +111,8 @@ public:
                         ThermalWorkspace& workspace,
                         linalg::Vector& out) const override;
 
-    /// Exact peak core temperature over [0, dt] via the MatEx method
-    /// (Pagani et al.): per core the transient is a sum of decaying
-    /// exponentials T_i(t) = steady_i + Σ_k c_ik e^{λ_k t}, whose interior
-    /// extremum is the root of the analytic derivative — found by Newton
-    /// iteration with bisection fallback, no time-stepping or sampling
-    /// error.
+    /// Exact peak core temperature over [0, dt]: exact_peak_search over
+    /// the whole spectrum, with w = V^{-1}·(T_init − T_steady).
     Peak peak_core_temperature_exact(const linalg::Vector& t_init,
                                      const linalg::Vector& node_power,
                                      double ambient_celsius,

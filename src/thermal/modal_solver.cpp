@@ -18,6 +18,25 @@ namespace {
 /// mid-horizon query stays cheap.
 constexpr double kSubstepCap = 512.0;
 
+/// Scale (Kelvin) of the largest temperature offset from steady state the
+/// truncation bound has to cover — conservatively, the full ambient-to-DTM
+/// swing plus headroom.
+constexpr double kOffsetScaleC = 50.0;
+
+/// Per-core power scale (W) used when translating the per-watt quasi-static
+/// residual into the reported Kelvin error bound.
+constexpr double kReferencePowerW = 16.0;
+
+/// Taylor substeps for horizon @p dt, as a double so that horizons far past
+/// the cap compare without overflow: the smallest m with |λ_max|·dt/m ≤ 1
+/// and a local remainder Ω·(|λ_max|·dt)⁴ / (24·m³) ≤ @p tolerance_c.
+double substep_count(double lambda_max_abs, double tolerance_c, double dt) {
+    const double z = lambda_max_abs * dt;
+    const double m_acc =
+        std::cbrt(kOffsetScaleC * z * z * z * z / (24.0 * tolerance_c));
+    return std::max(1.0, std::ceil(std::max(z, m_acc)));
+}
+
 }  // namespace
 
 TruncatedModalSolver::TruncatedModalSolver(const ThermalModel& model,
@@ -27,7 +46,6 @@ TruncatedModalSolver::TruncatedModalSolver(const ThermalModel& model,
         throw std::invalid_argument(
             "TruncatedModalSolver: tolerance must be positive");
     tolerance_c_ = config.tolerance_c;
-    offset_scale_c_ = config.offset_scale_c;
     const std::size_t n = model.node_count();
     const std::size_t cores = model.core_count();
     total_ = n;
@@ -83,7 +101,7 @@ TruncatedModalSolver::TruncatedModalSolver(const ThermalModel& model,
     const auto tail = [&](std::size_t k0, double tau) {
         double acc = 0.0;
         for (std::size_t k = k0; k < n; ++k)
-            acc += g[k] * offset_scale_c_ * std::exp(lambda_full[k] * tau);
+            acc += g[k] * kOffsetScaleC * std::exp(lambda_full[k] * tau);
         return acc;
     };
     const auto tau_need = [&](std::size_t k0) {
@@ -97,19 +115,17 @@ TruncatedModalSolver::TruncatedModalSolver(const ThermalModel& model,
         }
         return hi;
     };
-    const auto substeps_for_tau = [&](double tau) {
-        const double z = lambda_max_abs_ * tau;
-        const double m_acc =
-            std::cbrt(offset_scale_c_ * z * z * z * z / (24.0 * tolerance_c_));
-        return std::max(1.0, std::ceil(std::max(z, m_acc)));
+    const auto feasible = [&](std::size_t k0) {
+        return substep_count(lambda_max_abs_, tolerance_c_, tau_need(k0)) <=
+               kSubstepCap;
     };
     kept_ = n;
     tau_switch_s_ = 0.0;
-    if (n > 1 && substeps_for_tau(tau_need(n - 1)) <= kSubstepCap) {
+    if (n > 1 && feasible(n - 1)) {
         std::size_t lo = 1, hi = n - 1;  // hi is feasible
         while (lo < hi) {
             const std::size_t mid = lo + (hi - lo) / 2;
-            if (substeps_for_tau(tau_need(mid)) <= kSubstepCap)
+            if (feasible(mid))
                 hi = mid;
             else
                 lo = mid + 1;
@@ -201,8 +217,8 @@ TruncatedModalSolver::TruncatedModalSolver(const ThermalModel& model,
             cluster_pole_ < 0.0
                 ? 1.0 - std::exp(-spread / std::abs(cluster_pole_))
                 : 0.0;
-        error_bound_c_ = 2.0 * tolerance_c_ +
-                         config.reference_power_w * maxd * spread_factor;
+        error_bound_c_ =
+            2.0 * tolerance_c_ + kReferencePowerW * maxd * spread_factor;
     } else {
         error_bound_c_ = tolerance_c_;
     }
@@ -225,11 +241,8 @@ linalg::Matrix TruncatedModalSolver::modal_steady_map() const {
 }
 
 std::size_t TruncatedModalSolver::substeps_for(double dt) const {
-    const double z = lambda_max_abs_ * dt;
-    const double m_acc =
-        std::cbrt(offset_scale_c_ * z * z * z * z / (24.0 * tolerance_c_));
     return static_cast<std::size_t>(
-        std::max(1.0, std::ceil(std::max(z, m_acc))));
+        substep_count(lambda_max_abs_, tolerance_c_, dt));
 }
 
 void TruncatedModalSolver::steady_state_raw(const double* node_power,
@@ -418,113 +431,8 @@ void TruncatedModalSolver::transient_into(const linalg::Vector& t_init,
 Peak TruncatedModalSolver::peak_core_temperature_exact(
     const linalg::Vector& t_init, const linalg::Vector& node_power,
     double ambient_celsius, double dt) const {
-    if (dt <= 0.0)
-        throw std::invalid_argument(
-            "peak_core_temperature_exact: dt must be positive");
-    const linalg::Vector steady = steady_state(node_power, ambient_celsius);
-    const std::size_t n = total_;
-    linalg::Vector offset(n);
-    for (std::size_t i = 0; i < n; ++i) offset[i] = t_init[i] - steady[i];
-    // Retained modal coordinates plus, when truncated, a per-core
-    // pseudo-mode: the projection residual decaying at the cluster pole —
-    // the same decomposition the analyzer uses, so the two agree on bounds.
-    linalg::Vector w(kept_);
-    linalg::matvec_into(w_k_, offset, w);
-    const bool use_residual = truncated() && cluster_pole_ < 0.0;
-    const std::size_t terms = kept_ + (use_residual ? 1 : 0);
-
-    std::vector<double> lam(terms), coeff(terms);
-    for (std::size_t k = 0; k < kept_; ++k) lam[k] = lambda_k_[k];
-    if (use_residual) lam[kept_] = cluster_pole_;
-
-    constexpr int kScan = 16;
-    std::vector<double> scan_t(kScan + 1);
-    std::vector<double> scan_exp(static_cast<std::size_t>(kScan + 1) * terms);
-    for (int s = 0; s <= kScan; ++s) {
-        const double t = dt * static_cast<double>(s) / kScan;
-        scan_t[s] = t;
-        double* row = &scan_exp[static_cast<std::size_t>(s) * terms];
-        for (std::size_t k = 0; k < terms; ++k) row[k] = std::exp(lam[k] * t);
-    }
-
-    Peak best;
-    best.temperature_c = -1e300;
-    for (std::size_t i = 0; i < model_->core_count(); ++i) {
-        double kept_field = 0.0;
-        for (std::size_t k = 0; k < kept_; ++k) {
-            coeff[k] = v_k_(i, k) * w[k];
-            kept_field += coeff[k];
-        }
-        if (use_residual) coeff[kept_] = offset[i] - kept_field;
-
-        const auto f = [&](double t) {
-            double acc = 0.0;
-            for (std::size_t k = 0; k < terms; ++k)
-                acc += coeff[k] * std::exp(lam[k] * t);
-            return acc;
-        };
-        const auto df = [&](double t) {
-            double acc = 0.0;
-            for (std::size_t k = 0; k < terms; ++k)
-                acc += coeff[k] * lam[k] * std::exp(lam[k] * t);
-            return acc;
-        };
-        const auto f_at = [&](int s) {
-            const double* e = &scan_exp[static_cast<std::size_t>(s) * terms];
-            double acc = 0.0;
-            for (std::size_t k = 0; k < terms; ++k) acc += coeff[k] * e[k];
-            return acc;
-        };
-        const auto df_at = [&](int s) {
-            const double* e = &scan_exp[static_cast<std::size_t>(s) * terms];
-            double acc = 0.0;
-            for (std::size_t k = 0; k < terms; ++k)
-                acc += coeff[k] * lam[k] * e[k];
-            return acc;
-        };
-
-        const double f_start = f_at(0);
-        const double f_end = f_at(kScan);
-        double cand_v = std::max(f_start, f_end);
-        double cand_at = f_start >= f_end ? 0.0 : dt;
-
-        double prev_t = 0.0, prev_g = df_at(0);
-        for (int s = 1; s <= kScan; ++s) {
-            const double t = scan_t[s];
-            const double grad = df_at(s);
-            if (prev_g == 0.0 || (prev_g > 0.0) != (grad > 0.0)) {
-                double lo = prev_t, hi = t;
-                double glo = prev_g;
-                for (int it = 0; it < 60; ++it) {
-                    const double mid = 0.5 * (lo + hi);
-                    const double gm = df(mid);
-                    if ((gm > 0.0) == (glo > 0.0)) {
-                        lo = mid;
-                        glo = gm;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                const double t_star = 0.5 * (lo + hi);
-                const double v = f(t_star);
-                if (v > cand_v) {
-                    cand_v = v;
-                    cand_at = t_star;
-                }
-                break;  // first interior extremum is the relevant hump
-            }
-            prev_t = t;
-            prev_g = grad;
-        }
-
-        const double temp = steady[i] + cand_v;
-        if (temp > best.temperature_c) {
-            best.temperature_c = temp;
-            best.time_s = cand_at;
-            best.core = i;
-        }
-    }
-    return best;
+    return exact_peak_search(t_init, steady_state(node_power, ambient_celsius),
+                             w_k_, dt);
 }
 
 std::unique_ptr<const TransientSolver> TruncatedModalSolver::clone_rebound(

@@ -140,7 +140,6 @@ private:
     std::size_t total_ = 0;  ///< node count N
     std::size_t kept_ = 0;   ///< retained modes K
     double tolerance_c_ = 0.0;
-    double offset_scale_c_ = 0.0;
     double tau_switch_s_ = 0.0;
     double lambda_max_abs_ = 0.0;  ///< |λ| of the fastest mode (full system)
     double cluster_pole_ = 0.0;    ///< g-weighted mean dropped eigenvalue

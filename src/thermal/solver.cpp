@@ -1,9 +1,11 @@
 #include "thermal/solver.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "thermal/matex.hpp"
 #include "thermal/modal_solver.hpp"
@@ -113,6 +115,118 @@ double TransientSolver::peak_core_temperature(const linalg::Vector& t_init,
             peak = std::max(peak, steady[i] + resp[i]);
     }
     return peak;
+}
+
+Peak TransientSolver::exact_peak_search(const linalg::Vector& t_init,
+                                        const linalg::Vector& steady,
+                                        const linalg::Matrix& modal_map,
+                                        double dt) const {
+    if (dt <= 0.0)
+        throw std::invalid_argument(
+            "peak_core_temperature_exact: dt must be positive");
+    if (t_init.size() != node_count())
+        throw std::invalid_argument(
+            "peak_core_temperature_exact: t_init size mismatch");
+    const linalg::Vector offset = t_init - steady;
+    const linalg::Vector w = modal_map * offset;
+    const linalg::Matrix& v = mode_shapes();
+    const linalg::Vector& lambda = eigenvalues();
+    const std::size_t kept = lambda.size();
+    const bool use_residual = truncated() && cluster_pole() < 0.0;
+    const std::size_t terms = kept + (use_residual ? 1 : 0);
+
+    // One block: the rates λ, the current core's coefficients c, a probe row
+    // of e^{λ·t} at a core-specific time, then the e^{λ·t} rows of the scan
+    // times, which every core shares (computing them once is most of this
+    // routine's speed). A stored factor has the bits of the std::exp it
+    // replaces, so every sum below is the direct evaluation's.
+    constexpr int kScan = 16;
+    std::vector<double> block(static_cast<std::size_t>(kScan + 4) * terms);
+    double* lam = block.data();
+    double* coeff = lam + terms;
+    double* probe = coeff + terms;
+    double* scan_exp = probe + terms;
+    std::copy_n(lambda.data(), kept, lam);
+    if (use_residual) lam[kept] = cluster_pole();
+    const auto scan_time = [dt](int s) {
+        return dt * static_cast<double>(s) / kScan;
+    };
+    const auto exps_at = [&](double t, double* row) {
+        for (std::size_t k = 0; k < terms; ++k) row[k] = std::exp(lam[k] * t);
+    };
+    const auto scan_row = [&](int s) {
+        return scan_exp + static_cast<std::size_t>(s) * terms;
+    };
+    for (int s = 0; s <= kScan; ++s) exps_at(scan_time(s), scan_row(s));
+    // f(t) = Σ_k c_k·e^{λ_k t} and f'(t), from a row of e^{λ_k t}.
+    const auto f = [&](const double* e) {
+        double acc = 0.0;
+        for (std::size_t k = 0; k < terms; ++k) acc += coeff[k] * e[k];
+        return acc;
+    };
+    const auto df = [&](const double* e) {
+        double acc = 0.0;
+        for (std::size_t k = 0; k < terms; ++k)
+            acc += coeff[k] * lam[k] * e[k];
+        return acc;
+    };
+
+    Peak best;
+    best.temperature_c = -1e300;
+    for (std::size_t i = 0; i < model().core_count(); ++i) {
+        const double* v_row = v.data() + i * v.cols();
+        double kept_field = 0.0;
+        for (std::size_t k = 0; k < kept; ++k) {
+            coeff[k] = v_row[k] * w[k];
+            kept_field += coeff[k];
+        }
+        if (use_residual) coeff[kept] = offset[i] - kept_field;
+
+        const double f_start = f(scan_row(0));
+        const double f_end = f(scan_row(kScan));
+        double cand_v = std::max(f_start, f_end);
+        double cand_at = f_start >= f_end ? 0.0 : dt;
+
+        double prev_t = 0.0, prev_g = df(scan_row(0));
+        for (int s = 1; s <= kScan; ++s) {
+            const double t = scan_time(s);
+            const double grad = df(scan_row(s));
+            if (prev_g == 0.0 || (prev_g > 0.0) != (grad > 0.0)) {
+                // Bracketed stationary point in [prev_t, t].
+                double lo = prev_t, hi = t;
+                double glo = prev_g;
+                for (int it = 0; it < 60; ++it) {
+                    const double mid = 0.5 * (lo + hi);
+                    exps_at(mid, probe);
+                    const double gm = df(probe);
+                    if ((gm > 0.0) == (glo > 0.0)) {
+                        lo = mid;
+                        glo = gm;
+                    } else {
+                        hi = mid;
+                    }
+                }
+                const double t_star = 0.5 * (lo + hi);
+                exps_at(t_star, probe);
+                const double value = f(probe);
+                if (value > cand_v) {
+                    cand_v = value;
+                    cand_at = t_star;
+                }
+                break;  // first interior extremum is the relevant hump
+            }
+            prev_t = t;
+            prev_g = grad;
+        }
+
+        const double temp = steady[i] + cand_v;
+        if (temp > best.temperature_c) {
+            best.temperature_c = temp;
+            best.time_s = cand_at;
+            best.core = i;
+        }
+    }
+    return best;
 }
 
 std::string to_string(SolverBackend backend) {

@@ -46,7 +46,10 @@ struct Peak {
 ///    apply_exponential_batch_into, transient_batch_into, exponential and
 ///    the sampled peak_core_temperature are written once, in solver.cpp,
 ///    over the single-vector calls every backend implements; only the
-///    modal backend overrides the batched conductance solve.
+///    modal backend overrides the batched conductance solve. The exact
+///    peak search is written once too (exact_peak_search); each backend's
+///    peak_core_temperature_exact only supplies its steady state and its
+///    map to modal coordinates.
 class TransientSolver {
 public:
     virtual ~TransientSolver() = default;
@@ -177,7 +180,9 @@ public:
                                          double ambient_celsius, double dt,
                                          std::size_t samples = 8) const;
     /// Exact (within error_bound_c()) peak over [0, dt] via the analytic
-    /// derivative of the per-core exponential sum.
+    /// derivative of the per-core exponential sum (exact_peak_search).
+    /// Throws std::invalid_argument when @p dt is not positive or @p t_init
+    /// or @p node_power does not cover every node.
     virtual Peak peak_core_temperature_exact(const linalg::Vector& t_init,
                                              const linalg::Vector& node_power,
                                              double ambient_celsius,
@@ -194,6 +199,23 @@ public:
     /// and bit-identical cloning is what keeps records placement-invariant.
     virtual std::unique_ptr<const TransientSolver> clone_rebound(
         const ThermalModel& model) const = 0;
+
+protected:
+    /// The MatEx peak search (Pagani et al., DATE'15) behind every
+    /// backend's peak_core_temperature_exact. Per core the transient from
+    /// @p t_init towards @p steady is a sum of decaying exponentials,
+    /// T_i(t) = steady_i + Σ_k c_ik·e^{λ_k·t} with c_ik = V(i,k)·w_k over
+    /// mode_shapes() and eigenvalues(), where w = @p modal_map·(t_init −
+    /// steady) (the retained rows of V^{-1}). When the backend truncates,
+    /// one more term carries the projection residual offset_i − Σ_k c_ik at
+    /// cluster_pole(), the decomposition the analyzer uses. Candidates are
+    /// both endpoints and the first stationary point, bracketed by a
+    /// 16-interval scan of the analytic derivative and refined by 60
+    /// bisections — no time-stepping or sampling error. Validates @p dt > 0
+    /// and @p t_init's size; @p steady must cover every node.
+    Peak exact_peak_search(const linalg::Vector& t_init,
+                           const linalg::Vector& steady,
+                           const linalg::Matrix& modal_map, double dt) const;
 };
 
 /// Which numeric backend realises the TransientSolver.
@@ -213,15 +235,6 @@ struct SolverConfig {
     /// choosing its mode cut; also the per-query budget of its sparse
     /// propagator.
     double tolerance_c = 0.01;
-
-    /// Scale (Kelvin) of the largest temperature offset from steady state
-    /// the truncation bound has to cover — conservatively, the full
-    /// ambient-to-DTM swing plus headroom.
-    double offset_scale_c = 50.0;
-
-    /// Per-core power scale (W) used when translating the per-watt
-    /// quasi-static residual into the reported Kelvin error bound.
-    double reference_power_w = 16.0;
 
     /// kAuto picks dense at or below this many thermal nodes (every shipped
     /// ≤64-core model has ≤129 nodes and stays dense — bit-identical to the

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cmath>
 #include <cstddef>
 #include <memory_resource>
@@ -29,13 +28,10 @@ namespace hp::thermal {
 ///
 ///  - ambient_rhs():  T_amb·G, so the per-step steady-state right-hand side
 ///    is a fused add instead of two allocated temporaries;
-///  - exp_table():    a small ladder of e^{λ_k·dt} vectors, one per distinct
-///    dt (up to kExpLadderSlots), so a simulator stepping at a fixed dt — or
-///    an analyzer probing a τ ladder of rotation intervals — pays the K
-///    exponentials once per rung instead of every query. Slots recycle
-///    round-robin on overflow; invalidate_exp_tables() empties the ladder in
-///    O(1) (the rebind hook for callers that swap solvers at what may be a
-///    recycled lambda address).
+///  - exp_table():    the last e^{λ_k·dt} vector, so a simulator stepping at
+///    a fixed dt pays the K exponentials once instead of every step;
+///    invalidate_exp_tables() forgets it in O(1) (the rebind hook for
+///    callers that swap solvers at what may be a recycled lambda address).
 ///
 /// Both caches key on the source vector's identity (address) plus the scalar
 /// argument, so reusing one workspace across models or dt values is correct —
@@ -66,7 +62,6 @@ public:
           solver_scratch(mr),
           taylor_a(mr),
           taylor_b(mr),
-          mr_(mr),
           batch_rhs_(mr),
           batch_sol_(mr),
           batch_steady_(mr),
@@ -137,60 +132,30 @@ public:
         return grown(batch_scratch_, n);
     }
 
-    /// Distinct-dt slots the exp ladder keeps live before recycling. Sized
-    /// for a HotPotato τ ladder plus the simulator micro-step and a few
-    /// analyzer horizons; each slot is one K-vector, so the cap bounds the
-    /// cache at a few hundred KiB even at 1024 cores.
-    static constexpr std::size_t kExpLadderSlots = 24;
-
-    /// Memoised e^{λ_k·dt} for the eigenvalue vector @p lambda: one ladder
-    /// slot per distinct (lambda address, dt) pair, so alternating dt values
-    /// (a τ ladder, epoch vs micro-step horizons) all stay warm, where the
-    /// historical single-entry memo recomputed on every alternation. Slots
-    /// recycle round-robin past kExpLadderSlots. Keys and cursors live
-    /// inline; the values share one flat slot-strided buffer on mr_, so the
-    /// whole ladder costs exactly one allocation (from the workspace's own
-    /// resource) for a given K, and a warmed ladder serves hits and recycles
-    /// without touching memory at all. The returned pointer stays valid
-    /// until exp_table() is next called with a *longer* eigenvalue vector
-    /// (a solver rebind to a bigger model, which re-strides the buffer).
+    /// Memoised e^{λ_k·dt} for the eigenvalue vector @p lambda: one entry,
+    /// keyed by the lambda address, dt and K, recomputed in place on any
+    /// other key. Every caller steps one solver at one dt per workspace (the
+    /// analyzer fills its own τ tables), so a single entry serves them all.
+    /// The values live on the workspace's resource; a miss at no larger K
+    /// allocates nothing. The returned pointer stays valid until the next
+    /// exp_table() call.
     const double* exp_table(const linalg::Vector& lambda, double dt) {
         const std::size_t k = lambda.size();
-        for (std::size_t s = 0; s < exp_used_; ++s) {
-            if (exp_keys_[s] == &lambda && exp_dts_[s] == dt &&
-                exp_lens_[s] == k)
-                return exp_values_.data() + s * exp_stride_;
-        }
-        if (k > exp_stride_) {
-            exp_stride_ = k;
-            exp_used_ = 0;
-            exp_next_ = 0;
-            exp_values_.resize(kExpLadderSlots * exp_stride_);
-        }
-        std::size_t s;
-        if (exp_used_ < kExpLadderSlots) {
-            s = exp_used_++;
-        } else {
-            s = exp_next_;
-            exp_next_ = (exp_next_ + 1) % kExpLadderSlots;
-        }
-        double* values = exp_values_.data() + s * exp_stride_;
+        if (exp_key_ == &lambda && exp_dt_ == dt && exp_values_.size() == k)
+            return exp_values_.data();
+        exp_values_.resize(k);
         for (std::size_t i = 0; i < k; ++i)
-            values[i] = std::exp(lambda[i] * dt);
-        exp_keys_[s] = &lambda;
-        exp_dts_[s] = dt;
-        exp_lens_[s] = k;
-        return values;
+            exp_values_[i] = std::exp(lambda[i] * dt);
+        exp_key_ = &lambda;
+        exp_dt_ = dt;
+        return exp_values_.data();
     }
 
-    /// O(1) invalidation of every exp ladder entry — the hook for solver
-    /// rebinds, where a new solver's eigenvalue vector may land at a freed
-    /// (and thus aliasing) address. The value buffer keeps its capacity, so
-    /// re-warming after an invalidation allocates nothing at unchanged K.
-    void invalidate_exp_tables() {
-        exp_used_ = 0;
-        exp_next_ = 0;
-    }
+    /// O(1) invalidation of the exp memo — the hook for solver rebinds,
+    /// where a new solver's eigenvalue vector may land at a freed (and thus
+    /// aliasing) address. The value buffer keeps its capacity, so re-warming
+    /// after an invalidation allocates nothing at unchanged K.
+    void invalidate_exp_tables() { exp_key_ = nullptr; }
 
 private:
     static std::pmr::vector<double>& grown(std::pmr::vector<double>& v,
@@ -200,7 +165,6 @@ private:
     }
 
     std::size_t nodes_ = 0;
-    std::pmr::memory_resource* mr_ = std::pmr::get_default_resource();
     std::pmr::vector<double> batch_rhs_;
     std::pmr::vector<double> batch_sol_;
     std::pmr::vector<double> batch_steady_;
@@ -208,13 +172,9 @@ private:
     linalg::Vector ambient_;
     const void* ambient_key_ = nullptr;
     double ambient_c_ = 0.0;
-    std::array<const void*, kExpLadderSlots> exp_keys_{};  ///< λ addresses
-    std::array<double, kExpLadderSlots> exp_dts_{};        ///< exact dt bits
-    std::array<std::size_t, kExpLadderSlots> exp_lens_{};  ///< cached K
-    std::pmr::vector<double> exp_values_;  ///< slot s at s·exp_stride_
-    std::size_t exp_stride_ = 0;         ///< slot pitch (largest K seen)
-    std::size_t exp_used_ = 0;           ///< live slots
-    std::size_t exp_next_ = 0;           ///< round-robin recycle cursor
+    const void* exp_key_ = nullptr;      ///< λ address; null when empty
+    double exp_dt_ = 0.0;
+    std::pmr::vector<double> exp_values_;  ///< e^{λ_k·dt}, K entries
 };
 
 }  // namespace hp::thermal

@@ -142,8 +142,10 @@ private:
     bool event_ = false;
 };
 
-TEST(AllocGuard, WarmedSimulatorMicroStepIsAllocationFree) {
-    const campaign::StudySetup setup = campaign::StudySetup::paper_16core();
+/// Runs HotPotato on @p setup for 500 micro-steps and asserts that every
+/// warmed step without a scheduler event allocates nothing.
+void expect_warmed_micro_steps_allocation_free(
+    const campaign::StudySetup& setup) {
     sim::SimConfig cfg;
     cfg.micro_step_s = 1e-4;
     cfg.scheduler_epoch_s = 1e-3;
@@ -170,6 +172,20 @@ TEST(AllocGuard, WarmedSimulatorMicroStepIsAllocationFree) {
         ++asserted;
     }
     EXPECT_GT(asserted, 100u) << "too few event-free steps measured";
+}
+
+TEST(AllocGuard, WarmedSimulatorMicroStepIsAllocationFree) {
+    expect_warmed_micro_steps_allocation_free(
+        campaign::StudySetup::paper_16core());
+}
+
+TEST(AllocGuard, WarmedSimulatorMicroStepIsAllocationFreeOn1024Core) {
+#ifndef NDEBUG
+    GTEST_SKIP() << "2049-node setup runs in optimised builds only";
+#else
+    expect_warmed_micro_steps_allocation_free(
+        campaign::StudySetup::paper_1024core());
+#endif
 }
 
 TEST(AllocGuard, WarmedMicroStepWithRecorderAttachedIsAllocationFree) {
@@ -386,11 +402,12 @@ TEST(AllocGuard, WarmedModalThermalKernelsAreAllocationFree) {
     EXPECT_EQ(alloc_count() - before, 0u);
 }
 
-/// Warms every batch staging buffer and both exp-ladder rungs (the
-/// micro-step horizon and 1 s, which is the retained-mode closed form on the
-/// modal backend), then asserts that 50 rounds of every batched solver call
-/// allocate nothing. The batched exponential and transient are the
-/// TransientSolver base's loops, so this pins them on each backend.
+/// Warms every batch staging buffer and the exp memo at both horizons (the
+/// micro-step and 1 s, which is the retained-mode closed form on the modal
+/// backend; alternating them refills the one-entry memo in place), then
+/// asserts that 50 rounds of every batched solver call allocate nothing.
+/// The batched exponential and transient are the TransientSolver base's
+/// loops, so this pins them on each backend.
 void expect_warmed_batch_kernels_allocation_free(
     const campaign::StudySetup& setup, const char* backend) {
     const thermal::ThermalModel& model = setup.model();

@@ -127,11 +127,6 @@ TEST(BatchKernels, ElementwiseKernelsMatchReferenceLoops) {
         for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(got[i], want[i]) << i;
 
         got = x, want = x;
-        linalg::kernel_scale(n, 0.75, got.data());
-        for (std::size_t i = 0; i < n; ++i) want[i] *= 0.75;
-        for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(got[i], want[i]) << i;
-
-        got = x, want = x;
         linalg::kernel_hadamard(n, e.data(), got.data());
         for (std::size_t i = 0; i < n; ++i) want[i] *= e[i];
         for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(got[i], want[i]) << i;

@@ -95,9 +95,6 @@ TEST(Dispatch, ElementwiseKernelsBitIdenticalAcrossTiers) {
         k.axpy(n, 1.25, x.data(), v.data());
         r.push_back(v);
         v = x;
-        k.scale(n, 0.75, v.data());
-        r.push_back(v);
-        v = x;
         k.hadamard(n, e.data(), v.data());
         r.push_back(v);
         v = y0;

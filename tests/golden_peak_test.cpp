@@ -17,7 +17,10 @@
 // TransientSolver base: the sampled peak_core_temperature at three horizons
 // and digests of apply_exponential_batch_into (separate and in-place
 // outputs) and transient_batch_into, each at a Taylor and a closed-form
-// horizon, on the dense 64-core and the modal 256-core chip.
+// horizon, on the dense 64-core and the modal 256-core chip. A third pins
+// peak_core_temperature_exact (value, time and core) on the dense 64-core
+// chip, the 64-core chip forced to modal (truncated, so the residual
+// pseudo-mode takes part) and the modal 256-core chip.
 //
 // A change that alters any bit fails here and prints the new answers in the
 // table's format. Replace the table only for a change that is meant to move
@@ -67,14 +70,14 @@ struct Chip {
     core::PeakTemperatureAnalyzer analyzer;
 };
 
-enum ChipKind { kDense64, kPaper256, kStacked256 };
+enum ChipKind { kDense64, kPaper256, kStacked256, kModal64 };
 constexpr ChipKind kChips[] = {kDense64, kPaper256, kStacked256};
 
 /// @p kind built under the active tier. The design-time tables (modes, β,
 /// the quasi-static map) come from the dispatched kernels too, so each tier
 /// builds and pins its own chips.
 const Chip& chip(ChipKind kind) {
-    static std::unique_ptr<Chip> built[3][2];
+    static std::unique_ptr<Chip> built[4][2];
     std::unique_ptr<Chip>& c =
         built[kind][static_cast<int>(linalg::simd::active_tier())];
     if (c) return *c;
@@ -93,6 +96,11 @@ const Chip& chip(ChipKind kind) {
             c = std::make_unique<Chip>(
                 "stacked_256core", campaign::StudySetup::stacked_256core(
                                        thermal::SolverConfig::modal()));
+            break;
+        case kModal64:
+            c = std::make_unique<Chip>(
+                "paper_64core/modal", campaign::StudySetup::paper_64core(
+                                          thermal::SolverConfig::modal()));
             break;
     }
     return *c;
@@ -286,6 +294,36 @@ constexpr double kClosedFormDt = 0.25;
 constexpr std::size_t kBatch = 5;
 constexpr std::size_t kDigests = 6;
 
+/// The solver tables' start temperatures: 45–53.25 °C by node.
+linalg::Vector start_temperatures(const Chip& chip) {
+    const std::size_t n = chip.setup.model().node_count();
+    linalg::Vector t_init(n);
+    for (std::size_t i = 0; i < n; ++i)
+        t_init[i] = 45.0 + 0.375 * static_cast<double>((7 * i) % 23);
+    return t_init;
+}
+
+/// A hot spreader between the start-temperature cores and an ambient sink
+/// (the last node): under idle power the hottest core warms up and then
+/// cools, so over a long enough horizon its peak falls inside it.
+linalg::Vector hot_package(const Chip& chip) {
+    const std::size_t n = chip.setup.model().node_count();
+    const std::size_t cores = chip.setup.model().core_count();
+    const linalg::Vector t_init = start_temperatures(chip);
+    linalg::Vector hot(n, 100.0);
+    for (std::size_t i = 0; i < cores; ++i) hot[i] = t_init[i];
+    hot[n - 1] = 45.0;
+    return hot;
+}
+
+/// kIdleW on every core, nothing elsewhere.
+linalg::Vector idle_power(const Chip& chip) {
+    linalg::Vector idle(chip.setup.model().node_count(), 0.0);
+    for (std::size_t i = 0; i < chip.setup.model().core_count(); ++i)
+        idle[i] = kIdleW;
+    return idle;
+}
+
 struct SolverAnswers {
     double peaks[3];
     std::uint64_t digests[kDigests];
@@ -302,9 +340,7 @@ SolverAnswers compute_solver(const Chip& chip) {
     const thermal::TransientSolver& solver = chip.setup.solver();
     const std::size_t n = solver.node_count();
     const std::size_t cores = chip.setup.model().core_count();
-    linalg::Vector t_init(n);
-    for (std::size_t i = 0; i < n; ++i)
-        t_init[i] = 45.0 + 0.375 * static_cast<double>((7 * i) % 23);
+    const linalg::Vector t_init = start_temperatures(chip);
     std::vector<double> powers(kBatch * n, 0.0), xs(kBatch * n);
     for (std::size_t r = 0; r < kBatch; ++r) {
         for (std::size_t i = 0; i < cores; ++i)
@@ -315,22 +351,12 @@ SolverAnswers compute_solver(const Chip& chip) {
                 0.5 * (static_cast<double>((11 * i + 5 * r) % 19) - 9.0);
     }
 
-    // Peaks start from a hot spreader between idle cores and an ambient
-    // sink (the last node), so the hottest core warms up and then cools:
-    // the peak falls on an interior sample.
-    linalg::Vector hot_package(n, 100.0), idle(n, 0.0);
-    for (std::size_t i = 0; i < cores; ++i) {
-        hot_package[i] = t_init[i];
-        idle[i] = kIdleW;
-    }
-    hot_package[n - 1] = 45.0;
+    const linalg::Vector hot = hot_package(chip);
+    const linalg::Vector idle = idle_power(chip);
     SolverAnswers out{};
-    out.peaks[0] =
-        solver.peak_core_temperature(hot_package, idle, 45.0, 5e-3, 3);
-    out.peaks[1] =
-        solver.peak_core_temperature(hot_package, idle, 45.0, 2e-2, 7);
-    out.peaks[2] =
-        solver.peak_core_temperature(hot_package, idle, 45.0, 0.2, 11);
+    out.peaks[0] = solver.peak_core_temperature(hot, idle, 45.0, 5e-3, 3);
+    out.peaks[1] = solver.peak_core_temperature(hot, idle, 45.0, 2e-2, 7);
+    out.peaks[2] = solver.peak_core_temperature(hot, idle, 45.0, 0.2, 11);
 
     thermal::ThermalWorkspace ws;
     const double horizons[2] = {kTaylorDt, kClosedFormDt};
@@ -425,6 +451,115 @@ TEST_P(GoldenPeak, SolverBatchesAndSampledPeaksKeepTheirRecordedBits) {
     }
 }
 
+constexpr std::size_t kExactQueries = 3;
+
+struct ExactAnswers {
+    thermal::Peak peaks[kExactQueries];
+};
+
+/// The fixed exact-peak queries: the hot package under idle power at
+/// 2e-2 s (still warming: the peak at the endpoint) and at 0.2 s (warmed
+/// and cooling: the peak inside the horizon, found by bisection), and the
+/// start temperatures under a loaded chip at 0.05 s.
+ExactAnswers compute_exact(const Chip& chip) {
+    const thermal::TransientSolver& solver = chip.setup.solver();
+    const std::size_t cores = chip.setup.model().core_count();
+    const linalg::Vector hot = hot_package(chip);
+    const linalg::Vector idle = idle_power(chip);
+    linalg::Vector loaded = idle;
+    for (std::size_t i = 0; i < cores; ++i)
+        loaded[i] = 0.25 + 0.5 * static_cast<double>((3 * i) % 13);
+    ExactAnswers out{};
+    out.peaks[0] = solver.peak_core_temperature_exact(hot, idle, 45.0, 2e-2);
+    out.peaks[1] = solver.peak_core_temperature_exact(hot, idle, 45.0, 0.2);
+    out.peaks[2] = solver.peak_core_temperature_exact(
+        start_temperatures(chip), loaded, 45.0, 0.05);
+    return out;
+}
+
+struct ExactGolden {
+    const char* chip;
+    Tier tier;
+    ExactAnswers want;
+};
+
+// Recorded from the implementation in which each backend carried its own
+// copy of the exact-peak search.
+const ExactGolden kExactGolden[] = {
+    {"paper_64core",
+     Tier::kScalar,
+     {{{0x1.608a471428e62p+6, 0x1.47ae147ae147bp-6, 36},
+       {0x1.7b22a106d1c64p+6, 0x1.790a50f9dc222p-5, 36},
+       {0x1.61184f777a17ap+6, 0x1.999999999999ap-5, 4}}}},
+    {"paper_64core",
+     Tier::kAvx2,
+     {{{0x1.608a471428e62p+6, 0x1.47ae147ae147bp-6, 36},
+       {0x1.7b22a106d1c64p+6, 0x1.790a50f9dc224p-5, 36},
+       {0x1.61184f777a17ap+6, 0x1.999999999999ap-5, 4}}}},
+    {"paper_64core/modal",
+     Tier::kScalar,
+     {{{0x1.7a320df668194p+6, 0x1.47ae147ae147bp-6, 13},
+       {0x1.845940a216cb6p+6, 0x1.1539da1c255a4p-5, 36},
+       {0x1.6325a86ea1bd3p+6, 0x1.999999999999ap-5, 4}}}},
+    {"paper_64core/modal",
+     Tier::kAvx2,
+     {{{0x1.7a320df668194p+6, 0x1.47ae147ae147bp-6, 13},
+       {0x1.845940a216cb6p+6, 0x1.1539da1c255a6p-5, 36},
+       {0x1.6325a86ea1bd3p+6, 0x1.999999999999ap-5, 4}}}},
+    {"paper_256core",
+     Tier::kScalar,
+     {{{0x1.7b4d8af9c04d8p+6, 0x1.47ae147ae147bp-6, 220},
+       {0x1.84c0282fb04c8p+6, 0x1.0faf2cc725e82p-5, 220},
+       {0x1.6804c6373fa2dp+6, 0x1.999999999999ap-5, 95}}}},
+    {"paper_256core",
+     Tier::kAvx2,
+     {{{0x1.7b4d8af9c04d7p+6, 0x1.47ae147ae147bp-6, 220},
+       {0x1.84c0282fb04c9p+6, 0x1.0faf2cc725e82p-5, 220},
+       {0x1.6804c6373fa2dp+6, 0x1.999999999999ap-5, 95}}}},
+};
+
+std::string exact_table_row(const Chip& chip, Tier tier,
+                            const ExactAnswers& got) {
+    std::string row = std::string("{\"") + chip.name + "\", Tier::" +
+                      (tier == Tier::kAvx2 ? "kAvx2" : "kScalar") + ", {{";
+    char buf[96];
+    for (std::size_t q = 0; q < kExactQueries; ++q) {
+        std::snprintf(buf, sizeof buf, "%s{%a, %a, %zu}", q ? ", " : "",
+                      got.peaks[q].temperature_c, got.peaks[q].time_s,
+                      got.peaks[q].core);
+        row += buf;
+    }
+    return row + "}}},";
+}
+
+TEST_P(GoldenPeak, ExactPeaksKeepTheirRecordedBits) {
+#if !defined(__x86_64__)
+    GTEST_SKIP() << "answers recorded on x86-64";
+#endif
+    const Tier tier = linalg::simd::active_tier();
+    for (ChipKind kind : {kDense64, kModal64, kPaper256}) {
+        const Chip& c = chip(kind);
+        SCOPED_TRACE(c.name);
+        const auto* golden =
+            std::find_if(std::begin(kExactGolden), std::end(kExactGolden),
+                         [&](const ExactGolden& g) {
+                             return g.tier == tier &&
+                                    std::string(g.chip) == c.name;
+                         });
+        const ExactAnswers got = compute_exact(c);
+        bool same = golden != std::end(kExactGolden);
+        for (std::size_t q = 0; same && q < kExactQueries; ++q) {
+            const thermal::Peak& w = golden->want.peaks[q];
+            same = std::memcmp(&got.peaks[q].temperature_c, &w.temperature_c,
+                               sizeof(double)) == 0 &&
+                   std::memcmp(&got.peaks[q].time_s, &w.time_s,
+                               sizeof(double)) == 0 &&
+                   got.peaks[q].core == w.core;
+        }
+        EXPECT_TRUE(same) << "got\n    " << exact_table_row(c, tier, got);
+    }
+}
+
 TEST(GoldenPeakFixtures, CoverWhatTheTableClaims) {
     // The ring fixtures exercise unsorted cores, zero-delta slots and
     // all-idle rings; the chips cover both projections.
@@ -447,6 +582,18 @@ TEST(GoldenPeakFixtures, CoverWhatTheTableClaims) {
     ASSERT_NE(modal, nullptr);
     EXPECT_LT(kTaylorDt, modal->tau_switch_s());
     EXPECT_GE(kClosedFormDt, modal->tau_switch_s());
+    // The forced-modal 64-core chip drops modes, so its exact peaks carry
+    // the residual pseudo-mode; one exact query peaks inside its horizon,
+    // the other two at its end.
+    EXPECT_TRUE(chip(kModal64).setup.solver().truncated());
+    EXPECT_LT(chip(kModal64).setup.solver().cluster_pole(), 0.0);
+    for (ChipKind kind : {kDense64, kModal64, kPaper256}) {
+        const ExactAnswers got = compute_exact(chip(kind));
+        EXPECT_EQ(got.peaks[0].time_s, 2e-2);
+        EXPECT_GT(got.peaks[1].time_s, 0.0);
+        EXPECT_LT(got.peaks[1].time_s, 0.2);
+        EXPECT_EQ(got.peaks[2].time_s, 0.05);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Tiers, GoldenPeak,

@@ -8,7 +8,7 @@
 // as independent implementations — not wrappers — precisely so this suite
 // compares two genuinely distinct code paths.
 //
-// Coverage: linalg kernels, matvec_into, LU solve_into, pad_power_into,
+// Coverage: matvec_into, LU solve_into, pad_power_into,
 // the dense steady_state_into, apply_exponential_into (including the
 // memoised exp-table reuse), transient_into (including out aliasing t_init),
 // and workspace reuse across every PeakTemperatureAnalyzer query — on the
@@ -67,31 +67,6 @@ TEST(HotpathKernels, MatvecMatchesOperator) {
     linalg::Vector out(rows);
     linalg::matvec_into(a, x, out);
     expect_bitwise_equal(legacy, out);
-}
-
-TEST(HotpathKernels, AxpyScaleHadamardExpMatchManualLoops) {
-    const std::size_t n = 9;
-    linalg::Vector x(n), rate(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        x[i] = 1.0 + 0.1 * static_cast<double>(i);
-        rate[i] = -0.5 - 0.03 * static_cast<double>(i);
-    }
-
-    linalg::Vector y_manual(n), y_kernel(n);
-    for (std::size_t i = 0; i < n; ++i) y_manual[i] = y_kernel[i] = 2.0;
-    for (std::size_t i = 0; i < n; ++i) y_manual[i] += 1.25 * x[i];
-    linalg::axpy(1.25, x, y_kernel);
-    expect_bitwise_equal(y_manual, y_kernel);
-
-    linalg::Vector s_manual = x, s_kernel = x;
-    for (std::size_t i = 0; i < n; ++i) s_manual[i] *= 0.75;
-    linalg::scale(s_kernel, 0.75);
-    expect_bitwise_equal(s_manual, s_kernel);
-
-    linalg::Vector h_manual = x, h_kernel = x;
-    for (std::size_t i = 0; i < n; ++i) h_manual[i] *= std::exp(rate[i] * 1e-3);
-    linalg::hadamard_exp(h_kernel, rate, 1e-3);
-    expect_bitwise_equal(h_manual, h_kernel);
 }
 
 TEST(HotpathKernels, LuSolveIntoMatchesSolve) {

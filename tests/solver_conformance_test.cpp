@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -245,6 +246,35 @@ TEST_P(SolverConformance, IntoCallsMatchAllocatingCalls) {
         for (std::size_t i = 0; i < model.node_count(); ++i)
             EXPECT_EQ(temps[i], trans[i]) << "dt=" << dt << " i=" << i;
     }
+
+    // A fresh empty out is sized by the call, as every other _into does.
+    const Vector solved = solver->conductance_solve(power);
+    Vector fresh;
+    solver->conductance_solve_into(power, ws, fresh);
+    ASSERT_EQ(fresh.size(), model.node_count());
+    for (std::size_t i = 0; i < model.node_count(); ++i)
+        EXPECT_EQ(fresh[i], solved[i]) << i;
+}
+
+TEST_P(SolverConformance, ExactPeakRejectsMisSizedInputs) {
+    const ThermalModel& model = rig64().model;
+    const bool modal = std::string(GetParam()) == "modal";
+    const auto solver = hp::thermal::make_solver(
+        model, modal ? SolverConfig::modal() : SolverConfig::dense());
+    const std::size_t n = model.node_count();
+    const Vector power = test_power(model);
+    const Vector t_init = oracle_ambient_equilibrium(model, 45.0);
+    for (std::size_t size : {n - 1, n + 1}) {
+        SCOPED_TRACE(size);
+        EXPECT_THROW(solver->peak_core_temperature_exact(Vector(size, 50.0),
+                                                         power, 45.0, 0.05),
+                     std::invalid_argument);
+        EXPECT_THROW(solver->peak_core_temperature_exact(
+                         t_init, Vector(size, 0.5), 45.0, 0.05),
+                     std::invalid_argument);
+    }
+    EXPECT_THROW(solver->peak_core_temperature_exact(t_init, power, 45.0, 0.0),
+                 std::invalid_argument);
 }
 
 TEST_P(SolverConformance, BatchesMatchLoopedSingles) {
