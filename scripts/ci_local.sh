@@ -162,10 +162,10 @@ if [[ -d "$MODAL_DIR" ]]; then
   note "modal solver: full suite under HOTPOTATO_SOLVER=modal"
   HOTPOTATO_SOLVER=modal \
     ctest --test-dir "$MODAL_DIR" --output-on-failure -j "$JOBS"
-  # Only modal backends take Algorithm 1's bound-pruned path, whose per-tier
-  # kernels are matmat and bound_matvec, so the forced modal suite also runs
-  # under each pinned dispatch tier (scalar guards the portable fallback,
-  # avx2 the FMA reductions).
+  # Algorithm 1's bound-pruned loop rounds per tier (matmat, bound_matvec)
+  # and on modal chips also folds in the dropped-cluster correction, so the
+  # forced modal suite also runs under each pinned dispatch tier (scalar
+  # guards the portable fallback, avx2 the FMA reductions).
   for tier in scalar avx2; do
     note "modal solver: full suite under HOTPOTATO_SOLVER=modal HOTPOTATO_DISPATCH=$tier"
     HOTPOTATO_SOLVER=modal HOTPOTATO_DISPATCH="$tier" \

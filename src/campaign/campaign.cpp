@@ -255,15 +255,6 @@ std::size_t resolve_jobs(std::size_t requested, std::size_t runs) {
     return std::max<std::size_t>(1, std::min(jobs, runs));
 }
 
-std::uint64_t fnv1a64(const std::string& text) {
-    std::uint64_t hash = 14695981039346656037ull;
-    for (char c : text) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
-
 /// Backoff before retry @p attempt (1-based) of @p key: exponential in the
 /// attempt, capped, scaled by a deterministic per-(key, attempt) jitter in
 /// [1 - jitter_frac/2, 1 + jitter_frac/2]. Same key, same attempt -> same

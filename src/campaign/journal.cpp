@@ -20,20 +20,6 @@ namespace {
 constexpr char kSep = '\x1f';  ///< field separator (ASCII unit separator)
 constexpr const char* kMagic = "hpjournal1";
 
-std::uint64_t fnv1a64(const char* data, std::size_t size,
-                      std::uint64_t hash = 14695981039346656037ull) {
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= static_cast<unsigned char>(data[i]);
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
-
-std::uint64_t fnv1a64(const std::string& text,
-                      std::uint64_t hash = 14695981039346656037ull) {
-    return fnv1a64(text.data(), text.size(), hash);
-}
-
 std::string hex64(std::uint64_t v) {
     char buf[17];
     std::snprintf(buf, sizeof buf, "%016llx",
@@ -126,6 +112,26 @@ public:
         throw JournalError("journal: bad double field: " + std::string(f));
     }
     bool boolean() { return u64() != 0; }
+    /// An integer field that must not exceed @p max (enum tags, u32 args).
+    std::uint64_t u64_at_most(std::uint64_t max, const char* what) {
+        const std::uint64_t v = u64();
+        if (v > max)
+            throw JournalError(std::string("journal: ") + what + " " +
+                               std::to_string(v) + " out of range");
+        return v;
+    }
+    /// The count of a list whose items take at least @p fields_each fields:
+    /// a count the fields left cannot hold is rejected before anything is
+    /// sized by it.
+    std::size_t count(std::size_t fields_each) {
+        const std::uint64_t n = u64();
+        const std::size_t left = fields_.size() - next_;
+        if (n > left / fields_each)
+            throw JournalError("journal: count " + std::to_string(n) +
+                               " exceeds the " + std::to_string(left) +
+                               " fields left");
+        return static_cast<std::size_t>(n);
+    }
     bool exhausted() const { return next_ == fields_.size(); }
 
 private:
@@ -139,6 +145,14 @@ private:
 }
 
 }  // namespace
+
+std::uint64_t fnv1a64(std::string_view text, std::uint64_t hash) {
+    for (const char c : text) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
 
 // ---- grid signature -------------------------------------------------------
 
@@ -256,7 +270,7 @@ RunRecord parse_record(const std::string& payload) {
         throw JournalError("journal: bad failure class");
     r.failure_class = static_cast<FailureClass>(cls);
     r.attempts = f.u64();
-    r.backoff_s.resize(f.u64());
+    r.backoff_s.resize(f.count(1));
     for (double& b : r.backoff_s) b = f.f64();
     r.error = f.str();
     r.wall_time_s = f.f64();
@@ -271,7 +285,7 @@ RunRecord parse_record(const std::string& payload) {
     s.migrations = f.u64();
     s.total_energy_j = f.f64();
     s.idle_energy_j = f.f64();
-    s.tasks.resize(f.u64());
+    s.tasks.resize(f.count(7));
     for (sim::TaskResult& t : s.tasks) {
         t.id = f.u64();
         t.benchmark = f.str();
@@ -294,18 +308,20 @@ RunRecord parse_record(const std::string& payload) {
     res.thermal_violation_s = f.f64();
     res.peak_during_fault_c = f.f64();
     res.untrusted_sensor_samples = f.u64();
-    res.fault_log.resize(f.u64());
+    res.fault_log.resize(f.count(4));
     for (fault::FaultLogEntry& e : res.fault_log) {
         e.time_s = f.f64();
-        e.kind = static_cast<fault::FaultKind>(f.u64());
+        e.kind = static_cast<fault::FaultKind>(f.u64_at_most(
+            static_cast<std::uint64_t>(fault::FaultKind::kRotationAbort),
+            "fault kind"));
         e.target = f.u64();
         e.note = f.str();
     }
-    s.trace.resize(f.u64());
+    s.trace.resize(f.count(3));
     for (sim::TraceSample& t : s.trace) {
         t.time_s = f.f64();
         t.max_core_temperature_c = f.f64();
-        const std::size_t n = f.u64();
+        const std::size_t n = f.count(3);
         t.core_temperature_c.resize(n);
         t.core_power_w.resize(n);
         t.core_frequency_hz.resize(n);
@@ -323,12 +339,15 @@ RunRecord parse_record(const std::string& payload) {
                                e.what());
         }
     }
-    r.events.resize(f.u64());
+    r.events.resize(f.count(5));
+    constexpr std::uint64_t kU32 = 0xffffffffu;
     for (obs::Event& e : r.events) {
         e.time_s = f.f64();
-        e.kind = static_cast<obs::EventKind>(f.u64());
-        e.arg0 = static_cast<std::uint32_t>(f.u64());
-        e.arg1 = static_cast<std::uint32_t>(f.u64());
+        e.kind = static_cast<obs::EventKind>(f.u64_at_most(
+            static_cast<std::uint64_t>(obs::EventKind::kDivergence),
+            "event kind"));
+        e.arg0 = static_cast<std::uint32_t>(f.u64_at_most(kU32, "event arg0"));
+        e.arg1 = static_cast<std::uint32_t>(f.u64_at_most(kU32, "event arg1"));
         e.value = f.f64();
     }
     if (!f.exhausted())
@@ -363,17 +382,22 @@ JournalContents scan_journal(const std::string& path,
     if (read_error)
         throw JournalError("journal: read failed: " + path);
 
+    // Every failure below names the journal line it is about.
+    std::size_t line_no = 1;
+    const auto error = [&](const std::string& what) {
+        return JournalError("journal: " + path + ":" +
+                            std::to_string(line_no) + ": " + what);
+    };
+    if (data.empty()) throw error("empty file, no header");
     JournalContents out;
     std::size_t pos = 0;
-    std::size_t line_no = 0;
     std::size_t consumed = 0;
     while (pos < data.size()) {
         const std::size_t nl = data.find('\n', pos);
         const bool complete = nl != std::string::npos;
         const std::string line =
             data.substr(pos, complete ? nl - pos : std::string::npos);
-        ++line_no;
-        if (line_no == 1) {
+        if (pos == 0) {
             // Header: "hpjournal1 <grid hex> <runs>". Created atomically, so
             // a torn header means the file is not a journal at all.
             const auto h = textio::split(line, ' ');
@@ -381,33 +405,37 @@ JournalContents scan_journal(const std::string& path,
                             h[1].size() == 16;
             const auto grid = ok ? textio::parse_u64(h[1], 16) : std::nullopt;
             const auto runs = ok ? textio::parse_u64(h[2]) : std::nullopt;
-            if (!grid || !runs)
-                throw JournalError("journal: bad header: " + path);
+            if (!grid || !runs) throw error("bad header");
             out.grid_hash = *grid;
             out.total_runs = *runs;
         } else {
             const std::size_t space = line.find(' ');
             const bool well_formed =
                 complete && space == 16 &&
-                hex64(fnv1a64(line.data() + space + 1,
-                              line.size() - space - 1)) ==
+                hex64(fnv1a64(std::string_view(line).substr(space + 1))) ==
                     line.substr(0, 16);
             if (!well_formed) {
                 // A torn/corrupt FINAL line is the expected crash artifact:
                 // drop it. Anywhere else it is corruption.
                 if (complete && nl != data.size() - 1)
-                    throw JournalError(
-                        "journal: checksum mismatch at line " +
-                        std::to_string(line_no) + ": " + path);
+                    throw error("checksum mismatch");
                 out.torn_tail = true;
                 break;
             }
-            out.records.push_back(parse_record(line.substr(space + 1)));
+            try {
+                out.records.push_back(parse_record(line.substr(space + 1)));
+            } catch (const JournalError& e) {
+                constexpr std::string_view kPrefix = "journal: ";
+                std::string_view what = e.what();
+                if (what.starts_with(kPrefix))
+                    what.remove_prefix(kPrefix.size());
+                throw error(std::string(what));
+            }
         }
         pos = nl + 1;
         consumed = pos;
+        ++line_no;
     }
-    if (line_no == 0) throw JournalError("journal: empty file: " + path);
     if (valid_bytes) *valid_bytes = consumed;
     return out;
 }

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -20,6 +21,12 @@ class JournalError : public std::runtime_error {
 public:
     using std::runtime_error::runtime_error;
 };
+
+/// 64-bit FNV-1a of @p text, continuing from @p hash (the offset basis by
+/// default): the journal's line checksums and grid signature, and the
+/// campaign engine's deterministic retry jitter.
+std::uint64_t fnv1a64(std::string_view text,
+                      std::uint64_t hash = 14695981039346656037ull);
 
 /// Order- and thread-count-independent fingerprint of a campaign grid:
 /// FNV-1a over run_count and every RunKey (index, labels, seed). A journal
@@ -40,9 +47,10 @@ struct JournalContents {
 };
 
 /// Parses a journal file. Throws JournalError on corruption anywhere except
-/// a torn final line. The record payloads round-trip every determinism-
-/// relevant RunRecord field bit-exactly (doubles via %.17g), including the
-/// obs metrics snapshot and event trace.
+/// a torn final line; a problem with the file's content is reported as
+/// `journal: <path>:<line>: <what>`. The record payloads round-trip every
+/// determinism-relevant RunRecord field bit-exactly (doubles via %.17g),
+/// including the obs metrics snapshot and event trace.
 JournalContents read_journal(const std::string& path);
 
 /// Append-only, crash-safe run journal (DESIGN.md §10).
@@ -91,7 +99,10 @@ private:
 
 /// Payload (de)serialization, exposed for tests: serialize_record() emits a
 /// single line without checksum or newline; parse_record() inverts it
-/// exactly. parse_record() throws JournalError on malformed input.
+/// exactly. parse_record() throws JournalError on malformed input, which
+/// includes a list count larger than the fields left in the payload (checked
+/// before anything is sized by it) and an out-of-range enum tag or event
+/// argument.
 std::string serialize_record(const RunRecord& record);
 RunRecord parse_record(const std::string& payload);
 

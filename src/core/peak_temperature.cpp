@@ -44,8 +44,8 @@ void ensure_list(std::vector<linalg::Vector>& list, std::size_t count,
 
 /// Dropped-cluster response of one core at an intra-epoch sample:
 /// c_e + e^{λ̄ τ s/S}·(x*_{e-1} - c_e), which at s = S is the boundary state
-/// x*_e. The one expression every projection folds in, so the full and the
-/// pruned paths add the same bits.
+/// x*_e. The one expression project_row and stage_memo's correction maxima
+/// fold in, so the exact and the bound stage see the same bits.
 inline double dropped_response(double ce, double prev, double qs) {
     return ce + qs * (prev - ce);
 }
@@ -236,21 +236,16 @@ std::vector<linalg::Vector> PeakTemperatureAnalyzer::boundary_temperatures(
 }
 
 void PeakTemperatureAnalyzer::reserve_sample_batch(
-    const std::vector<RotationRingSpec>& rings, std::size_t samples_per_epoch,
+    std::size_t max_delta, std::size_t samples_per_epoch,
     PeakWorkspace& ws) const {
-    // Grow the staging/projection buffers once for the largest ring of the
-    // query instead of once per distinct ring size inside
-    // stage_samples — rings are visited smallest-first, so growing
-    // lazily would reallocate on every size step of the first query.
-    std::size_t max_delta = 0;
-    for (const RotationRingSpec& ring : rings)
-        max_delta = std::max(max_delta, ring.cores.size());
+    // Grow the staging buffer once for the largest ring of the query instead
+    // of once per distinct ring size inside stage_samples — rings are
+    // visited smallest-first, so growing lazily would reallocate on every
+    // size step of the first query. project_row needs one row's responses.
     const std::size_t nsamp = max_delta * samples_per_epoch;
-    const std::size_t cores = solver_->model().core_count();
     if (ws.zs_batch_.size() < nsamp * modes_)
         ws.zs_batch_.resize(nsamp * modes_);
-    if (ws.resp_batch_.size() < nsamp * cores)
-        ws.resp_batch_.resize(nsamp * cores);
+    if (ws.resp_batch_.size() < nsamp) ws.resp_batch_.resize(nsamp);
 }
 
 template <class EpochPower>
@@ -392,11 +387,9 @@ void PeakTemperatureAnalyzer::stage_samples(std::size_t delta,
         }
     }
 
-    // Stage all δ·S modal samples RHS-major: epoch boundaries plus interior
-    // points, sample m = e·S + s - 1 for s = 1..S (s = S is the boundary).
-    const std::size_t nsamp = delta * samples_per_epoch;
-    if (ws.zs_batch_.size() < nsamp * k_modes)
-        ws.zs_batch_.resize(nsamp * k_modes);
+    // Stage all δ·S modal samples RHS-major (into the buffer
+    // reserve_sample_batch sized): epoch boundaries plus interior points,
+    // sample m = e·S + s - 1 for s = 1..S (s = S is the boundary).
     double* zs_batch = ws.zs_batch_.data();
     for (std::size_t e = 0; e < delta; ++e) {
         const linalg::Vector& z_prev = z[(e + delta - 1) % delta];
@@ -413,43 +406,6 @@ void PeakTemperatureAnalyzer::stage_samples(std::size_t delta,
             }
         }
     }
-}
-
-void PeakTemperatureAnalyzer::project_full(std::size_t delta,
-                                           std::size_t samples_per_epoch,
-                                           PeakWorkspace& ws,
-                                           linalg::Vector& core_max) const {
-    // Per-core maxima over epoch boundaries plus interior samples. Only core
-    // rows of V are projected (Eq. (11) constrains core temperatures). All
-    // δ·S staged samples go through one matmat, which streams each V core
-    // row once per RHS block instead of once per sample.
-    const std::size_t cores = solver_->model().core_count();
-    const std::size_t nsamp = delta * samples_per_epoch;
-    ensure_size(core_max, cores);
-    for (std::size_t i = 0; i < cores; ++i) core_max[i] = -1e300;
-    if (ws.resp_batch_.size() < nsamp * cores)
-        ws.resp_batch_.resize(nsamp * cores);
-    linalg::kernel_matmat(v_cores_.data(), cores, modes_, ws.zs_batch_.data(),
-                          nsamp, ws.resp_batch_.data());
-    if (corrected()) {
-        // Fold the dropped-cluster response into every projected sample
-        // before the max; at s = S it equals the boundary state x*_e.
-        const double* qfrac = ws.staged_qfrac(samples_per_epoch);
-        for (std::size_t e = 0; e < delta; ++e) {
-            const double* prev = ws.cstar_[(e + delta - 1) % delta].data();
-            const double* ce = ws.cfield_[e].data();
-            for (std::size_t s = 1; s <= samples_per_epoch; ++s) {
-                const double qs = qfrac[s - 1];
-                double* resp = ws.resp_batch_.data() +
-                               (e * samples_per_epoch + s - 1) * cores;
-                for (std::size_t i = 0; i < cores; ++i)
-                    resp[i] += dropped_response(ce[i], prev[i], qs);
-            }
-        }
-    }
-    for (std::size_t m = 0; m < nsamp; ++m)
-        linalg::kernel_max_acc(cores, ws.resp_batch_.data() + m * cores,
-                               core_max.data());
 }
 
 bool PeakTemperatureAnalyzer::memo_matches(
@@ -516,7 +472,7 @@ void PeakTemperatureAnalyzer::stage_memo(const RotationRingSpec& ring,
     if (!corrected()) return;
 
     // The dropped-cluster term per core: its exact maximum over the samples
-    // and its value at the last sample (the expression project_full folds
+    // and its value at the last sample (the expression project_row folds
     // in).
     const double* qfrac = ws.staged_qfrac(samples_per_epoch);
     double* cmax = rho + k_modes;
@@ -587,9 +543,11 @@ void PeakTemperatureAnalyzer::rung_bounds(const double* modal,
 double PeakTemperatureAnalyzer::project_row(std::size_t row, std::size_t delta,
                                             std::size_t samples_per_epoch,
                                             PeakWorkspace& ws) const {
-    // kernel_matmat reduces every row independently of the others, so a
-    // one-row call yields exactly the bits project_full computes for @p row;
-    // the fold and the max then repeat project_full's per-row sequence.
+    // Maximum over epoch boundaries plus interior samples of one core row
+    // (Eq. (11) constrains core temperatures only): the row's dot product
+    // with every staged sample, the dropped-cluster fold, the max.
+    // kernel_matmat reduces every row independently of the others, so the
+    // bits do not depend on which other rows a query projects.
     const std::size_t nsamp = delta * samples_per_epoch;
     double* resp = ws.resp_batch_.data();
     linalg::kernel_matmat(v_cores_.data() + row * modes_, 1, modes_,
@@ -630,11 +588,13 @@ double PeakTemperatureAnalyzer::schedule_peak(
         },
         workspace);
     fill_tau_tables(&tau, 1, samples_per_epoch, workspace);
+    reserve_sample_batch(delta, samples_per_epoch, workspace);
     stage_samples(delta, 0, samples_per_epoch, workspace);
-    project_full(delta, samples_per_epoch, workspace, workspace.core_max_);
     double peak = -1e300;
     for (std::size_t i = 0; i < n; ++i)
-        peak = std::max(peak, ambient_offset_[i] + workspace.core_max_[i]);
+        peak = std::max(peak, ambient_offset_[i] +
+                                  project_row(i, delta, samples_per_epoch,
+                                              workspace));
     return peak;
 }
 
@@ -717,12 +677,14 @@ void PeakTemperatureAnalyzer::ring_peaks(
             "rotation_peak: samples_per_epoch must be > 0");
     const std::size_t n = solver_->model().core_count();
     bool active = false;
+    std::size_t max_delta = 0;
     for (const RotationRingSpec& ring : rings) {
         if (ring.slot_power_w.size() != ring.cores.size())
             throw std::invalid_argument(
                 "rotation_peak: ring slot/core size mismatch");
         sort_ring_positions(ring, n, workspace.ring_order_);
         active = active || ring_active(ring);
+        max_delta = std::max(max_delta, ring.cores.size());
     }
     workspace.reused_rings_ = workspace.ring_evals_ = 0;
     if (count == 0) return;
@@ -734,14 +696,9 @@ void PeakTemperatureAnalyzer::ring_peaks(
     std::pmr::vector<double>& extra = workspace.extra_batch_;
     if (extra.size() < count * n) extra.resize(count * n);
     for (std::size_t i = 0; i < count * n; ++i) extra[i] = 0.0;
-    reserve_sample_batch(rings, samples_per_epoch, workspace);
-
-    if (truncated_ && core_peak_c == nullptr)
-        pruned_ring_peaks(rings, taus, ring_stride, count, samples_per_epoch,
-                          workspace, peaks);
-    else
-        full_ring_peaks(rings, ring_stride, count, samples_per_epoch, workspace,
-                        peaks, core_peak_c);
+    reserve_sample_batch(max_delta, samples_per_epoch, workspace);
+    pruned_ring_peaks(rings, taus, ring_stride, count, samples_per_epoch,
+                      workspace, peaks, core_peak_c);
 }
 
 bool PeakTemperatureAnalyzer::ring_active(const RotationRingSpec& ring) const {
@@ -775,46 +732,14 @@ bool PeakTemperatureAnalyzer::ring_targets(const RotationRingSpec& ring,
     return true;
 }
 
-void PeakTemperatureAnalyzer::full_ring_peaks(
-    const std::vector<RotationRingSpec>& rings, std::size_t ring_stride,
-    std::size_t count, std::size_t samples_per_epoch, PeakWorkspace& workspace,
-    double* peaks, double* core_peak_c) const {
-    const std::size_t n = solver_->model().core_count();
-    double* extra = workspace.extra_batch_.data();
-    for (std::size_t r = 0; r < rings.size(); ++r) {
-        if (!ring_targets(rings[r], workspace)) continue;
-        const std::size_t k = rings[r].cores.size();
-        for (std::size_t t = 0; t < count; ++t) {
-            stage_samples(k, r * ring_stride + t, samples_per_epoch,
-                          workspace);
-            project_full(k, samples_per_epoch, workspace, workspace.core_max_);
-            double* extra_t = extra + t * n;
-            for (std::size_t i = 0; i < n; ++i)
-                extra_t[i] += workspace.core_max_[i];
-        }
-    }
-
-    for (std::size_t t = 0; t < count; ++t) {
-        const double* extra_t = extra + t * n;
-        double* map_t = core_peak_c ? core_peak_c + t * n : nullptr;
-        double peak = -1e300;
-        for (std::size_t i = 0; i < n; ++i) {
-            const double core_peak = idle_core_c_[i] + extra_t[i];
-            peak = std::max(peak, core_peak);
-            if (map_t) map_t[i] = core_peak;
-        }
-        peaks[t] = peak;
-    }
-    workspace.exact_rows_ = count * n;
-}
-
 void PeakTemperatureAnalyzer::pruned_ring_peaks(
     const std::vector<RotationRingSpec>& rings, const double* taus,
     std::size_t ring_stride, std::size_t count, std::size_t samples_per_epoch,
-    PeakWorkspace& ws, double* peaks) const {
+    PeakWorkspace& ws, double* peaks, double* core_peak_c) const {
     const std::size_t n = solver_->model().core_count();
     const std::size_t k_modes = modes_;
     const double* t_idle = idle_core_c_.data();
+    const bool map = core_peak_c != nullptr;
 
     // Sizing: bound buffers, every row list at core_count() per rung, so
     // survivor counts can vary freely without re-allocating, and one memo
@@ -871,8 +796,10 @@ void PeakTemperatureAnalyzer::pruned_ring_peaks(
     const std::size_t rows_at = 3 * k_modes + 2 * n;
 
     // Bound stage. Per ring and rung: the ring's addends join the rung's
-    // sums, and the hinted rows (the previous query's survivors) get their
-    // exact maxima, added in ring order from 0 as project_full's are.
+    // sums, and the rows on the exact list get their exact maxima, added in
+    // ring order from 0. The list is the hint (the previous query's
+    // survivors), or every row for a map query, which needs them all and so
+    // skips the bounds.
     std::size_t reused = 0, evals = 0;
     for (std::size_t r = 0; r < rings.size(); ++r) {
         if (!ring_active(rings[r])) continue;
@@ -888,14 +815,36 @@ void PeakTemperatureAnalyzer::pruned_ring_peaks(
                 staged = true;
                 stage_memo(rings[r], tau, samples_per_epoch, ws, memo);
             }
-            add_ring_addends(memo.values.data(), modal + t * 4 * k_modes,
-                             row_stats + t * 3 * n);
+            if (!map)
+                add_ring_addends(memo.values.data(), modal + t * 4 * k_modes,
+                                 row_stats + t * 3 * n);
             double* stored = memo.values.data() + rows_at;
             const std::size_t* hint = ws.hint_.rows.data() + t * n;
-            for (std::size_t h = 0; h < ws.hint_.len[t]; ++h)
-                extra[t * n + hint[h]] +=
-                    exact_row(r, t, staged, stored, hint[h]);
+            const std::size_t listed = map ? n : ws.hint_.len[t];
+            for (std::size_t h = 0; h < listed; ++h) {
+                const std::size_t row = map ? h : hint[h];
+                extra[t * n + row] += exact_row(r, t, staged, stored, row);
+            }
         }
+    }
+    ws.reused_rings_ = reused;
+    ws.ring_evals_ = evals;
+
+    // A map query's rows all hold their exact sums: the map is the baseline
+    // plus those sums. The hint stays as the last map-free query left it.
+    if (map) {
+        for (std::size_t t = 0; t < count; ++t) {
+            const double* extra_t = extra + t * n;
+            double* map_t = core_peak_c + t * n;
+            double peak = -1e300;
+            for (std::size_t i = 0; i < n; ++i) {
+                map_t[i] = t_idle[i] + extra_t[i];
+                peak = std::max(peak, map_t[i]);
+            }
+            peaks[t] = peak;
+        }
+        ws.exact_rows_ = count * n;
+        return;
     }
 
     // Survivors: one bound sweep per rung. L is at most a realised core
@@ -970,8 +919,6 @@ void PeakTemperatureAnalyzer::pruned_ring_peaks(
     ws.hint_.rows.swap(ws.survivors_.rows);
     ws.hint_.len.swap(ws.survivors_.len);
     ws.exact_rows_ = exact_rows;
-    ws.reused_rings_ = reused;
-    ws.ring_evals_ = evals;
 }
 
 }  // namespace hp::core

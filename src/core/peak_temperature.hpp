@@ -32,14 +32,14 @@ struct RotationRingSpec {
 /// analyzers/models (buffers re-size on demand) but must not be shared
 /// between threads; the analyzer itself stays immutable and shareable.
 ///
-/// On truncated backends the workspace also carries the survivor hint of
-/// the pruned rotation maxima (DESIGN.md §14.5): the rows that could hold
-/// each rung's peak in the previous rotation query, projected exactly up
-/// front by the next one. The hint changes how much work a query does,
-/// never its result; its row lists are sized to core_count() per rung on
-/// first use, so queries with different survivor counts never re-allocate.
+/// The workspace also carries the survivor hint of the pruned rotation
+/// maxima (DESIGN.md §14.5): the rows that could hold each rung's peak in
+/// the previous map-free rotation query, projected exactly up front by the
+/// next one. The hint changes how much work a query does, never its result;
+/// its row lists are sized to core_count() per rung on first use, so
+/// queries with different survivor counts never re-allocate.
 ///
-/// The pruned path also keeps one ring memo per ring index (DESIGN.md
+/// Rotation queries also keep one ring memo per ring index (DESIGN.md
 /// §14.7): the key of that ring's last evaluation (analyzer, dispatch tier,
 /// cores, slot-power bits, τ bits, S) and its contribution — the addends it
 /// gave its rung's bound sums and the exact row maxima projected so far. A
@@ -59,7 +59,6 @@ public:
           coeff_(mr),
           zs_batch_(mr),
           resp_batch_(mr),
-          core_max_(mr),
           t_static_(mr),
           node_power_(mr),
           extra_batch_(mr),
@@ -84,13 +83,13 @@ public:
     std::pmr::memory_resource* resource() const { return mr_; }
 
     /// Core rows the last rotation query projected exactly, summed over its
-    /// rungs: count × core_count() on the full projection, the survivor
-    /// hint plus any survivors outside it on the pruned one.
+    /// rungs: count × core_count() for a map query, the survivor hint plus
+    /// any survivors outside it otherwise.
     std::size_t last_exact_rows() const { return exact_rows_; }
 
-    /// Active ring × rung evaluations of the last pruned rotation query that
-    /// the ring memo answered without re-staging the ring (0 on the full
-    /// projection), out of last_ring_evals().
+    /// Active ring × rung evaluations of the last rotation query that the
+    /// ring memo answered without re-staging the ring, out of
+    /// last_ring_evals().
     std::size_t last_reused_rings() const { return reused_rings_; }
     std::size_t last_ring_evals() const { return ring_evals_; }
 
@@ -103,7 +102,7 @@ public:
     }
 
 private:
-    /// One ring index's last pruned evaluation (DESIGN.md §14.7). The key is
+    /// One ring index's last evaluation (DESIGN.md §14.7). The key is
     /// (analyzer, tier, samples, tau bits, cores, power bits); values holds
     /// the addends [c | x | ρ] (3K) and [max_s corr | corr_last] (2·cores,
     /// used on corrected backends only), then the exact row maxima
@@ -140,8 +139,7 @@ private:
     std::vector<linalg::Vector> z_;         ///< periodic boundary solution
     linalg::Vector coeff_;                  ///< (1-e^{λτ})/(1-e^{λδτ})
     std::pmr::vector<double> zs_batch_;     ///< RHS-major modal samples
-    std::pmr::vector<double> resp_batch_;   ///< RHS-major projected responses
-    linalg::Vector core_max_;
+    std::pmr::vector<double> resp_batch_;   ///< one row's δ·S responses
     // static_peaks' single-candidate solve:
     linalg::Vector t_static_;    ///< its steady state
     linalg::Vector node_power_;  ///< its padded node power
@@ -161,7 +159,7 @@ private:
     std::pmr::vector<double> tau_cluster_;
     std::size_t staged_tau_ = 0;          ///< τ entry of the staged samples
     std::pmr::vector<double> qpow_;       ///< e^{λ̄ τ g}, g = 0..δ
-    // Pruned rotation maxima (truncated backends, no per-core map):
+    // Pruned rotation maxima (map-free rotation queries):
     std::pmr::vector<double> bound_modal_;  ///< rung-major [Σc | Σx | Σρ | Σ(|c|+ρ)]
     std::pmr::vector<double> bound_rows_;   ///< rung-major dropped-cluster sums
     std::pmr::vector<double> bound_out_;    ///< one sweep's four outputs
@@ -204,15 +202,14 @@ private:
 /// covers. Exact backends skip the correction entirely and reproduce the
 /// historical dense results bit for bit.
 ///
-/// Rotation queries without a per-core map on a truncated backend need only
-/// each rung's maximum, so they project only the core rows that can hold it
-/// (DESIGN.md §14.5): one fused sweep per rung bounds every row's summed
-/// ring response from above and below, and only rows whose upper bound
-/// reaches the best lower bound are projected exactly. The result has the
-/// bits of the full projection. That path re-stages only rings whose
-/// workspace memo (cores, powers, τ, S) no longer matches (DESIGN.md §14.7),
-/// again with unchanged bits. Dense backends, map queries and schedule_peak
-/// keep the full projection.
+/// Rotation queries without a per-core map need only each rung's maximum,
+/// so they project only the core rows that can hold it (DESIGN.md §14.5):
+/// one fused sweep per rung bounds every row's summed ring response from
+/// above and below, and only rows whose upper bound reaches the best lower
+/// bound are projected exactly. Map queries project every row. Either way a
+/// query re-stages only rings whose workspace memo (cores, powers, τ, S) no
+/// longer matches (DESIGN.md §14.7), and every answer has the bits of
+/// projecting every row afresh, on dense and truncated backends alike.
 ///
 /// Thread safety: immutable after construction. The α/β eigen-tables are
 /// built in the constructor and the query entry points are const; all
@@ -312,37 +309,31 @@ private:
     /// argument and fills the τ tables, then evaluates @p count rungs where
     /// ring r at rung t rotates every taus[r·ring_stride + t] (ring_stride
     /// 0: one interval per rung; 1 with count 1: one per ring) through
-    /// full_ring_peaks or, on a truncated backend without a map,
-    /// pruned_ring_peaks. The two differ only in which rows they project.
+    /// pruned_ring_peaks.
     void ring_peaks(const std::vector<RotationRingSpec>& rings,
                     const double* taus, std::size_t ring_stride,
                     std::size_t count, std::size_t samples_per_epoch,
                     PeakWorkspace& workspace, double* peaks,
                     double* core_peak_c) const;
 
-    /// The full-projection rotation rungs (dense backends, map queries):
-    /// every core row of every staged sample, per ring and rung.
-    void full_ring_peaks(const std::vector<RotationRingSpec>& rings,
-                         std::size_t ring_stride, std::size_t count,
-                         std::size_t samples_per_epoch,
-                         PeakWorkspace& workspace, double* peaks,
-                         double* core_peak_c) const;
-
-    /// The bound-pruned rotation rungs (truncated backends, no map): bound
+    /// The memoised rotation rungs, the only rotation evaluation: bound
     /// statistics plus exact hint rows per ring and rung, one bound sweep
     /// and the survivor selection per rung, then an exact rebuild pass for
-    /// survivors outside the hint only. A ring whose memo key matches
-    /// (DESIGN.md §14.7) reuses its stored addends and rows instead of
-    /// being re-staged.
+    /// survivors outside the hint only. A map query (@p core_peak_c set)
+    /// projects every row instead and skips the bounds. A ring whose memo
+    /// key matches (DESIGN.md §14.7) reuses its stored addends and rows
+    /// instead of being re-staged.
     void pruned_ring_peaks(const std::vector<RotationRingSpec>& rings,
                            const double* taus, std::size_t ring_stride,
                            std::size_t count, std::size_t samples_per_epoch,
-                           PeakWorkspace& workspace, double* peaks) const;
+                           PeakWorkspace& workspace, double* peaks,
+                           double* core_peak_c) const;
 
-    /// Pre-grows the RHS-major sample staging/projection buffers to the
-    /// largest ring of a query, so stage_samples never reallocates
+    /// Pre-grows the RHS-major sample staging buffer to @p max_delta epochs
+    /// (the largest ring of a query) and the row-response buffer to one
+    /// row's samples, so stage_samples and project_row never reallocate
     /// mid-query (one growth per workspace instead of one per ring size).
-    void reserve_sample_batch(const std::vector<RotationRingSpec>& rings,
+    void reserve_sample_batch(std::size_t max_delta,
                               std::size_t samples_per_epoch,
                               PeakWorkspace& workspace) const;
 
@@ -381,16 +372,10 @@ private:
     /// re-evaluated at another τ) and the τ tables at @p tau_entry, solves
     /// the periodic boundary states and stages all δ·S modal samples
     /// RHS-major in workspace.zs_batch_ (plus the dropped-cluster states on
-    /// truncated backends). The project_* functions below then read the
-    /// staged samples.
+    /// truncated backends). project_row then reads the staged samples.
     void stage_samples(std::size_t delta, std::size_t tau_entry,
                        std::size_t samples_per_epoch,
                        PeakWorkspace& workspace) const;
-
-    /// Per-core response maxima over every staged sample: one matmat over
-    /// all core rows, the dropped-cluster fold, the max.
-    void project_full(std::size_t delta, std::size_t samples_per_epoch,
-                      PeakWorkspace& workspace, linalg::Vector& core_max) const;
 
     /// True when @p memo holds @p ring's evaluation at @p tau and
     /// @p samples_per_epoch by this analyzer under the active tier.
@@ -419,8 +404,9 @@ private:
     void rung_bounds(const double* modal, const double* rows,
                      PeakWorkspace& workspace, double* ub, double* lb) const;
 
-    /// Exact stage: project_full's maximum for the single core @p row,
-    /// bit for bit.
+    /// Exact stage: the maximum over the staged samples of core @p row's
+    /// response, dropped-cluster correction included. Its bits depend on
+    /// the row alone, not on which other rows a query projects.
     double project_row(std::size_t row, std::size_t delta,
                        std::size_t samples_per_epoch,
                        PeakWorkspace& workspace) const;
@@ -435,7 +421,8 @@ private:
     double ambient_c_;
     double idle_power_w_;
     std::size_t modes_;              ///< retained mode count K (design-time)
-    bool truncated_;                 ///< dropped-cluster corrections active
+    bool truncated_;                 ///< quasi-static map and dropped-cluster
+                                     ///< correction active
     double cluster_pole_;            ///< λ̄ of the dropped cluster (< 0)
     const linalg::Vector idle_core_c_;  ///< all-idle steady state, core rows
     linalg::Matrix beta_;            ///< K x N  V^{-1} B^{-1} (design-time)

@@ -66,11 +66,6 @@ inline void kernel_fma_acc(std::size_t n, const double* a, const double* b,
     simd::kernels().fma_acc(n, a, b, y);
 }
 
-/// m[i] = max(m[i], x[i]) — the element-wise max-reduction of the peak scan.
-inline void kernel_max_acc(std::size_t n, const double* x, double* m) {
-    simd::kernels().max_acc(n, x, m);
-}
-
 /// out[i] = e[i]·zp[i] + (1-e[i])·y[i] — Algorithm 1's intra-epoch decay
 /// from the previous boundary zp towards the epoch target y.
 inline void kernel_decay_mix(std::size_t n, const double* e, const double* zp,

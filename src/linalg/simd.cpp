@@ -56,11 +56,6 @@ void scalar_fma_acc(std::size_t n, const double* a, const double* b,
     for (std::size_t i = 0; i < n; ++i) y[i] += a[i] * b[i];
 }
 
-void scalar_max_acc(std::size_t n, const double* x, double* m) {
-    for (std::size_t i = 0; i < n; ++i)
-        if (m[i] < x[i]) m[i] = x[i];
-}
-
 void scalar_decay_mix(std::size_t n, const double* e, const double* zp,
                       const double* y, double* out) {
     for (std::size_t i = 0; i < n; ++i)
@@ -95,9 +90,8 @@ void scalar_bound_matvec(const double* a, std::size_t rows, std::size_t cols,
 }
 
 constexpr KernelTable kScalarTable = {
-    scalar_matvec,    scalar_matmat,  scalar_axpy,    scalar_hadamard,
-    scalar_fma_acc,   scalar_max_acc, scalar_decay_mix, scalar_div_scalar,
-    scalar_bound_matvec,
+    scalar_matvec,    scalar_matmat,     scalar_axpy,       scalar_hadamard,
+    scalar_fma_acc,   scalar_decay_mix,  scalar_div_scalar, scalar_bound_matvec,
 };
 
 // --- AVX2 + FMA tier --------------------------------------------------------
@@ -218,21 +212,6 @@ __attribute__((target("avx2"))) void avx2_fma_acc(std::size_t n,
     for (; i < n; ++i) y[i] += a[i] * b[i];
 }
 
-__attribute__((target("avx2"))) void avx2_max_acc(std::size_t n,
-                                                  const double* x, double* m) {
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256d mv = _mm256_loadu_pd(m + i);
-        const __m256d xv = _mm256_loadu_pd(x + i);
-        // blendv replicates "(m < x) ? x : m" exactly (incl. signed zeros),
-        // unlike vmaxpd's operand-order quirks.
-        const __m256d lt = _mm256_cmp_pd(mv, xv, _CMP_LT_OQ);
-        _mm256_storeu_pd(m + i, _mm256_blendv_pd(mv, xv, lt));
-    }
-    for (; i < n; ++i)
-        if (m[i] < x[i]) m[i] = x[i];
-}
-
 __attribute__((target("avx2"))) void avx2_decay_mix(std::size_t n,
                                                     const double* e,
                                                     const double* zp,
@@ -300,9 +279,8 @@ __attribute__((target("avx2,fma"))) void avx2_bound_matvec(
 }
 
 constexpr KernelTable kAvx2Table = {
-    avx2_matvec,    avx2_matmat,  avx2_axpy,      avx2_hadamard,
-    avx2_fma_acc,   avx2_max_acc, avx2_decay_mix, avx2_div_scalar,
-    avx2_bound_matvec,
+    avx2_matvec,    avx2_matmat,     avx2_axpy,       avx2_hadamard,
+    avx2_fma_acc,   avx2_decay_mix,  avx2_div_scalar, avx2_bound_matvec,
 };
 
 #endif  // HP_SIMD_X86

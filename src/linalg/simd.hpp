@@ -13,8 +13,8 @@ namespace hp::linalg::simd {
 // the same bits for the same inputs.
 //
 // Cross-tier contract (documented in DESIGN.md §9):
-//  * Element-wise kernels (axpy, hadamard, fma_acc, max_acc, decay_mix,
-//    div_scalar) perform the same per-element operation sequence in every
+//  * Element-wise kernels (axpy, hadamard, fma_acc, decay_mix, div_scalar)
+//    perform the same per-element operation sequence in every
 //    tier — no fused multiply-add, no reassociation — so they are
 //    bit-identical across tiers (simd.cpp is compiled with -ffp-contract=off
 //    to keep the compiler from fusing them behind our back).
@@ -54,8 +54,6 @@ struct KernelTable {
     /// y[i] += a[i]·b[i] (separate multiply and add, never fused).
     void (*fma_acc)(std::size_t n, const double* a, const double* b,
                     double* y);
-    /// m[i] = max(m[i], x[i]).
-    void (*max_acc)(std::size_t n, const double* x, double* m);
     /// out[i] = e[i]·zp[i] + (1 - e[i])·y[i] — the intra-epoch decay mix of
     /// Algorithm 1, with exactly the scalar operation order.
     void (*decay_mix)(std::size_t n, const double* e, const double* zp,

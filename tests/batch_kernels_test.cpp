@@ -136,11 +136,6 @@ TEST(BatchKernels, ElementwiseKernelsMatchReferenceLoops) {
         for (std::size_t i = 0; i < n; ++i) want[i] += x[i] * e[i];
         for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(got[i], want[i]) << i;
 
-        got = y, want = y;
-        linalg::kernel_max_acc(n, x.data(), got.data());
-        for (std::size_t i = 0; i < n; ++i) want[i] = std::max(want[i], x[i]);
-        for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(got[i], want[i]) << i;
-
         got.assign(n, -3.0), want.assign(n, -4.0);
         linalg::kernel_decay_mix(n, e.data(), zp.data(), y.data(), got.data());
         for (std::size_t i = 0; i < n; ++i)

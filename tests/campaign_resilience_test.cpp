@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -417,6 +419,111 @@ TEST(Journal, ParseRejectsMalformedPayloads) {
         JournalError);
     EXPECT_THROW((void)hp::campaign::parse_record(good + "\x1f" "extra"),
                  JournalError);
+}
+
+/// synthetic_record()'s payload with field @p index replaced by @p value.
+std::string with_field(std::size_t index, const std::string& value) {
+    const std::string good =
+        hp::campaign::serialize_record(synthetic_record());
+    std::vector<std::string> fields;
+    std::size_t start = 0;
+    for (std::size_t sep; (sep = good.find('\x1f', start)) != std::string::npos;
+         start = sep + 1)
+        fields.push_back(good.substr(start, sep - start));
+    fields.push_back(good.substr(start));
+    EXPECT_EQ(fields.size(), 65u) << "synthetic_record's layout changed";
+    fields.at(index) = value;
+    std::string out = fields[0];
+    for (std::size_t i = 1; i < fields.size(); ++i) out += '\x1f' + fields[i];
+    return out;
+}
+
+TEST(Journal, ParseRejectsCountsBeyondThePayload) {
+    // Field index of each list count in synthetic_record's payload (backoff,
+    // tasks, fault log, trace, the trace sample's core count, events), with
+    // the count it holds.
+    const std::vector<std::pair<std::size_t, const char*>> counts = {
+        {9, "2"}, {23, "1"}, {43, "1"}, {48, "1"}, {51, "2"}, {59, "1"}};
+    for (const auto& [index, held] : counts) {
+        // The payload as written parses with the count it holds...
+        EXPECT_NO_THROW(
+            (void)hp::campaign::parse_record(with_field(index, held)))
+            << "field " << index;
+        // ...and a count the remaining fields cannot hold is a JournalError
+        // before it sizes anything, not a length_error or bad_alloc.
+        for (const std::string& bad :
+             {std::string("18446744073709551615"), std::to_string(65 - index)})
+            EXPECT_THROW(
+                (void)hp::campaign::parse_record(with_field(index, bad)),
+                JournalError)
+                << "field " << index << " = " << bad;
+    }
+}
+
+TEST(Journal, ParseRangeChecksKindsAndEventArgs) {
+    // Fault kind (field 45), event kind (61), event args (62, 63): the
+    // largest valid value parses, one more is rejected.
+    const std::string last_fault = std::to_string(
+        static_cast<int>(hp::fault::FaultKind::kRotationAbort));
+    const std::string last_event = std::to_string(
+        static_cast<int>(hp::obs::EventKind::kDivergence));
+    const auto parse = [](std::size_t index, const std::string& value) {
+        (void)hp::campaign::parse_record(with_field(index, value));
+    };
+    EXPECT_NO_THROW(parse(45, last_fault));
+    EXPECT_NO_THROW(parse(61, last_event));
+    EXPECT_NO_THROW(parse(62, "4294967295"));
+    EXPECT_NO_THROW(parse(63, "4294967295"));
+    EXPECT_THROW(parse(45, last_fault + "0"), JournalError);
+    EXPECT_THROW(parse(45, std::to_string(std::stoi(last_fault) + 1)),
+                 JournalError);
+    EXPECT_THROW(parse(61, std::to_string(std::stoi(last_event) + 1)),
+                 JournalError);
+    EXPECT_THROW(parse(62, "4294967296"), JournalError);
+    EXPECT_THROW(parse(63, "4294967296"), JournalError);
+}
+
+TEST(Journal, ParseFailuresNameThePathAndLine) {
+    const std::string path = temp_path("journal_path_line.hpj");
+    const CampaignSpec spec = tiny_spec();
+    RunRecord record = synthetic_record();
+    record.key = spec.keys()[0];
+    { RunJournal::create(path, spec).append(record); }
+    std::string data;
+    {
+        std::ifstream in(path, std::ios::binary);
+        data.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const std::string header = data.substr(0, data.find('\n') + 1);
+    const auto expect_error_at = [&](const std::string& text,
+                                     const std::string& where) {
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << text;
+        }
+        try {
+            (void)hp::campaign::read_journal(path);
+            ADD_FAILURE() << "expected a JournalError at " << where;
+        } catch (const JournalError& e) {
+            EXPECT_NE(std::string(e.what()).find(path + ":" + where),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    // A checksum-valid record line whose payload lies about a count: the
+    // parse failure names the line it is on, not just the file.
+    const std::string lying = with_field(23, "18446744073709551615");
+    const std::string line = [&] {
+        char hex[17];
+        std::snprintf(hex, sizeof hex, "%016llx",
+                      static_cast<unsigned long long>(
+                          hp::campaign::fnv1a64(lying)));
+        return std::string(hex) + " " + lying + "\n";
+    }();
+    expect_error_at(header + line, "2: count");
+    expect_error_at(header + "0000000000000000 x\n" + line, "2: checksum");
+    expect_error_at("hpjournal1 nonsense\n", "1: bad header");
+    expect_error_at("", "1: empty file");
 }
 
 TEST(Journal, GridSignatureBindsTheSpec) {

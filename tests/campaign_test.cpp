@@ -158,6 +158,13 @@ TEST(CampaignSpecTest, NullFactoriesAndEmptySpecsThrow) {
     EXPECT_THROW(hp::campaign::run_campaign(no_work), std::invalid_argument);
 }
 
+// Keeps its original suite name; a null scheduler factory is a campaign
+// spec error.
+TEST(Report, NullFactoryRejected) {
+    hp::campaign::CampaignSpec spec(testbed(), hp::sim::SimConfig{});
+    EXPECT_THROW(spec.add_scheduler("bad", nullptr), std::invalid_argument);
+}
+
 // The headline engine guarantee: a 4-worker campaign produces bit-identical
 // records — and byte-identical CSV — to the same campaign run serially,
 // including fault-injection runs (per-run FaultInjector isolation) and a

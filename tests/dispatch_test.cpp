@@ -100,9 +100,6 @@ TEST(Dispatch, ElementwiseKernelsBitIdenticalAcrossTiers) {
         v = y0;
         k.fma_acc(n, x.data(), e.data(), v.data());
         r.push_back(v);
-        v = y0;
-        k.max_acc(n, x.data(), v.data());
-        r.push_back(v);
         v.assign(n, 0.0);
         k.decay_mix(n, e.data(), zp.data(), y0.data(), v.data());
         r.push_back(v);
