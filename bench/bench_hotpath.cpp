@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <new>
 #include <string>
@@ -216,13 +215,12 @@ void write_json(const std::string& path, bool smoke) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    bool smoke = false;
-    std::string out_path = "BENCH_hotpath.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
-            out_path = argv[++i];
-    }
+    hp::bench::JsonBenchArgs args;
+    const int rc = hp::bench::parse_json_bench_args(argc, argv,
+                                                    "BENCH_hotpath.json", args);
+    if (rc >= 0) return rc;
+    const bool smoke = args.smoke;
+    const std::string& out_path = args.out_path;
     const std::size_t reps = smoke ? 20 : 2000;
 
     hp::bench::print_header(

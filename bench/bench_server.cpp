@@ -23,7 +23,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -162,13 +161,12 @@ void write_json(const std::string& path, bool smoke) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    bool smoke = false;
-    std::string out_path = "BENCH_server.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
-            out_path = argv[++i];
-    }
+    hp::bench::JsonBenchArgs args;
+    const int rc = hp::bench::parse_json_bench_args(argc, argv,
+                                                    "BENCH_server.json", args);
+    if (rc >= 0) return rc;
+    const bool smoke = args.smoke;
+    const std::string& out_path = args.out_path;
 
     hp::bench::print_header(
         "Advice-server benchmark: sustained qps and tail latency",

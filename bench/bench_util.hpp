@@ -57,6 +57,51 @@ inline void print_header(const char* title, const char* paper_ref) {
     std::printf("=============================================================================\n");
 }
 
+/// Command line of the JSON-emitting benches (bench_hotpath, bench_server).
+struct JsonBenchArgs {
+    bool smoke = false;
+    std::string out_path;
+};
+
+/// Parses `[--smoke] [--out PATH] [--help]` into @p args (out_path starts
+/// as @p default_out). Returns -1 when the bench should run; otherwise the
+/// exit code main must return without running or writing anything: 0 for
+/// --help (usage on stdout), 2 for an unknown argument or a missing PATH
+/// (the error and usage on stderr) — so a mistyped flag can never start a
+/// full run that overwrites a committed baseline.
+inline int parse_json_bench_args(int argc, char** argv,
+                                 const char* default_out,
+                                 JsonBenchArgs& args) {
+    args.out_path = default_out;
+    const auto usage = [&](std::FILE* to) {
+        std::fprintf(to,
+                     "usage: %s [--smoke] [--out PATH]\n"
+                     "  --smoke     tiny repetition counts (the ctest run)\n"
+                     "  --out PATH  JSON output (default %s)\n"
+                     "  --help      print this and exit\n",
+                     argv[0], default_out);
+    };
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--smoke") {
+            args.smoke = true;
+        } else if (arg == "--out" && i + 1 < argc) {
+            args.out_path = argv[++i];
+        } else if (arg == "--help") {
+            usage(stdout);
+            return 0;
+        } else {
+            std::fprintf(stderr, "%s: %s: %s\n", argv[0],
+                         arg == "--out" ? "missing PATH after"
+                                        : "unknown argument",
+                         argv[i]);
+            usage(stderr);
+            return 2;
+        }
+    }
+    return -1;
+}
+
 /// Worker-thread count for bench campaigns: the value of a "--jobs N"
 /// argument when present, else @p fallback (0 = one worker per hardware
 /// thread, the bench default — results are deterministic at any value).

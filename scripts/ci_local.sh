@@ -231,8 +231,10 @@ else
 fi
 
 # ---- bench regression gate -------------------------------------------------
-# Mirrors the `bench` CI job: both smoke benchmarks, gated together in one
-# check_bench.py invocation against the committed smoke baselines.
+# Mirrors the `bench` CI job: both smoke benchmarks, a check that they left
+# the committed BENCH_*.json files untouched and that bench_hotpath refuses
+# an unknown flag, then one check_bench.py invocation gating both against
+# the committed smoke baselines.
 if command -v python3 >/dev/null 2>&1; then
   note "bench regression gate (smoke: hotpath + server)"
   BENCH_DIR="$BUILD_ROOT/${COMPILERS[0]%%:*}-Release"
@@ -240,6 +242,16 @@ if command -v python3 >/dev/null 2>&1; then
   cmake --build "$BENCH_DIR" -j "$JOBS" --target bench_hotpath bench_server
   "$BENCH_DIR/bench/bench_hotpath" --smoke --out "$BUILD_ROOT/bench_smoke.json"
   "$BENCH_DIR/bench/bench_server" --smoke --out "$BUILD_ROOT/bench_server_smoke.json"
+  note "bench: committed baselines untouched, unknown flag refused"
+  if command -v git >/dev/null 2>&1 && git rev-parse --git-dir >/dev/null 2>&1; then
+    git diff --exit-code -- 'BENCH_*.json'
+  else
+    skip "baseline diff (not a git checkout)"
+  fi
+  if "$BENCH_DIR/bench/bench_hotpath" --no-such-flag; then
+    echo "bench_hotpath accepted --no-such-flag" >&2
+    exit 1
+  fi
   python3 scripts/check_bench.py \
     "$BUILD_ROOT/bench_smoke.json" "$BUILD_ROOT/bench_server_smoke.json" \
     --baseline BENCH_hotpath_smoke.json BENCH_server_smoke.json

@@ -14,8 +14,10 @@ double DvfsParams::voltage_for(double f_hz) const {
 
 std::vector<double> DvfsParams::levels() const {
     std::vector<double> out;
-    for (double f = f_min_hz; f <= f_max_hz + 0.5 * step_hz; f += step_hz)
-        out.push_back(std::min(f, f_max_hz));
+    visit_levels([&out](double f) {
+        out.push_back(f);
+        return true;
+    });
     return out;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -20,6 +21,14 @@ struct DvfsParams {
 
     /// All selectable frequency levels, ascending.
     std::vector<double> levels() const;
+
+    /// Calls @p visit(f) for each of levels() in ascending order, without
+    /// materialising them, until it returns false.
+    template <typename Visit>
+    void visit_levels(Visit&& visit) const {
+        for (double f = f_min_hz; f <= f_max_hz + 0.5 * step_hz; f += step_hz)
+            if (!visit(std::min(f, f_max_hz))) return;
+    }
 
     /// Highest level that is <= @p f_hz, clamped into [f_min, f_max].
     double quantize_down(double f_hz) const;

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "core/hotpotato.hpp"
+#include "sched/tsp.hpp"
 
 namespace hp::core {
 
@@ -32,6 +33,8 @@ public:
     /// True while the DVFS fallback is clamping frequencies.
     bool dvfs_engaged() const { return engaged_; }
 
+    const sched::TspGovernor& tsp_governor() const { return tsp_; }
+
 private:
     /// Clamps every occupied core's frequency to the TSP budget for the
     /// current mapping.
@@ -40,6 +43,7 @@ private:
     void relax(sim::SimContext& ctx);
 
     bool engaged_ = false;
+    sched::TspGovernor tsp_;
 };
 
 }  // namespace hp::core

@@ -58,9 +58,40 @@ void LuDecomposition::solve_into(const Vector& b, Vector& out) const {
     // Apply permutation, then forward- and back-substitute in place.
     Vector& y = out;
     for (std::size_t i = 0; i < n; ++i) y[i] = b[perm_[i]];
-    for (std::size_t i = 1; i < n; ++i) {
+    // Forward substitution four rows per pass: the rows share each y[j]
+    // load and their four acc -= l·y chains overlap instead of serialising
+    // on one. Each row still subtracts in ascending j, finishing with the
+    // in-block triangle in row order, so every y[i] keeps its bits.
+    const double* l = lu_.data();
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const double* l0 = l + (i + 0) * n;
+        const double* l1 = l + (i + 1) * n;
+        const double* l2 = l + (i + 2) * n;
+        const double* l3 = l + (i + 3) * n;
+        double a0 = y[i], a1 = y[i + 1], a2 = y[i + 2], a3 = y[i + 3];
+        for (std::size_t j = 0; j < i; ++j) {
+            const double yj = y[j];
+            a0 -= l0[j] * yj;
+            a1 -= l1[j] * yj;
+            a2 -= l2[j] * yj;
+            a3 -= l3[j] * yj;
+        }
+        a1 -= l1[i] * a0;
+        a2 -= l2[i] * a0;
+        a2 -= l2[i + 1] * a1;
+        a3 -= l3[i] * a0;
+        a3 -= l3[i + 1] * a1;
+        a3 -= l3[i + 2] * a2;
+        y[i] = a0;
+        y[i + 1] = a1;
+        y[i + 2] = a2;
+        y[i + 3] = a3;
+    }
+    for (; i < n; ++i) {
+        const double* li = l + i * n;
         double acc = y[i];
-        for (std::size_t j = 0; j < i; ++j) acc -= lu_(i, j) * y[j];
+        for (std::size_t j = 0; j < i; ++j) acc -= li[j] * y[j];
         y[i] = acc;
     }
     for (std::size_t ii = n; ii-- > 0;) {

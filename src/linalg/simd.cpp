@@ -128,8 +128,41 @@ __attribute__((target("avx2,fma"))) void avx2_matvec(const double* a,
                                                      std::size_t cols,
                                                      const double* x,
                                                      double* y) {
-    for (std::size_t i = 0; i < rows; ++i)
-        y[i] = row_dot_avx2(a + i * cols, x, cols);
+    // Four rows per pass share each x load and run four independent FMA
+    // chains; every row keeps row_dot_avx2's exact sequence (4-lane FMA,
+    // hsum, unfused tail in ascending j), so the result is bit-identical
+    // to one row_dot_avx2 per row.
+    std::size_t i = 0;
+    for (; i + 4 <= rows; i += 4) {
+        const double* r0 = a + (i + 0) * cols;
+        const double* r1 = a + (i + 1) * cols;
+        const double* r2 = a + (i + 2) * cols;
+        const double* r3 = a + (i + 3) * cols;
+        __m256d a0 = _mm256_setzero_pd();
+        __m256d a1 = _mm256_setzero_pd();
+        __m256d a2 = _mm256_setzero_pd();
+        __m256d a3 = _mm256_setzero_pd();
+        std::size_t j = 0;
+        for (; j + 4 <= cols; j += 4) {
+            const __m256d xv = _mm256_loadu_pd(x + j);
+            a0 = _mm256_fmadd_pd(_mm256_loadu_pd(r0 + j), xv, a0);
+            a1 = _mm256_fmadd_pd(_mm256_loadu_pd(r1 + j), xv, a1);
+            a2 = _mm256_fmadd_pd(_mm256_loadu_pd(r2 + j), xv, a2);
+            a3 = _mm256_fmadd_pd(_mm256_loadu_pd(r3 + j), xv, a3);
+        }
+        double s0 = hsum(a0), s1 = hsum(a1), s2 = hsum(a2), s3 = hsum(a3);
+        for (; j < cols; ++j) {
+            s0 += r0[j] * x[j];
+            s1 += r1[j] * x[j];
+            s2 += r2[j] * x[j];
+            s3 += r3[j] * x[j];
+        }
+        y[i + 0] = s0;
+        y[i + 1] = s1;
+        y[i + 2] = s2;
+        y[i + 3] = s3;
+    }
+    for (; i < rows; ++i) y[i] = row_dot_avx2(a + i * cols, x, cols);
 }
 
 __attribute__((target("avx2,fma"))) void avx2_matmat(const double* a,

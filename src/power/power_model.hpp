@@ -76,13 +76,13 @@ public:
                                 ActivityOf&& activity_of,
                                 double temperature_c) const {
         double best = dvfs_.f_min_hz;
-        for (double f : dvfs_.levels()) {
-            if (active_power_w(nominal_power_w, f, activity_of(f),
-                               temperature_c) <= budget_w)
-                best = f;
-            else
-                break;
-        }
+        dvfs_.visit_levels([&](double f) {
+            if (!(active_power_w(nominal_power_w, f, activity_of(f),
+                                 temperature_c) <= budget_w))
+                return false;
+            best = f;
+            return true;
+        });
         return best;
     }
 

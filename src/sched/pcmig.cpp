@@ -54,10 +54,13 @@ void PcMigScheduler::on_epoch(sim::SimContext& ctx) {
         }
         if (hottest == sim::kNone) break;  // nothing is about to overheat
 
-        // Coolest free core as evacuation target.
+        // Coolest free core as evacuation target (free_cores()'s set and
+        // order, without materialising the list).
         std::size_t coolest = sim::kNone;
         double coolest_t = 1e300;
-        for (std::size_t c : ctx.free_cores()) {
+        for (std::size_t c = 0; c < ctx.chip().core_count(); ++c) {
+            if (ctx.thread_on(c) != sim::kNone || !ctx.core_available(c))
+                continue;
             if (predicted[c] < coolest_t) {
                 coolest_t = predicted[c];
                 coolest = c;

@@ -57,11 +57,10 @@ void place_task_threads(sim::SimContext& ctx, sim::TaskId task,
         ctx.place(t.threads[i], cores[i]);
 }
 
-std::vector<bool> active_core_mask(const sim::SimContext& ctx) {
-    std::vector<bool> mask(ctx.chip().core_count(), false);
-    for (std::size_t c = 0; c < mask.size(); ++c)
-        mask[c] = ctx.thread_on(c) != sim::kNone;
-    return mask;
+void active_core_mask(const sim::SimContext& ctx, std::vector<bool>& out) {
+    out.resize(ctx.chip().core_count());
+    for (std::size_t c = 0; c < out.size(); ++c)
+        out[c] = ctx.thread_on(c) != sim::kNone;
 }
 
 }  // namespace hp::sched

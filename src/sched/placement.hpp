@@ -25,7 +25,8 @@ std::vector<std::size_t> spaced_cores_by_amd(const sim::SimContext& ctx,
 void place_task_threads(sim::SimContext& ctx, sim::TaskId task,
                         const std::vector<std::size_t>& cores);
 
-/// Occupancy mask over cores (true where a thread is mapped).
-std::vector<bool> active_core_mask(const sim::SimContext& ctx);
+/// Occupancy mask over cores (true where a thread is mapped), written into
+/// @p out (resized to the core count; no allocation once it has that size).
+void active_core_mask(const sim::SimContext& ctx, std::vector<bool>& out);
 
 }  // namespace hp::sched

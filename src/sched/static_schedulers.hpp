@@ -38,9 +38,12 @@ public:
     bool on_task_arrival(sim::SimContext& ctx, sim::TaskId task) override;
     void on_epoch(sim::SimContext& ctx) override;
 
+    const TspGovernor& tsp_governor() const { return tsp_; }
+
 private:
     std::vector<std::size_t> fixed_cores_;
     std::size_t next_fixed_ = 0;
+    TspGovernor tsp_;
 };
 
 /// Synchronously rotates all threads around a fixed cycle of cores at peak

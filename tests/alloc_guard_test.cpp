@@ -9,7 +9,9 @@
 //  * a HotPotato candidate evaluation (predict_peak: ring specs + Algorithm 1
 //    rotation_peaks / static_peaks) performs no heap allocations;
 //  * the thermal _into kernels and the analyzer queries perform no heap
-//    allocations.
+//    allocations;
+//  * a PCGov/PCMig epoch (TSP governor: memo hit or miss, DVFS clamp,
+//    PCMig's prediction) performs no heap allocations.
 //
 // Event steps (epochs, task arrival/finish, the first sizing pass) are
 // exempt: schedulers may allocate while making decisions; the per-step
@@ -31,6 +33,10 @@
 #include "exec/scratch.hpp"
 #include "core/peak_temperature.hpp"
 #include "obs/recorder.hpp"
+#include "sched/pcgov.hpp"
+#include "sched/pcmig.hpp"
+#include "sched/placement.hpp"
+#include "sched/tsp.hpp"
 #include "sim/simulator.hpp"
 #include "thermal/workspace.hpp"
 #include "peak_queries.hpp"
@@ -600,6 +606,118 @@ TEST(AllocGuard, WarmedRotationPeakIsAllocationFree) {
     const std::uint64_t before = alloc_count();
     for (int i = 0; i < 20; ++i) query();
     EXPECT_EQ(alloc_count() - before, 0u);
+}
+
+/// Wraps PCGov or PCMig and records the heap traffic of every epoch into
+/// preallocated arrays, with whether the epoch changed the mapping (a PCMig
+/// migration).
+template <class Sched>
+class EpochProbe : public Sched {
+public:
+    explicit EpochProbe(std::size_t max_epochs) {
+        deltas_.reserve(max_epochs);
+        moved_.reserve(max_epochs);
+    }
+
+    void on_epoch(sim::SimContext& ctx) override {
+        sched::active_core_mask(ctx, before_);
+        const std::uint64_t start = alloc_count();
+        Sched::on_epoch(ctx);
+        const std::uint64_t delta = alloc_count() - start;
+        sched::active_core_mask(ctx, after_);
+        if (deltas_.size() < deltas_.capacity()) {  // never reallocates
+            deltas_.push_back(delta);
+            moved_.push_back(before_ != after_ ? 1 : 0);
+        }
+    }
+
+    const std::vector<std::uint64_t>& deltas() const { return deltas_; }
+    const std::vector<char>& moved() const { return moved_; }
+
+private:
+    std::vector<std::uint64_t> deltas_;
+    std::vector<char> moved_;
+    std::vector<bool> before_;
+    std::vector<bool> after_;
+};
+
+/// Runs @p Sched on @p setup for 60 epochs (a hot task, then a second task
+/// that changes the mapping) and asserts that every warmed epoch allocates
+/// nothing. Returns how many of the asserted epochs migrated a thread.
+template <class Sched>
+std::size_t expect_warmed_epochs_allocation_free(
+    const campaign::StudySetup& setup, double ambient_c) {
+    sim::SimConfig cfg;
+    cfg.max_sim_time_s = 0.06;
+    cfg.ambient_c = ambient_c;
+    const std::size_t t = setup.chip().core_count() / 8;
+    EpochProbe<Sched> sched(100);
+    sim::Simulator sim = setup.make_simulator(cfg);
+    sim.add_tasks(
+        {workload::TaskSpec{&workload::profile_by_name("swaptions"), t, 0.0},
+         workload::TaskSpec{&workload::profile_by_name("blackscholes"), t,
+                            0.02}});
+    sim.run(sched);
+
+    const std::vector<std::uint64_t>& deltas = sched.deltas();
+    EXPECT_GT(deltas.size(), 50u) << "simulation ended prematurely";
+    // The first epoch sizes the governor's and PCMig's workspaces.
+    const std::size_t warmup = 2;
+    std::size_t moved = 0;
+    for (std::size_t i = warmup; i < deltas.size(); ++i) {
+        EXPECT_EQ(deltas[i], 0u)
+            << "heap allocation in epoch " << i
+            << (sched.moved()[i] ? " (migration)" : "");
+        moved += sched.moved()[i];
+    }
+    return moved;
+}
+
+TEST(AllocGuard, WarmedTspGovernedEpochsAreAllocationFree) {
+    const campaign::StudySetup setup = campaign::StudySetup::paper_64core();
+    expect_warmed_epochs_allocation_free<sched::PcGovScheduler>(setup, 45.0);
+    expect_warmed_epochs_allocation_free<sched::PcMigScheduler>(setup, 45.0);
+    // Hot enough that PCMig migrates: a migration re-budgets the new mask.
+    EXPECT_GT(expect_warmed_epochs_allocation_free<sched::PcMigScheduler>(
+                  setup, 67.0),
+              0u);
+}
+
+TEST(AllocGuard, WarmedTspGovernedEpochsAreAllocationFreeOn256Core) {
+#ifndef NDEBUG
+    GTEST_SKIP() << "513-node modal runs in optimised builds only";
+#else
+    const campaign::StudySetup setup = campaign::StudySetup::paper_256core(
+        thermal::SolverConfig::modal());
+    expect_warmed_epochs_allocation_free<sched::PcGovScheduler>(setup, 45.0);
+    expect_warmed_epochs_allocation_free<sched::PcMigScheduler>(setup, 45.0);
+    EXPECT_GT(expect_warmed_epochs_allocation_free<sched::PcMigScheduler>(
+                  setup, 67.0),
+              0u);
+#endif
+}
+
+TEST(AllocGuard, WarmedTspMaskChangeIsAllocationFree) {
+    // The governor's miss path: once warm, alternating mappings re-solve
+    // the sensitivity every call without touching the heap.
+    for (const thermal::SolverConfig& config :
+         {thermal::SolverConfig::dense(), thermal::SolverConfig::modal()}) {
+        const campaign::StudySetup setup =
+            campaign::StudySetup::paper_64core(config);
+        std::vector<bool> a(64, false), b(64, false);
+        for (std::size_t c : {0, 9, 18, 27}) a[c] = b[c] = true;
+        b[36] = true;
+        sched::TspGovernor gov;
+        (void)gov.budget(setup.solver(), a, 0.3, 45.0, 70.0);  // warm
+        const std::uint64_t misses = gov.misses();
+        const std::uint64_t before = alloc_count();
+        for (int i = 0; i < 10; ++i) {
+            (void)gov.budget(setup.solver(), b, 0.3, 45.0, 70.0);
+            (void)gov.budget(setup.solver(), a, 0.3, 45.0, 70.0);
+        }
+        EXPECT_EQ(alloc_count() - before, 0u) << setup.solver().backend_name();
+        EXPECT_EQ(gov.misses() - misses, 20u);
+    }
 }
 
 }  // namespace

@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <cstring>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -111,6 +113,49 @@ TEST(Tsp, BudgetScalesWithAmbient) {
     const auto mask = mask16({5, 10});
     EXPECT_GT(f.tsp.per_core_budget(mask, kIdle, 35.0, kDtm),
               f.tsp.per_core_budget(mask, kIdle, 45.0, kDtm));
+}
+
+/// The budget as it was computed before the governor: allocating steady
+/// and conductance solves of pad_power'ed vectors.
+double allocating_budget(const TransientSolver& solver,
+                         const std::vector<bool>& active) {
+    const ThermalModel& model = solver.model();
+    const std::size_t n = model.core_count();
+    const hp::linalg::Vector t_idle = solver.steady_state(
+        model.pad_power(hp::linalg::Vector(n, kIdle)), kAmbient);
+    hp::linalg::Vector mask(n);
+    bool any = false;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (active[i]) {
+            mask[i] = 1.0;
+            any = true;
+        }
+    }
+    if (!any) return kIdle;
+    const hp::linalg::Vector s =
+        solver.conductance_solve(model.pad_power(mask));
+    double x = 1e300;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (s[i] <= 1e-12) continue;
+        x = std::min(x, (kDtm - t_idle[i]) / s[i]);
+    }
+    return kIdle + std::max(x, 0.0);
+}
+
+TEST(Tsp, BudgetKeepsTheAllocatingFormulasBits) {
+    for (const SolverConfig& config :
+         {SolverConfig::dense(), SolverConfig::modal()}) {
+        const Fixture f(config);
+        for (auto mask : {mask16({5, 10}), mask16({0, 3, 12, 15}),
+                          mask16({1}), std::vector<bool>(16, true),
+                          std::vector<bool>(16, false)}) {
+            const double want = allocating_budget(*f.solver, mask);
+            const double got =
+                f.tsp.per_core_budget(mask, kIdle, kAmbient, kDtm);
+            EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+                << f.solver->backend_name() << ": " << got << " vs " << want;
+        }
+    }
 }
 
 }  // namespace
