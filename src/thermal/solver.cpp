@@ -10,6 +10,10 @@
 #include "thermal/matex.hpp"
 #include "thermal/modal_solver.hpp"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace hp::thermal {
 
 // Base implementations over the single-vector calls. Every copy below is a
@@ -249,6 +253,24 @@ SolverBackend parse_solver_backend(const std::string& name) {
                                 "' (expected auto, dense or modal)");
 }
 
+namespace {
+
+/// Hands the heap's free pages back to the OS. The modal decomposition of
+/// a 513-node chip passes through three N x N temporaries (2.1 MB each).
+/// In a process's first build they are mapped and unmapped by glibc, but
+/// freeing them raises its mmap threshold above their size, so every later
+/// build (a second setup, a re-timed one) frees them into the heap, where
+/// they stay resident: about 4 MB of free heap for the life of the
+/// process, and whether later allocations happened to fit in those holes
+/// moved the peak resident set by about 2 MB between identical runs.
+void release_free_heap() {
+#if defined(__GLIBC__)
+    malloc_trim(0);
+#endif
+}
+
+}  // namespace
+
 std::unique_ptr<const TransientSolver> make_solver(const ThermalModel& model,
                                                    const SolverConfig& config) {
     if (config.tolerance_c <= 0.0)
@@ -267,8 +289,11 @@ std::unique_ptr<const TransientSolver> make_solver(const ThermalModel& model,
                           ? SolverBackend::kDense
                           : SolverBackend::kModal;
     }
-    if (backend == SolverBackend::kModal)
-        return std::make_unique<TruncatedModalSolver>(model, config);
+    if (backend == SolverBackend::kModal) {
+        auto solver = std::make_unique<TruncatedModalSolver>(model, config);
+        release_free_heap();
+        return solver;
+    }
     return std::make_unique<MatExSolver>(model);
 }
 

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
@@ -26,6 +27,11 @@
 #include "thermal/solver.hpp"
 #include "thermal_oracle.hpp"
 #include "workload/benchmark.hpp"
+
+#if defined(__linux__) && defined(__GLIBC__)
+#include <malloc.h>
+#include <unistd.h>
+#endif
 
 namespace {
 
@@ -618,6 +624,53 @@ TEST(ScaleUp, Stacked256CoreCampaignRunsEndToEnd) {
     ASSERT_EQ(out.records.size(), 1u);
     EXPECT_EQ(out.summary.failed_runs, 0u);
     EXPECT_GT(out.records[0].result.simulated_time_s, 0.0);
+}
+
+// ---- Modal setup returns its scratch to the OS ---------------------------
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizedHeap = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitizedHeap = true;
+#else
+constexpr bool kSanitizedHeap = false;
+#endif
+#else
+constexpr bool kSanitizedHeap = false;
+#endif
+
+// A rebuilt 513-node modal solver frees its three N x N decomposition
+// temporaries into the heap (glibc's mmap threshold has risen past their
+// size by then); make_solver hands those pages back, so a trim after the
+// rebuilds finds almost nothing left to release.
+TEST(ScaleUp, ModalRebuildLeavesNoFreeHeapResident) {
+#if defined(__linux__) && defined(__GLIBC__)
+    if (kSanitizedHeap) GTEST_SKIP() << "sanitizer allocators keep frees";
+    const auto resident_kb = [] {
+        long pages = 0, resident = 0;
+        if (FILE* f = std::fopen("/proc/self/statm", "r")) {
+            if (std::fscanf(f, "%ld %ld", &pages, &resident) != 2)
+                resident = 0;
+            std::fclose(f);
+        }
+        return resident * (::sysconf(_SC_PAGESIZE) / 1024);
+    };
+    const StudySetup setup = StudySetup::paper_256core(SolverConfig::modal());
+    ::malloc_trim(0);
+    std::unique_ptr<const TransientSolver> solver;
+    for (int build = 0; build < 2; ++build) {
+        solver.reset();
+        solver = hp::thermal::make_solver(setup.model(), SolverConfig::modal());
+    }
+    const long before_kb = resident_kb();
+    ASSERT_GT(before_kb, 0);
+    ::malloc_trim(0);
+    EXPECT_LT(before_kb - resident_kb(), 1024)
+        << "free heap left resident by two modal rebuilds";
+#else
+    GTEST_SKIP() << "needs glibc on Linux";
+#endif
 }
 
 }  // namespace
