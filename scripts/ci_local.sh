@@ -98,8 +98,8 @@ fi
 
 # ---- server soak -----------------------------------------------------------
 # Mirrors the `server-soak` CI job: the 32-thread concurrent-cache stress
-# (ConcurrentCache*), HotPotato's runs on the same cache (PeakCache*) and
-# the loopback advice-server suite (Server*), whose
+# (ConcurrentCache*), the cache's backend-tagged key tests (PeakCacheKeys*)
+# and the loopback advice-server suite (Server*), whose
 # concurrent-clients test byte-compares every answer against the
 # single-threaded batch path, repeated under each sanitizer build from the
 # legs above. Reuses those build trees — only the repetition and the filter

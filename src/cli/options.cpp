@@ -55,9 +55,6 @@ policy:
   --scheduler NAME         hotpotato | hotpotato-dvfs | pcmig | pcgov |
                            tsp-dvfs | static | reactive | global-rotation
                                                      (default hotpotato)
-  --no-peak-cache          disable the peak-prediction memo (hotpotato,
-                           hotpotato-dvfs); results are bit-identical either
-                           way, only evaluation counts change
 
 fidelity:
   --noc-contention         model NoC link queueing on LLC latency
@@ -202,10 +199,6 @@ CliOptions parse(const std::vector<std::string>& args) {
         }
         if (flag == "--metrics") {
             o.metrics = true;
-            continue;
-        }
-        if (flag == "--no-peak-cache") {
-            o.no_peak_cache = true;
             continue;
         }
         const auto value = [&]() -> const std::string& {
@@ -389,18 +382,11 @@ CliOptions parse(const std::vector<std::string>& args) {
     return o;
 }
 
-std::unique_ptr<sim::Scheduler> make_scheduler(const std::string& name,
-                                               bool use_peak_cache) {
-    if (name == "hotpotato") {
-        core::HotPotatoParams params;
-        params.use_peak_cache = use_peak_cache;
-        return std::make_unique<core::HotPotatoScheduler>(params);
-    }
-    if (name == "hotpotato-dvfs") {
-        core::HotPotatoParams params;
-        params.use_peak_cache = use_peak_cache;
-        return std::make_unique<core::HotPotatoDvfsScheduler>(params);
-    }
+std::unique_ptr<sim::Scheduler> make_scheduler(const std::string& name) {
+    if (name == "hotpotato")
+        return std::make_unique<core::HotPotatoScheduler>();
+    if (name == "hotpotato-dvfs")
+        return std::make_unique<core::HotPotatoDvfsScheduler>();
     if (name == "pcmig") return std::make_unique<sched::PcMigScheduler>();
     if (name == "pcgov") return std::make_unique<sched::PcGovScheduler>();
     if (name == "tsp-dvfs") return std::make_unique<sched::TspDvfsScheduler>();
@@ -453,11 +439,8 @@ int run_comparison(const CliOptions& options,
     base.sim = std::move(config);
     base.power = power_params;
     campaign::CampaignSpec spec(std::move(setup), std::move(base));
-    const bool use_peak_cache = !options.no_peak_cache;
     for (const std::string& name : split_names(options.compare))
-        spec.add_scheduler(name, [name, use_peak_cache] {
-            return make_scheduler(name, use_peak_cache);
-        });
+        spec.add_scheduler(name, [name] { return make_scheduler(name); });
     spec.add_workload(workload_label(options), std::move(tasks));
 
     campaign::CampaignOptions campaign_options;
@@ -594,7 +577,7 @@ int run(const CliOptions& options, std::ostream& out) {
     simulator.add_tasks(tasks);
 
     std::unique_ptr<sim::Scheduler> scheduler =
-        make_scheduler(options.scheduler, !options.no_peak_cache);
+        make_scheduler(options.scheduler);
     const sim::SimResult result = simulator.run(*scheduler);
     if (!options.trace_file.empty())
         sim::write_trace_csv(options.trace_file, result.trace);

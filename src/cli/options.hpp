@@ -59,12 +59,6 @@ struct CliOptions {
     std::string chrome_trace_file;  ///< Chrome trace_event JSON (empty: off)
     bool metrics = false;           ///< print the metrics block after the run
 
-    // Performance escape hatch: disable the peak-prediction memo in the
-    // schedulers that have one (hotpotato, hotpotato-dvfs). Results
-    // are bit-identical either way — inputs are quantised unconditionally —
-    // so this only trades speed for a simpler execution to debug.
-    bool no_peak_cache = false;
-
     // Campaign mode: race several schedulers over the same workload on the
     // parallel campaign engine instead of a single run.
     std::string compare;          ///< comma-separated scheduler names
@@ -125,10 +119,8 @@ std::string usage();
 CliOptions parse(const std::vector<std::string>& args);
 
 /// Instantiates the scheduler named in @p name; throws std::invalid_argument
-/// for unknown names. @p use_peak_cache is forwarded to the schedulers that
-/// memoise peak predictions (ignored by the rest).
-std::unique_ptr<sim::Scheduler> make_scheduler(const std::string& name,
-                                               bool use_peak_cache = true);
+/// for unknown names.
+std::unique_ptr<sim::Scheduler> make_scheduler(const std::string& name);
 
 /// Builds the machine and workload described by @p options, runs the
 /// simulation and writes a human-readable report to @p out. Returns

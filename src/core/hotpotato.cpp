@@ -1,9 +1,10 @@
 #include "core/hotpotato.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <limits>
 #include <stdexcept>
+
+#include "core/peak_cache.hpp"
 
 namespace hp::core {
 
@@ -31,16 +32,9 @@ HotPotatoScheduler::HotPotatoScheduler(HotPotatoParams params)
     if (!std::is_sorted(params_.tau_ladder_s.begin(),
                         params_.tau_ladder_s.end()))
         throw std::invalid_argument("HotPotato: tau ladder must be ascending");
-    // Ladder-sized scratch is fixed at construction; sizing it here keeps
-    // the first prefetch_tau_ladder call allocation-free.
-    peaks_batch_scratch_.resize(params_.tau_ladder_s.size());
 }
 
 void HotPotatoScheduler::rebuild_rings(sim::SimContext& ctx) {
-    // Ring membership is baked into cached prediction keys only implicitly
-    // (key = powers per slot), so any re-formation — core failure, recovery —
-    // changes what a key means and must flush the memo.
-    invalidate_peak_cache();
     rings_.clear();
     for (const arch::AmdRing& r : ctx.chip().rings()) {
         Ring ring;
@@ -61,8 +55,7 @@ void HotPotatoScheduler::rebuild_rings(sim::SimContext& ctx) {
 void HotPotatoScheduler::initialize(sim::SimContext& ctx) {
     // Borrow the (arena-backed) peak workspace from the campaign worker's
     // scratch bag when one exists: one workspace per worker, warm across
-    // runs. The prediction cache stays per-run — its hit/miss counters are
-    // part of the observable record and must not depend on worker history.
+    // runs.
     if (exec::WorkerScratch* scratch = ctx.worker_scratch())
         peak_ws_ = &scratch->slot<PeakWorkspace>();
     else
@@ -88,22 +81,12 @@ void HotPotatoScheduler::initialize(sim::SimContext& ctx) {
     if (obs_) {
         obs_alg1_ = &obs_->counter("hotpotato.alg1_evals");
         obs_tau_changes_ = &obs_->counter("hotpotato.tau_changes");
-        obs_cache_hits_ = &obs_->counter("hotpotato.peak_cache_hits");
-        obs_cache_misses_ = &obs_->counter("hotpotato.peak_cache_misses");
         obs_batch_size_ = &obs_->histogram(
             "hotpotato.batch_size", {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
         obs_rows_exact_ = &obs_->counter("hotpotato.alg1_rows_exact");
         obs_rows_total_ = &obs_->counter("hotpotato.alg1_rows_total");
         obs_rings_reused_ = &obs_->counter("hotpotato.alg1_rings_reused");
         obs_rings_total_ = &obs_->counter("hotpotato.alg1_rings_total");
-    }
-    if (params_.use_peak_cache) {
-        const std::size_t max_words = peak_key_words(
-            ctx.chip().core_count(), ctx.chip().rings().size());
-        peak_cache_.configure(256, max_words, /*shards=*/1);
-        peak_key_.reserve(max_words);
-    } else {
-        peak_cache_.configure(0, 0);
     }
     ensure_analyzer(ctx);
 }
@@ -125,7 +108,6 @@ void HotPotatoScheduler::ensure_analyzer(sim::SimContext& ctx) {
     const double idle = ctx.power_model().idle_power_w(ctx.config().t_dtm_c);
     analyzer_ = std::make_unique<PeakTemperatureAnalyzer>(
         ctx.solver(), ctx.config().ambient_c, idle);
-    backend_sig_ = ctx.solver().backend_signature();
 }
 
 void HotPotatoScheduler::sync_finished_threads(sim::SimContext& ctx) {
@@ -138,8 +120,7 @@ double HotPotatoScheduler::slot_power(sim::SimContext& ctx,
                                       sim::ThreadId id) const {
     // Measured 10 ms power history once the thread runs (Algorithm 1 input);
     // a model estimate before first placement. Quantised to the prediction
-    // grid unconditionally (cache on or off), so a cached peak is exactly
-    // the peak a fresh evaluation of the same quantised inputs would give.
+    // grid (quantise_power_w), which every recorded decision depends on.
     if (ctx.core_of(id) != sim::kNone)
         return quantise_power_w(ctx.thread_recent_power(id));
     const auto loc = locate(id);
@@ -179,84 +160,29 @@ void HotPotatoScheduler::build_static_powers(sim::SimContext& ctx) const {
                     slot_power(ctx, ring.slots[j]);
 }
 
-bool HotPotatoScheduler::cache_lookup(double* out) const {
-    const bool hit =
-        peak_cache_.lookup(peak_key_.data(), peak_key_.size(), out);
-    if (hit) {
-        if (obs_cache_hits_) obs_cache_hits_->add();
-    } else if (obs_cache_misses_) {
-        obs_cache_misses_->add();
-    }
-    return hit;
-}
-
-void HotPotatoScheduler::cache_insert(double peak) const {
-    peak_cache_.insert(peak_key_.data(), peak_key_.size(), peak);
-}
-
-void HotPotatoScheduler::note_exact_rows(sim::SimContext& ctx,
-                                         std::size_t count) const {
-    if (!obs_rows_exact_) return;
-    obs_rows_exact_->add(peak_ws_->last_exact_rows());
-    obs_rows_total_->add(count * ctx.chip().core_count());
-    obs_rings_reused_->add(peak_ws_->last_reused_rings());
-    obs_rings_total_->add(peak_ws_->last_ring_evals());
-}
-
 double HotPotatoScheduler::predict_peak_with(sim::SimContext& ctx,
                                              bool rotation_on,
                                              std::size_t tau_index) const {
     if (obs_alg1_) obs_alg1_->add();
     obs::ScopedPhase timer(obs_, obs::Phase::kPeakAnalysis);
     if (obs_batch_size_) obs_batch_size_->observe(1.0);
+    double peak;
     if (!rotation_on) {
         build_static_powers(ctx);
-        if (peak_cache_.enabled()) {
-            stage_static_key(peak_key_, backend_sig_,
-                             static_power_scratch_.data(),
-                             static_power_scratch_.size());
-            double hit;
-            if (cache_lookup(&hit)) return hit;
-        }
-        double peak;
         analyzer_->static_peaks(static_power_scratch_.data(), 1, *peak_ws_,
                                 &peak);
-        cache_insert(peak);
         return peak;
     }
     build_ring_specs(ctx);
-    if (peak_cache_.enabled()) {
-        stage_rotation_key(peak_key_, backend_sig_,
-                           params_.tau_ladder_s[tau_index],
-                           params_.samples_per_epoch, spec_scratch_);
-        double hit;
-        if (cache_lookup(&hit)) return hit;
-    }
-    double peak;
     analyzer_->rotation_peaks(spec_scratch_, &params_.tau_ladder_s[tau_index],
                               1, params_.samples_per_epoch, *peak_ws_, &peak);
-    note_exact_rows(ctx, 1);
-    cache_insert(peak);
-    return peak;
-}
-
-void HotPotatoScheduler::prefetch_tau_ladder(sim::SimContext& ctx,
-                                             std::size_t count) const {
-    if (!peak_cache_.enabled() || count == 0) return;
-    if (obs_alg1_) obs_alg1_->add();
-    obs::ScopedPhase timer(obs_, obs::Phase::kPeakAnalysis);
-    if (obs_batch_size_) obs_batch_size_->observe(static_cast<double>(count));
-    build_ring_specs(ctx);
-    if (peaks_batch_scratch_.size() < count) peaks_batch_scratch_.resize(count);
-    analyzer_->rotation_peaks(spec_scratch_, params_.tau_ladder_s.data(), count,
-                              params_.samples_per_epoch, *peak_ws_,
-                              peaks_batch_scratch_.data());
-    note_exact_rows(ctx, count);
-    for (std::size_t t = 0; t < count; ++t) {
-        stage_rotation_key(peak_key_, backend_sig_, params_.tau_ladder_s[t],
-                           params_.samples_per_epoch, spec_scratch_);
-        cache_insert(peaks_batch_scratch_[t]);
+    if (obs_rows_exact_) {
+        obs_rows_exact_->add(peak_ws_->last_exact_rows());
+        obs_rows_total_->add(ctx.chip().core_count());
+        obs_rings_reused_->add(peak_ws_->last_reused_rings());
+        obs_rings_total_->add(peak_ws_->last_ring_evals());
     }
+    return peak;
 }
 
 double HotPotatoScheduler::predict_peak(sim::SimContext& ctx) const {
@@ -316,40 +242,10 @@ std::optional<std::size_t> HotPotatoScheduler::best_static_slot(
         for (std::size_t i = 0; i < n; ++i) row[i] = static_power_scratch_[i];
     }
 
-    // Cache hits are filled directly; the misses run as one batched
-    // steady-state slate (bit-identical per candidate to a fresh
-    // static_peak, so cache on/off cannot change the argmin).
-    slate_miss_.clear();
-    for (std::size_t c = 0; c < count; ++c) {
-        if (peak_cache_.enabled()) {
-            stage_static_key(peak_key_, backend_sig_,
-                             slate_powers_.data() + c * n, n);
-            if (cache_lookup(&slate_peaks_[c])) continue;
-        }
-        slate_miss_.push_back(c);
-    }
-    if (!slate_miss_.empty()) {
-        if (slate_miss_powers_.size() < slate_miss_.size() * n)
-            slate_miss_powers_.resize(slate_miss_.size() * n);
-        for (std::size_t m = 0; m < slate_miss_.size(); ++m) {
-            const double* src = slate_powers_.data() + slate_miss_[m] * n;
-            double* dst = slate_miss_powers_.data() + m * n;
-            for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
-        }
-        if (peaks_batch_scratch_.size() < slate_miss_.size())
-            peaks_batch_scratch_.resize(slate_miss_.size());
-        analyzer_->static_peaks(slate_miss_powers_.data(), slate_miss_.size(),
-                                *peak_ws_, peaks_batch_scratch_.data());
-        for (std::size_t m = 0; m < slate_miss_.size(); ++m) {
-            const std::size_t c = slate_miss_[m];
-            slate_peaks_[c] = peaks_batch_scratch_[m];
-            if (peak_cache_.enabled()) {
-                stage_static_key(peak_key_, backend_sig_,
-                                 slate_powers_.data() + c * n, n);
-                cache_insert(slate_peaks_[c]);
-            }
-        }
-    }
+    // One batched steady-state slate (bit-identical per candidate to a
+    // single-candidate static_peaks).
+    analyzer_->static_peaks(slate_powers_.data(), count, *peak_ws_,
+                            slate_peaks_.data());
 
     // First-lowest wins, matching the historical ascending-slot scan.
     std::optional<std::size_t> best;
@@ -475,8 +371,6 @@ void HotPotatoScheduler::update_sensor_fallback(sim::SimContext& ctx) {
                   : dvfs.f_max_hz;
     for (std::size_t c = 0; c < ctx.chip().core_count(); ++c)
         ctx.set_frequency(c, f);
-    // Frequency changes alter the power histories behind every cached key.
-    invalidate_peak_cache();
     sensor_fallback_ = untrusted;
     if (obs_)
         obs_->record({ctx.now(), obs::EventKind::kSensorFallback,
@@ -523,14 +417,8 @@ void HotPotatoScheduler::restore_safety(sim::SimContext& ctx) {
         peak = predict_peak(ctx);
     }
 
-    // Lines 12-14: speed the rotation until headroom appears. The rungs the
-    // walk can visit are evaluated as one shared-target batch first, so the
-    // per-rung queries below become cache hits (bit-identical values; with
-    // the cache off the walk simply evaluates each rung itself).
-    if (peak >= limit && peak_cache_.enabled()) {
-        prefetch_tau_ladder(
-            ctx, rotation_on_ ? tau_index_ : params_.tau_ladder_s.size());
-    }
+    // Lines 12-14: speed the rotation until headroom appears, one query per
+    // rung.
     while (peak >= limit) {
         if (!rotation_on_) {
             rotation_on_ = true;

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "core/peak_cache.hpp"
 #include "core/peak_temperature.hpp"
 #include "obs/recorder.hpp"
 #include "sim/scheduler.hpp"
@@ -34,12 +33,6 @@ struct HotPotatoParams {
     /// the fallback only surrenders the "always at peak frequency" property
     /// until sensing recovers.
     double sensor_fallback_freq_fraction = 0.75;
-    /// Memoise Algorithm-1 peak predictions keyed by (assignment, quantised
-    /// powers, τ rung). Inputs are quantised whether or not the cache is on,
-    /// so flipping this switch changes only evaluation counts, never any
-    /// scheduling decision or simulated temperature (--no-peak-cache exposes
-    /// it on the CLI).
-    bool use_peak_cache = true;
 };
 
 /// HotPotato: thermal management of S-NUCA many-cores via synchronous thread
@@ -97,13 +90,6 @@ public:
 protected:
     const HotPotatoParams& params() const { return params_; }
 
-    /// Drops every memoised peak prediction. Must be called whenever the
-    /// thermal meaning of a cache key changes out from under it: ring
-    /// re-formation after a core failure/recovery and any DVFS/frequency
-    /// change (rebuild_rings and update_sensor_fallback call it themselves;
-    /// the DVFS extension calls it from engage/relax).
-    void invalidate_peak_cache() const { peak_cache_.invalidate(); }
-
 private:
     struct Ring {
         std::vector<std::size_t> cores;   ///< rotation cycle order
@@ -136,27 +122,12 @@ private:
     /// Fills static_power_scratch_ with the current assignment's quantised
     /// per-core powers (idle everywhere a slot is empty).
     void build_static_powers(sim::SimContext& ctx) const;
-    /// Batch-evaluates rotation_peaks at ladder rungs [0, count) in one
-    /// shared-target pass and seeds the prediction cache, so the
-    /// restore_safety speed-up walk hits instead of re-evaluating. Values
-    /// are bit-identical to the walk's own evaluations; no-op with the
-    /// cache disabled.
-    void prefetch_tau_ladder(sim::SimContext& ctx, std::size_t count) const;
     /// Rotation-off placement: scores every free slot of ring @p ring_index
-    /// as one batched multi-candidate slate (cache-assisted) and returns the
-    /// slot with the lowest static peak, or nullopt when the ring is full.
+    /// as one batched multi-candidate slate and returns the slot with the
+    /// lowest static peak, or nullopt when the ring is full.
     std::optional<std::size_t> best_static_slot(sim::SimContext& ctx,
                                                 std::size_t ring_index,
                                                 sim::ThreadId id);
-    // Prediction-cache counter-mirroring helpers (keys are staged into
-    // peak_key_ by the shared builders of core/peak_cache.hpp).
-    /// Looks the staged key up; on a hit writes the peak to @p out.
-    bool cache_lookup(double* out) const;
-    void cache_insert(double peak) const;
-    /// Adds the last rotation query's exact and covered row counts (a slate
-    /// of @p count rungs) to the alg1_rows_* counters, and its memo-reused
-    /// and evaluated ring × rung counts to the alg1_rings_* counters.
-    void note_exact_rows(sim::SimContext& ctx, std::size_t count) const;
     /// Algorithm 2 lines 1-14 for a single thread. Returns false only when
     /// no ring has a free slot at all.
     bool place_thread(sim::SimContext& ctx, sim::ThreadId id);
@@ -179,9 +150,6 @@ private:
 
     HotPotatoParams params_;
     std::unique_ptr<PeakTemperatureAnalyzer> analyzer_;
-    /// Backend identity word folded into every prediction-cache key, so a
-    /// cache survives backend/tolerance changes without aliasing entries.
-    std::uint64_t backend_sig_ = 0;
     // Observability (cached in initialize(); null when observability is off).
     // obs_alg1_ is mutable for the same reason as the prediction scratch:
     // predict_peak() stays const for the overhead benchmark.
@@ -204,28 +172,20 @@ private:
     mutable PeakWorkspace* peak_ws_ = &own_peak_ws_;
     mutable std::vector<RotationRingSpec> spec_scratch_;
     mutable linalg::Vector static_power_scratch_;
-    // Prediction cache + batch scratch (all grow-only, so the warmed hot
-    // path stays allocation-free; mutable for the same reason as peak_ws_).
-    // One shard: the cache is per-run, so nothing contends for it.
-    mutable ConcurrentPeakCache peak_cache_;
-    mutable CacheKey peak_key_;  ///< staged key, reserved in initialize()
-    mutable obs::Counter* obs_cache_hits_ = nullptr;
-    mutable obs::Counter* obs_cache_misses_ = nullptr;
     mutable obs::Histogram* obs_batch_size_ = nullptr;
     // Rows Algorithm 1 projected exactly vs. rows its rotation queries
     // covered (DESIGN.md §14.5): their ratio is the unpruned share.
     mutable obs::Counter* obs_rows_exact_ = nullptr;
     mutable obs::Counter* obs_rows_total_ = nullptr;
-    // Active ring × rung evaluations the workspace's ring memo answered vs.
+    // Active ring evaluations the workspace's ring memo answered vs.
     // all of them (DESIGN.md §14.7).
     mutable obs::Counter* obs_rings_reused_ = nullptr;
     mutable obs::Counter* obs_rings_total_ = nullptr;
-    mutable std::vector<double> peaks_batch_scratch_;
-    std::vector<std::size_t> slate_slots_;   ///< free-slot candidates
-    std::vector<double> slate_powers_;       ///< RHS-major candidate powers
-    std::vector<double> slate_miss_powers_;  ///< compacted cache misses
+    // Rotation-off placement slate (grow-only, so a warmed scan is
+    // allocation-free).
+    std::vector<std::size_t> slate_slots_;  ///< free-slot candidates
+    std::vector<double> slate_powers_;      ///< RHS-major candidate powers
     std::vector<double> slate_peaks_;
-    std::vector<std::size_t> slate_miss_;
     std::vector<sim::ThreadId> shift_scratch_;  ///< on_step slot rotation
     bool sensor_fallback_ = false;
     bool rotation_on_ = true;

@@ -17,9 +17,6 @@ void HotPotatoDvfsScheduler::on_epoch(sim::SimContext& ctx) {
 
 void HotPotatoDvfsScheduler::engage(sim::SimContext& ctx) {
     tsp_.apply(ctx);
-    // The re-clock shifts every thread's power history, so cached peak
-    // predictions keyed on the old powers are stale.
-    invalidate_peak_cache();
     engaged_ = true;
 }
 
@@ -33,7 +30,6 @@ void HotPotatoDvfsScheduler::relax(sim::SimContext& ctx) {
             all_at_max = false;
         }
     }
-    if (!all_at_max) invalidate_peak_cache();
     if (all_at_max) engaged_ = false;
 }
 

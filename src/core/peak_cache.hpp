@@ -16,15 +16,16 @@ namespace hp::core {
 /// itself is far below the watt-level signal the thermal model reacts to.
 /// Callers quantise *before* prediction whether or not a cache is enabled —
 /// that is what makes a cache hit bit-identical to a fresh evaluation (both
-/// see the same quantised inputs) and hence campaign output independent of
-/// the cache switch.
+/// see the same quantised inputs). HotPotato and PCMig key no cache but
+/// quantise their prediction inputs on the same grid, so every recorded
+/// scheduling decision depends on it.
 inline double quantise_power_w(double power_w) {
     return static_cast<double>(std::llround(power_w * 1024.0)) / 1024.0;
 }
 
 /// Staging buffer for ConcurrentPeakCache keys. Lives with the caller (one
-/// per scheduler, or per worker thread in the advice server) because the
-/// cache itself holds no per-query mutable state. Reserve the longest key
+/// per worker thread in the advice server) because the cache itself holds
+/// no per-query mutable state. Reserve the longest key
 /// up front and pushes never allocate.
 class CacheKey {
 public:
@@ -47,8 +48,8 @@ private:
 
 struct RotationRingSpec;
 
-/// The one key format of Algorithm-1 predictions, shared by HotPotato and
-/// the advice daemon. Both forms start with the solver backend_signature
+/// The one key format of Algorithm-1 predictions, used by the advice
+/// daemon. Both forms start with the solver backend_signature
 /// (separating backends and chip models) and a tag word (so a static and a
 /// rotation query over the same powers never alias):
 ///
@@ -57,8 +58,8 @@ struct RotationRingSpec;
 ///             ring count · per ring (slot count · one power per slot)
 ///
 /// Powers must already be quantised (quantise_power_w). Ring core lists are
-/// not part of the key: a cache holds one chip's ring layout, and HotPotato
-/// invalidates on every ring re-formation.
+/// not part of the key: a cache holds one chip's ring layout, so a caller
+/// whose rings re-form must invalidate.
 void stage_static_key(CacheKey& key, std::uint64_t backend_signature,
                       const double* core_power_w, std::size_t cores);
 void stage_rotation_key(CacheKey& key, std::uint64_t backend_signature,
@@ -71,9 +72,9 @@ std::size_t peak_key_words(std::size_t cores, std::size_t rings);
 /// Sharded, lock-free, lossy memo of scalar thermal predictions, keyed by an
 /// opaque sequence of 64-bit words (the solver backend_signature, a
 /// static/rotation discriminator and the quantised powers). The one
-/// prediction cache of the repo: HotPotato owns a single-shard instance per
-/// run, and the advice server shares one per chip config across its worker
-/// pool.
+/// prediction cache of the repo: the advice server shares one per chip
+/// config across its worker pool. (The simulator's schedulers keep none;
+/// HotPotato's repeats are answered by the peak workspace's ring memo.)
 ///
 /// Correctness contract: the cache may only memoise values that are pure
 /// functions of the key. Under that contract every race below degrades to a
@@ -100,8 +101,8 @@ std::size_t peak_key_words(std::size_t cores, std::size_t rings);
 /// under an older generation never match and are recycled as empty. The
 /// 15-bit sequence would need 32768 complete publishes to the same slot
 /// inside one reader's ~nanosecond validate window to ABA, and the 32-bit
-/// generation wraps after 4·10^9 invalidation events (one per DVFS/ring
-/// event) — both beyond any realistic horizon.
+/// generation wraps after 4·10^9 invalidation events — both beyond any
+/// realistic horizon.
 ///
 /// Statistics are relaxed atomics: hits, misses, and races (validation
 /// failures and lost writer claims). invalidate() keeps them.
@@ -270,7 +271,7 @@ public:
     }
 
     /// Drops every entry in O(1) by bumping the global generation; the
-    /// statistics are kept (invalidations are part of a run's hit/miss
+    /// statistics are kept (invalidations are part of the hit/miss
     /// story). Safe to call concurrently with lookups/inserts: an insert
     /// that raced the bump may land with the old generation, where it is
     /// unreachable — exactly as if it had been dropped.

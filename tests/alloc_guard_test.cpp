@@ -7,7 +7,8 @@
 //    HotPotato's synchronous slot rotation in on_step) performs no heap
 //    allocations on steps without scheduler events;
 //  * a HotPotato candidate evaluation (predict_peak: ring specs + Algorithm 1
-//    rotation_peaks / static_peaks) performs no heap allocations;
+//    rotation_peaks / static_peaks) performs no heap allocations, and
+//    neither does an epoch whose τ walk sped the rotation up;
 //  * the thermal _into kernels and the analyzer queries perform no heap
 //    allocations;
 //  * a PCGov/PCMig epoch (TSP governor: memo hit or miss, DVFS clamp,
@@ -42,6 +43,7 @@
 #include "peak_queries.hpp"
 #include "thermal_oracle.hpp"
 #include "workload/benchmark.hpp"
+#include "workload/generator.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -293,19 +295,28 @@ TEST(AllocGuard, WarmedCampaignStepsAreAllocationFreeUnderTheArena) {
 
 /// HotPotato probe: after each epoch's normal work, times an extra candidate
 /// evaluation (predict_peak = ring specs + Algorithm 1) with a warm
-/// workspace and records its allocation count. With the peak cache enabled
-/// (the default) the repeat query exercises key staging + a cache hit; with
-/// it disabled, the full uncached evaluation — both must stay heap-free.
+/// workspace and records its allocation count. It also counts the
+/// allocations of every epoch in which the rotation sped up, which is when
+/// restore_safety walked the τ ladder one query per rung.
 class PredictProbeHotPotato : public core::HotPotatoScheduler {
 public:
-    PredictProbeHotPotato(std::size_t max_samples,
-                          core::HotPotatoParams params = {})
-        : core::HotPotatoScheduler(params) {
+    explicit PredictProbeHotPotato(std::size_t max_samples) {
         deltas_.reserve(max_samples);
+        walk_deltas_.reserve(max_samples);
     }
 
     void on_epoch(sim::SimContext& ctx) override {
+        const bool was_on = rotation_enabled();
+        const double was_tau = rotation_interval_s();
+        const std::uint64_t epoch_before = alloc_count();
         core::HotPotatoScheduler::on_epoch(ctx);
+        const std::uint64_t epoch_allocs = alloc_count() - epoch_before;
+        const bool sped_up =
+            rotation_enabled() &&
+            (!was_on || rotation_interval_s() < was_tau);
+        if (sped_up && walk_deltas_.size() < walk_deltas_.capacity())
+            walk_deltas_.push_back(epoch_allocs);
+
         (void)predict_peak(ctx);  // warm the per-instance scratch
         const std::uint64_t before = alloc_count();
         (void)predict_peak(ctx);
@@ -314,35 +325,64 @@ public:
     }
 
     const std::vector<std::uint64_t>& deltas() const { return deltas_; }
+    /// Allocations of each epoch whose restore_safety sped the rotation up.
+    const std::vector<std::uint64_t>& walk_deltas() const {
+        return walk_deltas_;
+    }
 
 private:
     std::vector<std::uint64_t> deltas_;
+    std::vector<std::uint64_t> walk_deltas_;
 };
 
 TEST(AllocGuard, WarmedHotPotatoCandidateEvaluationIsAllocationFree) {
-    for (const bool use_cache : {true, false}) {
-        const campaign::StudySetup setup =
-            campaign::StudySetup::paper_16core();
-        sim::SimConfig cfg;
-        cfg.micro_step_s = 1e-4;
-        cfg.scheduler_epoch_s = 1e-3;
-        cfg.max_sim_time_s = 0.03;
+    const campaign::StudySetup setup = campaign::StudySetup::paper_16core();
+    sim::SimConfig cfg;
+    cfg.micro_step_s = 1e-4;
+    cfg.scheduler_epoch_s = 1e-3;
+    cfg.max_sim_time_s = 0.03;
 
-        core::HotPotatoParams params;
-        params.use_peak_cache = use_cache;
-        PredictProbeHotPotato sched(64, params);
-        sim::Simulator sim = setup.make_simulator(cfg);
-        sim.add_tasks(
-            {workload::TaskSpec{&workload::profile_by_name("blackscholes"), 2,
-                                0.0}});
-        sim.run(sched);
+    PredictProbeHotPotato sched(64);
+    sim::Simulator sim = setup.make_simulator(cfg);
+    sim.add_tasks({workload::TaskSpec{
+        &workload::profile_by_name("blackscholes"), 2, 0.0}});
+    sim.run(sched);
 
-        ASSERT_GT(sched.deltas().size(), 5u);
-        for (std::size_t i = 1; i < sched.deltas().size(); ++i)
-            EXPECT_EQ(sched.deltas()[i], 0u)
-                << "allocation in epoch probe " << i
-                << (use_cache ? " (cache on)" : " (cache off)");
-    }
+    ASSERT_GT(sched.deltas().size(), 5u);
+    for (std::size_t i = 1; i < sched.deltas().size(); ++i)
+        EXPECT_EQ(sched.deltas()[i], 0u) << "allocation in epoch probe " << i;
+}
+
+TEST(AllocGuard, WarmedHotPotatoSpeedUpWalkIsAllocationFree) {
+    // A low DTM threshold keeps the predicted peak near the limit, so
+    // epochs keep walking the τ ladder back down after exploit_headroom
+    // slowed the rotation.
+    const campaign::StudySetup setup = campaign::StudySetup::paper_16core();
+    sim::SimConfig cfg;
+    cfg.micro_step_s = 1e-4;
+    cfg.scheduler_epoch_s = 1e-3;
+    cfg.max_sim_time_s = 0.3;
+    cfg.t_dtm_c = 60.0;
+
+    obs::Recorder recorder;
+    PredictProbeHotPotato sched(256);
+    sim::Simulator sim =
+        setup.make_simulator(cfg, {}, {}, nullptr, &recorder);
+    sim.add_tasks(workload::poisson_mix(/*tasks=*/8, /*arrivals_per_s=*/200.0,
+                                        /*min_threads=*/2, /*max_threads=*/5,
+                                        /*seed=*/7));
+    sim.run(sched);
+
+    std::uint64_t tau_changes = 0;
+    for (const auto& c : recorder.snapshot().counters)
+        if (c.name == "hotpotato.tau_changes") tau_changes = c.value;
+    EXPECT_GT(tau_changes, 0u);
+
+    // Arrivals and the first epochs warm every buffer a walk touches.
+    ASSERT_GE(sched.walk_deltas().size(), 3u);
+    for (std::size_t i = 0; i < sched.walk_deltas().size(); ++i)
+        EXPECT_EQ(sched.walk_deltas()[i], 0u)
+            << "allocation in speed-up walk " << i;
 }
 
 TEST(AllocGuard, WarmedThermalKernelsAreAllocationFree) {

@@ -96,6 +96,13 @@ TEST(CliParse, Errors) {
         std::invalid_argument);
 }
 
+TEST(CliParse, RetiredNoPeakCacheFlagIsRejected) {
+    // HotPotato has no prediction cache to switch off any more: the flag is
+    // an unknown one, and the usage text no longer offers it.
+    EXPECT_THROW((void)parse({"--no-peak-cache"}), std::invalid_argument);
+    EXPECT_EQ(hp::cli::usage().find("peak-cache"), std::string::npos);
+}
+
 TEST(CliParse, FidelityFlags) {
     const CliOptions o =
         parse({"--noc-contention", "--sensors", "--power-gating"});

@@ -1,12 +1,13 @@
 // ConcurrentPeakCache: the one prediction cache, shared by the advice
-// server's worker pool (DESIGN.md §13) and owned single-shard per run by
-// HotPotato (DESIGN.md §9.3). The stress tests here are the body of the CI
-// server-soak job's TSan leg: every shared access in the cache is a
-// std::atomic, so a data-race report from any interleaving is a real bug.
+// server's worker pool (DESIGN.md §9.3, §13), and the power quantisation its
+// keys rely on. The stress tests here are the body of the CI server-soak
+// job's TSan leg: every shared access in the cache is a std::atomic, so a
+// data-race report from any interleaving is a real bug.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <thread>
@@ -24,6 +25,20 @@ using hp::core::ConcurrentPeakCache;
 // tests insert f(key) and demand that every hit equals it exactly.
 double value_of(std::uint64_t a, std::uint64_t b) {
     return static_cast<double>((a * 2654435761ull + b) & 0xFFFFFull) * 0.5;
+}
+
+TEST(QuantisePower, ExactBinaryGridAndIdempotence) {
+    // 2^-10 W grid: grid points round-trip exactly.
+    EXPECT_EQ(hp::core::quantise_power_w(0.0), 0.0);
+    EXPECT_EQ(hp::core::quantise_power_w(1.0), 1.0);
+    EXPECT_EQ(hp::core::quantise_power_w(3.0 / 1024.0), 3.0 / 1024.0);
+    // Off-grid values land on the nearest grid point…
+    const double q = hp::core::quantise_power_w(2.3456789);
+    EXPECT_NEAR(q, 2.3456789, 0.5 / 1024.0);
+    // …and quantisation is idempotent (the property the cache key relies on).
+    EXPECT_EQ(hp::core::quantise_power_w(q), q);
+    // llround never produces -0.0, so keys of "zero watts" are unambiguous.
+    EXPECT_FALSE(std::signbit(hp::core::quantise_power_w(-1e-12)));
 }
 
 CacheKey make_key(std::uint64_t a, std::uint64_t b) {
@@ -185,11 +200,10 @@ TEST(ConcurrentCacheTest, StressMixedInsertLookupInvalidate) {
     EXPECT_GT(stats.hits, 0u);
 }
 
-// --- HotPotato's prediction cache --------------------------------------------
+// --- single-shard semantics --------------------------------------------------
 //
-// The cache exactly as HotPotato runs it (DESIGN.md §9.3): one shard, a
-// CacheKey cleared and refilled per query, configure(0, 0) when the cache is
-// switched off. Single-threaded unit semantics that the scheduler relies on.
+// One shard, a CacheKey cleared and refilled per query, configure(0, 0) for a
+// disabled cache: the single-threaded unit semantics every caller relies on.
 
 TEST(PredictionCache, MissThenHitWithExactKeyMatch) {
     ConcurrentPeakCache cache;
@@ -240,7 +254,7 @@ TEST(PredictionCache, GenerationBumpLeavesNoStaleHitsBehind) {
     // invalidate() is an O(1) generation bump — no slot is cleared. The
     // regression bar: no key inserted before a bump may ever hit after it,
     // across repeated bumps and slot reuse, because a stale hit would let a
-    // pre-fault (or pre-DVFS) prediction leak into a re-formed ring set.
+    // prediction made before an invalidation outlive it.
     ConcurrentPeakCache cache;
     cache.configure(16, 2, /*shards=*/1);  // smaller than the key set
     CacheKey key;
@@ -281,7 +295,7 @@ TEST(PredictionCache, OversizeKeysAndDisabledCacheAreSafeNoOps) {
     EXPECT_FALSE(cache.lookup(key.data(), key.size(), &value));
 
     ConcurrentPeakCache off;
-    off.configure(0, 0);  // HotPotato's cache-off configuration
+    off.configure(0, 0);  // the disabled configuration
     EXPECT_FALSE(off.enabled());
     key.clear();
     key.push(std::uint64_t{1});
@@ -291,7 +305,7 @@ TEST(PredictionCache, OversizeKeysAndDisabledCacheAreSafeNoOps) {
 }
 
 TEST(PredictionCache, EvictionKeepsServingUnderPressure) {
-    // A tiny cache and HotPotato's own size, each fed 16× its capacity:
+    // A tiny cache and a 256-entry one, each fed 16× its capacity:
     // inserts must evict, and the most recent key is always resident.
     for (const std::size_t entries : {4u, 256u}) {
         ConcurrentPeakCache cache;

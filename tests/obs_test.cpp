@@ -22,6 +22,7 @@
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "workload/benchmark.hpp"
+#include "workload/generator.hpp"
 
 namespace {
 
@@ -479,6 +480,42 @@ TEST(ObsSimulatorTest, AttachedRecorderSeesTheRun) {
     EXPECT_TRUE(saw_start);
     EXPECT_TRUE(saw_finish);
     EXPECT_TRUE(saw_rotation);
+}
+
+TEST(ObsSimulatorTest, HotPotatoBatchHistogramCountsEveryAlgorithm1Query) {
+    // A Poisson mix exercises every query site: rotation queries, the
+    // rotation-off placement slates and the τ walks. Each Algorithm-1 query
+    // ticks alg1_evals once and records its candidate count once; the
+    // workspace's ring memo is the only memo, so no cache counters exist.
+    Recorder rec;
+    hp::sim::SimConfig cfg;
+    cfg.micro_step_s = 1e-4;
+    cfg.scheduler_epoch_s = 1e-3;
+    cfg.max_sim_time_s = 0.3;
+    hp::sim::Simulator sim =
+        testbed().make_simulator(cfg, {}, {}, nullptr, &rec);
+    sim.add_tasks(hp::workload::poisson_mix(8, 50.0, 2, 3, 7));
+    hp::core::HotPotatoScheduler sched;
+    sim.run(sched);
+
+    const MetricsSnapshot snap = rec.snapshot();
+    std::uint64_t evals = 0;
+    for (const auto& c : snap.counters) {
+        if (c.name == "hotpotato.alg1_evals") evals = c.value;
+        EXPECT_EQ(c.name.find("cache"), std::string::npos) << c.name;
+    }
+    EXPECT_GT(evals, 0u);
+    std::uint64_t observed = 0;
+    bool saw_slate = false;
+    for (const auto& h : snap.histograms) {
+        if (h.name != "hotpotato.batch_size") continue;
+        for (std::size_t b = 0; b < h.counts.size(); ++b) {
+            observed += h.counts[b];
+            if (b > 0 && h.counts[b] > 0) saw_slate = true;
+        }
+    }
+    EXPECT_EQ(observed, evals);
+    EXPECT_TRUE(saw_slate) << "no multi-candidate placement slate ran";
 }
 
 TEST(ObsSimulatorTest, RecorderDoesNotPerturbTheSimulation) {
